@@ -9,10 +9,12 @@ family, the size and the case index only: it decides which pairs are
 constrained, how, and which individuals exist.  The *seed* stream depends
 on the benchmark seed as well: it renames the concepts and shuffles the
 statements of every source, which changes the variable order, the
-lexicographic tie-breaks and every byte of the input, but not how hard
-the case is.  Scenario counts and relaxation traces vary over orders of
-magnitude between structures, so drawing the structure from the seed
-would make one seed's run incomparable with another's.
+lexicographic tie-breaks and every byte of the input.  Scenario counts
+and relaxation traces vary over orders of magnitude between structures,
+so the structure is not drawn from the seed.  The seed still changes how
+hard some cases are: the variable order sets the order of the search and
+how deep it recurses, so which sparse_merge cases at n=50 overflow the
+stack differs from seed to seed.  Compare runs of the same seeds.
 
 ``random.Random`` seeded with a string is stable across processes and
 platforms, so the same seed always gives the same bytes.

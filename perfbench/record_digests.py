@@ -1,9 +1,9 @@
 """Record the output digest of every seeded case into digests.json.
 
-    python3 perfbench/record_digests.py [--seeds N]
+    python3 perfbench/record_digests.py
 
 Runs the fixed case set and the probe of every synthetic workload for
-seeds 0..N-1 with the per-case time limit, and stores the digest of each
+each seed in SEEDS with the per-case time limit, and stores the digest of each
 output that completes.  The benchmark then checks a case against its
 digest; a case without one is checked by invariants only.  Rerun this
 only when a change is meant to alter outputs, and say so in CHANGES.md.
@@ -11,7 +11,6 @@ only when a change is meant to alter outputs, and say so in CHANGES.md.
 
 from __future__ import annotations
 
-import argparse
 import json
 import signal
 import sys
@@ -21,18 +20,17 @@ import run
 sys.path.insert(0, str(run.SRC))
 import workloads  # noqa: E402
 
+SEEDS = range(40)
+
 
 def main() -> int:
-    parser = argparse.ArgumentParser(description=__doc__.split("\n\n")[0])
-    parser.add_argument("--seeds", type=int, default=40)
-    args = parser.parse_args()
     signal.signal(signal.SIGALRM, run._alarm)
     digests: dict[str, dict[str, str]] = {}
     for name, workload in workloads.WORKLOADS.items():
         if name == "running_example":
             continue  # checked against the golden file
         recorded = digests.setdefault(name, {})
-        for seed in range(args.seeds):
+        for seed in SEEDS:
             bench = run.Run(workload, seed, 0.0, trace=False)
             bench.digests = {}
             for case in workload.cases(seed):

@@ -28,7 +28,6 @@ import time
 import traceback
 from dataclasses import dataclass
 from pathlib import Path
-from typing import Callable
 
 import tracing
 
@@ -42,20 +41,21 @@ OUT = HERE / "out"
 #: REFERENCE_S and a child importing numpy CHILD_REFERENCE_S.  The speed of
 #: a shared machine drifts by a quarter and more over seconds to minutes,
 #: and import work drifts apart from computation; each reference, timed
-#: around every block of cases or burst of child processes, moves with
-#: the work it scales.
+#: around every block of cases or of child processes, moves with the work
+#: it scales.
 REFERENCE_S = 0.002
 CHILD_REFERENCE_S = 0.2
 #: Per-case time limit; a case still running then counts as a timeout.
 CASE_LIMIT_S = 5.0
 #: Fresh-interpreter imports per run; their median is `setup_s`.
-SETUP_SAMPLES = 5
+SETUP_SAMPLES = 9
 #: Whole-CLI runs per run, at least, whatever the window share allows.
 MIN_CLI_SAMPLES = 5
-#: In-process cases run in blocks of at least this long between bursts of
-#: child processes, so that cache misses right after a child touch few of
-#: them and the child reference is timed once per burst only.
-SAMPLER_BLOCK_S = 1.5
+#: A reference is timed again after this long of cases, or of child
+#: processes.  The machine's speed shifts within seconds, so cases get
+#: short blocks; the child reference costs a child process of its own.
+BLOCK_S = 0.5
+CHILD_BLOCK_S = 1.5
 #: The probe starts no new case after this long.
 PROBE_BUDGET_S = 15.0
 #: Address-space cap for this process, so a runaway case fails with
@@ -132,13 +132,17 @@ def _reference_work() -> int:
 
 
 def reference_seconds() -> float:
-    """Best of three timings of the reference work: how fast the machine is right now."""
-    best = float("inf")
-    for _ in range(3):
+    """Median of five timings of the reference work: how fast the machine is right now.
+
+    The median tracks the cases' own times more closely than the best of
+    a few timings, which dodges the interference the cases do not.
+    """
+    timings = []
+    for _ in range(5):
         start = time.perf_counter()
         _reference_work()
-        best = min(best, time.perf_counter() - start)
-    return best
+        timings.append(time.perf_counter() - start)
+    return statistics.median(timings)
 
 
 def child_reference_seconds() -> float:
@@ -200,64 +204,6 @@ def failure_site(tb) -> str:
     return site
 
 
-class Sampler:
-    """Import timings and whole-CLI runs, spread between cases over the measuring window.
-
-    The machine's speed drifts over seconds; sampling every metric across
-    the whole window, rather than in phases of their own, keeps one slow
-    stretch from landing on one metric only.
-    """
-
-    def __init__(self, run: "Run", jobs: list[tuple], share: float, seconds: float) -> None:
-        self.run = run
-        self.jobs = jobs
-        self.share = share
-        self.seconds = seconds
-        self.start = self.last = time.perf_counter()
-        self.setup: list[Record] = []
-        self.cli: list[Record] = []
-        self.unscaled: list[Record] = []
-        self.readings: list[float] = []
-
-    def between_cases(self) -> None:
-        now = time.perf_counter()
-        if now - self.last < SAMPLER_BLOCK_S:
-            return
-        self.run.mark_speed()
-        due = min(SETUP_SAMPLES, int((now - self.start) * SETUP_SAMPLES / self.seconds) + 1)
-        imports = due - len(self.setup)
-        self.burst(
-            imports, lambda: sum(r.wall for r in self.cli) < self.share * (time.perf_counter() - self.start)
-        )
-        self.last = time.perf_counter()
-
-    def finish(self) -> None:
-        self.run.mark_speed()
-        self.burst(SETUP_SAMPLES - len(self.setup), lambda: len(self.cli) < MIN_CLI_SAMPLES)
-        self.child_reference()
-
-    def child_reference(self) -> None:
-        """Time the child reference; samples of the last burst get the mean of it and the one before."""
-        now = child_reference_seconds()
-        for record in self.unscaled:
-            record.ref = (self.readings[-1] + now) / 2
-        self.unscaled.clear()
-        self.readings.append(now)
-
-    def burst(self, imports: int, more_cli: Callable[[], bool]) -> None:
-        """Child processes back to back, after a timing of the child reference."""
-        if imports <= 0 and not more_cli():
-            return
-        self.child_reference()
-        for _ in range(imports):
-            self.setup.append(self.run.import_once())
-            self.unscaled.append(self.setup[-1])
-        while more_cli():
-            self.cli.append(self.run.cli_once(self.jobs[len(self.cli) % len(self.jobs)]))
-            self.unscaled.append(self.cli[-1])
-        self.run.mark_speed()
-
-
 class Run:
     def __init__(self, workload, seed: int, seconds: float, trace: bool) -> None:
         import workloads  # needs src/ on the path, which main() puts there
@@ -274,10 +220,11 @@ class Run:
         self.first_output: dict[str, str] = {}
         self.instrumentation = tracing.Instrumentation() if trace else None
         self.recursion_limit = sys.getrecursionlimit()
-        self.sampler: Sampler | None = None
         self.unscaled: list[Record] = []
         self.readings: list[float] = []
+        self.child_readings: list[float] = []
         self.last_ref = 0.0
+        self.last_mark = 0.0
 
     # --- one case ----------------------------------------------------------
 
@@ -348,13 +295,14 @@ class Run:
             record.ref = (self.last_ref + now) / 2 if self.last_ref else now
         self.unscaled.clear()
         self.last_ref = now
+        self.last_mark = time.perf_counter()
 
     def run_pass(self, cases, phase: str) -> list[Record]:
         records = []
         for case in cases:
             records.append(self.run_case(case, phase))
-            if self.sampler is not None:
-                self.sampler.between_cases()
+            if time.perf_counter() - self.last_mark >= BLOCK_S:
+                self.mark_speed()
         return records
 
     def passes_until(self, cases, deadline: float, phase: str) -> list[list[Record]]:
@@ -402,6 +350,41 @@ class Run:
             jobs.append((case, args, expected))
         return jobs
 
+    def child_phase(self, jobs, end: float) -> tuple[list[Record], list[Record]]:
+        """Whole-CLI runs until `end`, one child at a time, with fresh-interpreter imports spread among them.
+
+        The children run in blocks of about `CHILD_BLOCK_S`; each sample is
+        scaled by the mean of the child reference timed before and after
+        its block.  Spreading the imports over several blocks keeps one
+        off reading of the reference from moving every import.
+        """
+        setup: list[Record] = []
+        cli: list[Record] = []
+        block: list[Record] = []
+
+        def more() -> bool:
+            return len(setup) < SETUP_SAMPLES or len(cli) < MIN_CLI_SAMPLES or time.perf_counter() < end
+
+        start = time.perf_counter()
+        spacing = max(end - start, 0.0) / SETUP_SAMPLES
+        before = child_reference_seconds()
+        self.child_readings.append(before)
+        while more():
+            due = time.perf_counter() - start >= len(setup) * spacing
+            if len(setup) < SETUP_SAMPLES and due:
+                setup.append(self.import_once())
+                block.append(setup[-1])
+            else:
+                cli.append(self.cli_once(jobs[len(cli) % len(jobs)]))
+                block.append(cli[-1])
+            if sum(r.wall for r in block) >= CHILD_BLOCK_S or not more():
+                after = child_reference_seconds()
+                self.child_readings.append(after)
+                for record in block:
+                    record.ref = (before + after) / 2
+                block, before = [], after
+        return setup, cli
+
     def cli_once(self, job) -> Record:
         case, args, expected = job
         start = time.perf_counter()
@@ -435,15 +418,16 @@ class Run:
             solved = n
         return solved
 
-    def end_to_end(self, setup: list[Record], cli: list[Record], passes: list[list[Record]]) -> dict:
-        # Cases that ran to an end, raised ones included: which cases overflow
-        # the stack depends on the seed, and dropping them would change the
-        # sample from seed to seed.
-        ended = [r.scaled for p in passes for r in p if r.status != "timeout"]
+    def end_to_end(
+        self, setup: list[Record], cli: list[Record], passes: list[list[Record]], peak_rss_mb: float
+    ) -> tuple[dict, int]:
+        # Completed cases; failed ones show in `failed`, and count here only
+        # if no case completed, so that the run still reports.
+        cases = [r for p in passes for r in p]
+        ended = [r.scaled for r in cases if r.ok] or [r.scaled for r in cases]
         totals = [sum(r.scaled for r in p) for p in passes]
         rates = [sum(r.ok for r in p) / total for p, total in zip(passes, totals)]
         cli_s = [r.scaled for r in cli]
-        attempted, failed = self.counts()
         return {
             "setup_s": (statistics.median(r.scaled for r in setup), "s"),
             "cli_wall_s_p50": (statistics.median(cli_s), "s"),
@@ -452,13 +436,20 @@ class Run:
             "case_s_p90": (percentile(ended, 0.9), "s"),
             "work_s": (statistics.median(totals), "s"),
             "cases_per_s": (statistics.median(rates), "1/s"),
-            "ok_frac": ((attempted - failed) / attempted, "fraction"),
             "max_concepts_solved": (self.max_concepts_solved(), "count"),
-            "peak_rss_mb": (resource.getrusage(resource.RUSAGE_SELF).ru_maxrss / 1024, "MB"),
+            "peak_rss_mb": (peak_rss_mb, "MB"),
         }, len(ended)
 
     def counts(self) -> tuple[int, int]:
-        return len(self.records), sum(not r.ok for r in self.records)
+        """Operations of the window: cases of the warm-up and of the passes, and CLI runs.
+
+        Probe cases are not operations of the workload.  The probe looks
+        for the size at which the program stops answering within the
+        limit, so its last case fails by design; what it finds is
+        `max_concepts_solved`, and the report says how that case ended.
+        """
+        operations = [r for r in self.records if r.phase != "probe"]
+        return len(operations), sum(not r.ok for r in operations)
 
     # --- the run -------------------------------------------------------------
 
@@ -476,25 +467,28 @@ class Run:
             metrics["cli.import_s"] = (statistics.median(b[0] for b in breakdown), "s")
             metrics["cli.import_numpy_s"] = (statistics.median(b[1] for b in breakdown), "s")
             return metrics, notes
-        self.probe()
         OUT.mkdir(exist_ok=True)
         with tempfile.TemporaryDirectory(dir=OUT) as workdir:
             jobs = self.cli_jobs(cases, Path(workdir))
-            self.sampler = Sampler(self, jobs, self.workload.cli_share, self.seconds)
             window_end = time.perf_counter() + self.seconds
+            cases_end = window_end - self.workload.cli_share * self.seconds
             self.mark_speed()
             self.run_pass(cases, "warmup")
-            passes = self.passes_until(cases, window_end, "pass")
-            self.sampler.finish()
-        setup, cli = self.sampler.setup, self.sampler.cli
-        metrics, samples = self.end_to_end(setup, cli, passes)
+            passes = self.passes_until(cases, cases_end, "pass")
+            self.mark_speed()
+            setup, cli = self.child_phase(jobs, window_end)
+        # Read before the probe: the probe stops its last case at the time
+        # limit, so the memory that case reaches depends on the machine's speed.
+        peak_rss_mb = resource.getrusage(resource.RUSAGE_SELF).ru_maxrss / 1024
+        self.probe()
+        metrics, samples = self.end_to_end(setup, cli, passes, peak_rss_mb)
         raw = [sum(r.wall for r in p) for p in passes]
         notes += [
-            f"samples: {len(setup)} imports, {len(cli)} CLI runs, {samples} case runs that ended "
+            f"samples: {len(setup)} imports, {len(cli)} CLI runs, {samples} completed case runs "
             f"in {len(passes)} timed passes of {len(cases)} cases",
             f"speed: in-process reference {statistics.median(self.readings) * 1e3:.3f} ms over "
             f"{len(self.readings)} readings, child reference "
-            f"{statistics.median(self.sampler.readings) * 1e3:.1f} ms over {len(self.sampler.readings)}; "
+            f"{statistics.median(self.child_readings) * 1e3:.1f} ms over {len(self.child_readings)}; "
             f"scaled to {REFERENCE_S * 1e3:g} and {CHILD_REFERENCE_S * 1e3:g} ms",
             f"unscaled: work_s {statistics.median(raw):.6g} s, "
             f"cli_wall_s_p50 {statistics.median(r.wall for r in cli):.6g} s, "
@@ -567,7 +561,9 @@ def main(argv: list[str] | None = None) -> int:
         print(f"  {note}")
     failures: dict[str, int] = {}
     for r in run.records:
-        if not r.ok:
+        if r.phase == "probe" and not r.ok:
+            print(f"  probe ended at n={r.n}, case {r.key}: {r.status} in {r.where}")
+        elif not r.ok:
             label = f"{r.phase} n={r.n} {r.status} in {r.where}"
             failures[label] = failures.get(label, 0) + 1
     for label, count in sorted(failures.items()):

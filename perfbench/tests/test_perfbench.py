@@ -3,6 +3,7 @@
 Run with ``python3 -m pytest perfbench/tests`` from the root of a checkout.
 """
 
+import dataclasses
 import hashlib
 import subprocess
 import sys
@@ -123,6 +124,14 @@ def test_wrapping_leaves_outputs_byte_identical(name, size):
     assert traced == plain
     assert tracer.spans and all(s.end >= s.start for s in tracer.spans)
     assert (cli.run_pipeline, rcc5.is_consistent) == originals
+
+
+def test_taxonomy_invariant_recounts_the_distance():
+    case = workloads.WORKLOADS["taxonomy"].case(45, 40, 0)
+    candidate, sources, score = workloads.selection_stage(case.texts)[1]
+    assert workloads.selection_invariants((candidate, sources, score)) is None
+    wrong = dataclasses.replace(score, distance=score.distance + 1)
+    assert workloads.selection_invariants((candidate, sources, wrong)) is not None
 
 
 def test_golden_is_the_acceptance_result():

@@ -108,15 +108,14 @@ def selection_stage(texts: Sequence[str]) -> tuple[str, Any]:
     score = report.scores[report.selected_index]
     lines = [f"distance {score.distance} per_source {list(score.per_source)}"]
     lines += [f"{u} {v} {rel!r}" for u, v, rel in selected.items()]
-    return "\n".join(lines) + "\n", (candidate, selected, score)
+    return "\n".join(lines) + "\n", (candidate, sources, score)
 
 
 def selection_invariants(state: Any) -> str | None:
-    candidate, selected, score = state
-    if selected != candidate:
-        return "the only candidate was not selected"
-    if score.distance != sum(score.per_source):
-        return "distance is not the sum of the per-source conflicts"
+    """The score's distance against `scenario_distance`, which counts each pair's conflicts anew."""
+    candidate, sources, score = state
+    if score.distance != selection.scenario_distance(candidate, sources):
+        return "distance differs from scenario_distance of the candidate"
     return None
 
 
@@ -159,18 +158,18 @@ def _merge_args(profile: Path, first: Path) -> list[str]:
 WORKLOADS = {
     w.name: w
     for w in (
-        Workload("running_example", full_pipeline, pipeline_invariants, (4,), 1, (), _merge_args, 0.7),
+        Workload("running_example", full_pipeline, pipeline_invariants, (4,), 1, (), _merge_args, 0.5),
         Workload(
             "dense_conflict", full_pipeline, pipeline_invariants, (4, 5), 8, tuple(range(6, 31)),
-            _merge_args, 0.2,
+            _merge_args, 0.3,
         ),
         Workload(
-            "sparse_merge", merge_stage, merge_invariants, (20, 30, 40, 50), 3, (),
-            lambda profile, first: ["check", "--profile", str(profile)], 0.2,
+            "sparse_merge", merge_stage, merge_invariants, (20, 30, 40), 3, tuple(range(50, 101, 10)),
+            lambda profile, first: ["check", "--profile", str(profile)], 0.3,
         ),
         Workload(
             "taxonomy", selection_stage, selection_invariants, (40, 50, 60, 70, 80), 2, (),
-            lambda profile, first: ["classify", str(first)], 0.2,
+            lambda profile, first: ["classify", str(first)], 0.3,
         ),
     )
 }
