@@ -26,7 +26,6 @@ from .ontology import (
     Disjointness,
     ExistsLeft,
     ExistsRight,
-    Interpretation,
     NameClashError,
     NotNormalFormError,
     Ontology,
@@ -56,14 +55,11 @@ from .rcc5 import (
     QCN,
     Relation,
     Scenario,
-    SetInterpretation,
     algebraic_closure,
     compose,
     compose_relations,
     converse,
     enumerate_scenarios,
-    find_set_model,
-    generate_composition_table,
     is_consistent,
     qcn_from_json,
     qcn_to_dot,
@@ -81,11 +77,8 @@ from .selection import (
 from .translate import (
     ForwardTranslation,
     FreshNamePool,
-    NotFulfillingError,
     backward,
-    flatten,
     forward,
-    inflate,
 )
 
 __version__ = "0.1.0"

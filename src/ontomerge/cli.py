@@ -16,7 +16,7 @@ from dataclasses import dataclass
 from pathlib import Path
 from typing import Callable, Sequence
 
-from .distance import DistanceTable, distance_table, render_distance_table
+from .distance import DistanceTable, render_distance_table
 from .merging import MergeTrace, merge
 from .ontology import (
     Classification,
@@ -113,7 +113,6 @@ def run_pipeline(sources: Sequence[Ontology]) -> PipelineResult:
         translations = tuple(forward(o, variables=union) for o in sources)
     except ValueError as exc:
         raise PipelineError("translate-forward", str(exc)) from exc
-    table = distance_table([t.qcn for t in translations])
     merged, trace = merge([t.qcn for t in translations])
     scenarios = tuple(enumerate_scenarios(merged))
     assert scenarios, "a consistent merged network admits a scenario"
@@ -122,7 +121,7 @@ def run_pipeline(sources: Sequence[Ontology]) -> PipelineResult:
     return PipelineResult(
         sources=tuple(sources),
         translations=translations,
-        table=table,
+        table=trace.table,
         merged=merged,
         trace=trace,
         scenarios=scenarios,

@@ -9,7 +9,7 @@ consistent, so the loop terminates; the trace records each step.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 from typing import Sequence
 
 from .distance import DistanceTable, distance_table
@@ -54,9 +54,12 @@ class MergeIteration:
 
 @dataclass(frozen=True)
 class MergeTrace:
+    """The relaxation steps, plus the distance table that guided them."""
+
     initial: QCN
     iterations: tuple[MergeIteration, ...]
     final: QCN
+    table: DistanceTable = field(compare=False, repr=False)
 
     def to_json_dict(self) -> dict:
         return {
@@ -101,5 +104,5 @@ def merge(profile: Sequence[QCN]) -> tuple[QCN, MergeTrace]:
         )
         assert len(iterations) <= bound, "relaxation failed to terminate"
 
-    trace = MergeTrace(initial=initial, iterations=tuple(iterations), final=current)
+    trace = MergeTrace(initial=initial, iterations=tuple(iterations), final=current, table=table)
     return current, trace

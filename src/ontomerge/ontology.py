@@ -5,16 +5,18 @@ An ontology is a TBox of axioms drawn from exactly four shapes --
 atomic names -- plus an ABox of concept and role assertions.  This module
 provides the data model, a line-oriented text parser, JSON export,
 classification (saturation of atomic subsumptions and disjointness),
-deductive closure of the ABox, and a finite interpretation type used by
-the semantic test oracles.
+and deductive closure of the ABox.
 """
 
 from __future__ import annotations
 
 import json
 import re
-from dataclasses import dataclass
-from typing import Iterable, Iterator, Mapping, Union
+from collections import defaultdict
+from dataclasses import dataclass, field
+from itertools import chain
+from operator import attrgetter
+from typing import Callable, Iterable, Mapping, Union
 
 __all__ = [
     "OntologyError",
@@ -34,7 +36,6 @@ __all__ = [
     "Ontology",
     "Classification",
     "ClosedABox",
-    "Interpretation",
     "parse_ontology",
     "format_statement",
     "format_ontology",
@@ -141,59 +142,105 @@ class RoleAssertion:
 Assertion = Union[ConceptAssertion, RoleAssertion]
 Statement = Union[Subsumption, Disjointness, ExistsRight, ExistsLeft, ConceptAssertion, RoleAssertion]
 
-_KIND_RANK = {
-    Subsumption: 0,
-    Disjointness: 1,
-    ExistsRight: 2,
-    ExistsLeft: 3,
-    ConceptAssertion: 4,
-    RoleAssertion: 5,
+
+@dataclass(frozen=True)
+class _Kind:
+    """How one statement class is written, read, named and exported."""
+
+    pattern: tuple[str, ...]
+    fields: tuple[tuple[str, str], ...]
+    template: str
+    tag: str
+    values: Callable[[Statement], tuple[str, ...]] = field(init=False)
+    getters: tuple[tuple[Callable[[Statement], str], str], ...] = field(init=False)
+
+    def __post_init__(self) -> None:
+        object.__setattr__(self, "values", attrgetter(*(name for name, _ in self.fields)))
+        object.__setattr__(self, "getters", tuple((attrgetter(f), ns) for f, ns in self.fields))
+
+
+#: One row per statement class, in canonical order: token pattern, fields
+#: with their namespaces, text template and JSON tag.  The NAME tokens of
+#: each pattern carry the fields in declaration order, so ``cls(*names)``
+#: builds the statement, and the fields in that order are its sort key.
+_KINDS: dict[type, _Kind] = {
+    Subsumption: _Kind(
+        ("NAME", "LE", "NAME"),
+        (("sub", "concept"), ("sup", "concept")),
+        "{} <= {}",
+        "subsumption",
+    ),
+    Disjointness: _Kind(
+        ("NAME", "AMP", "NAME", "LE", "BOT"),
+        (("first", "concept"), ("second", "concept")),
+        "{} & {} <= bot",
+        "disjointness",
+    ),
+    ExistsRight: _Kind(
+        ("NAME", "LE", "SOME", "NAME", "DOT", "NAME"),
+        (("sub", "concept"), ("role", "role"), ("filler", "concept")),
+        "{} <= some {}.{}",
+        "exists_right",
+    ),
+    ExistsLeft: _Kind(
+        ("SOME", "NAME", "DOT", "NAME", "LE", "NAME"),
+        (("role", "role"), ("filler", "concept"), ("sup", "concept")),
+        "some {}.{} <= {}",
+        "exists_left",
+    ),
+    ConceptAssertion: _Kind(
+        ("NAME", "LPAR", "NAME", "RPAR"),
+        (("concept", "concept"), ("individual", "individual")),
+        "{}({})",
+        "concept",
+    ),
+    RoleAssertion: _Kind(
+        ("NAME", "LPAR", "NAME", "COMMA", "NAME", "RPAR"),
+        (("role", "role"), ("subject", "individual"), ("object", "individual")),
+        "{}({},{})",
+        "role",
+    ),
 }
+_CLASS_OF_PATTERN = {kind.pattern: cls for cls, kind in _KINDS.items()}
 
 
-def statement_sort_key(stmt: Statement) -> tuple:
-    if isinstance(stmt, Subsumption):
-        fields = (stmt.sub, stmt.sup)
-    elif isinstance(stmt, Disjointness):
-        fields = (stmt.first, stmt.second)
-    elif isinstance(stmt, ExistsRight):
-        fields = (stmt.sub, stmt.role, stmt.filler)
-    elif isinstance(stmt, ExistsLeft):
-        fields = (stmt.role, stmt.filler, stmt.sup)
-    elif isinstance(stmt, ConceptAssertion):
-        fields = (stmt.concept, stmt.individual)
-    elif isinstance(stmt, RoleAssertion):
-        fields = (stmt.role, stmt.subject, stmt.object)
-    else:
-        raise TypeError(f"not a statement: {stmt!r}")
-    return (_KIND_RANK[type(stmt)], fields)
+def _kind(stmt: Statement) -> _Kind:
+    try:
+        return _KINDS[type(stmt)]
+    except KeyError:
+        raise TypeError(f"not a statement: {stmt!r}") from None
 
 
-def _statement_names(stmt: Statement) -> Iterator[tuple[str, str]]:
-    """(name, kind) occurrences of a statement, in written order."""
-    if isinstance(stmt, Subsumption):
-        yield stmt.sub, "concept"
-        yield stmt.sup, "concept"
-    elif isinstance(stmt, Disjointness):
-        yield stmt.first, "concept"
-        yield stmt.second, "concept"
-    elif isinstance(stmt, ExistsRight):
-        yield stmt.sub, "concept"
-        yield stmt.role, "role"
-        yield stmt.filler, "concept"
-    elif isinstance(stmt, ExistsLeft):
-        yield stmt.role, "role"
-        yield stmt.filler, "concept"
-        yield stmt.sup, "concept"
-    elif isinstance(stmt, ConceptAssertion):
-        yield stmt.concept, "concept"
-        yield stmt.individual, "individual"
-    elif isinstance(stmt, RoleAssertion):
-        yield stmt.role, "role"
-        yield stmt.subject, "individual"
-        yield stmt.object, "individual"
-    else:
-        raise TypeError(f"not a statement: {stmt!r}")
+def _by_class(statements: Iterable[Statement]) -> defaultdict[type, list[Statement]]:
+    groups: defaultdict[type, list[Statement]] = defaultdict(list)
+    for stmt in statements:
+        groups[type(stmt)].append(stmt)
+    for cls, group in groups.items():
+        if cls not in _KINDS:
+            raise TypeError(f"not a statement: {group[0]!r}")
+    return groups
+
+
+def _names_by_namespace(groups: Mapping[type, list[Statement]]) -> dict[str, set[str]]:
+    names: dict[str, set[str]] = {"concept": set(), "role": set(), "individual": set()}
+    for cls, group in groups.items():
+        for get, namespace in _KINDS[cls].getters:
+            names[namespace].update(map(get, group))
+    return names
+
+
+def sorted_statements(statements: Iterable[Statement]) -> list[Statement]:
+    """Canonical order: by kind (the table's order), then by fields."""
+    groups = _by_class(statements)
+    out: list[Statement] = []
+    for cls, kind in _KINDS.items():
+        out += sorted(groups.get(cls, ()), key=kind.values)
+    return out
+
+
+def _statement_names(stmt: Statement) -> list[tuple[str, str]]:
+    """(name, namespace) occurrences of a statement, in written order."""
+    return [(get(stmt), namespace) for get, namespace in _kind(stmt).getters]
 
 
 @dataclass(frozen=True)
@@ -216,10 +263,10 @@ class Ontology:
             "individual"
         ] or by_kind["role"] & by_kind["individual"]:
             raise NameClashError("concept, role and individual names must be disjoint")
-        for stmt in list(self.tbox) + list(self.abox):
-            for name, kind in _statement_names(stmt):
-                if name not in by_kind[kind]:
-                    raise ValueError(f"{kind} {name!r} missing from the signature")
+        used = _names_by_namespace(_by_class(chain(self.tbox, self.abox)))
+        for kind, names in used.items():
+            if not names <= by_kind[kind]:
+                raise ValueError(f"{kind} {min(names - by_kind[kind])!r} missing from the signature")
 
     @classmethod
     def from_statements(
@@ -255,7 +302,7 @@ class Ontology:
 
     def statements(self) -> list[Statement]:
         """All statements in canonical (kind, names) order."""
-        return sorted(list(self.tbox) + list(self.abox), key=statement_sort_key)
+        return sorted_statements(chain(self.tbox, self.abox))
 
 
 # --- text grammar -----------------------------------------------------------
@@ -263,16 +310,6 @@ class Ontology:
 _NAME_RE = re.compile(r"[A-Za-z0-9_]+")
 _RESERVED = {"some": "SOME", "bot": "BOT"}
 _PUNCT = {"&": "AMP", "(": "LPAR", ")": "RPAR", ",": "COMMA", ".": "DOT"}
-
-_PATTERNS: tuple[tuple[tuple[str, ...], str], ...] = (
-    (("NAME", "LE", "NAME"), "subsumption"),
-    (("NAME", "AMP", "NAME", "LE", "BOT"), "disjointness"),
-    (("NAME", "LE", "SOME", "NAME", "DOT", "NAME"), "exists_right"),
-    (("SOME", "NAME", "DOT", "NAME", "LE", "NAME"), "exists_left"),
-    (("NAME", "LPAR", "NAME", "RPAR"), "concept_assertion"),
-    (("NAME", "LPAR", "NAME", "COMMA", "NAME", "RPAR"), "role_assertion"),
-)
-
 
 def _tokenize(line: str, line_no: int) -> list[tuple[str, str, int]]:
     tokens: list[tuple[str, str, int]] = []
@@ -334,21 +371,9 @@ def _loose_expression(kinds: tuple[str, ...]) -> bool:
 
 def _match_statement(tokens: list[tuple[str, str, int]], line_no: int, line: str) -> Statement:
     kinds = tuple(kind for kind, _, _ in tokens)
-    for pattern, which in _PATTERNS:
-        if kinds != pattern:
-            continue
-        words = [text for _, text, _ in tokens]
-        if which == "subsumption":
-            return Subsumption(words[0], words[2])
-        if which == "disjointness":
-            return Disjointness(words[0], words[2])
-        if which == "exists_right":
-            return ExistsRight(words[0], words[3], words[5])
-        if which == "exists_left":
-            return ExistsLeft(words[1], words[3], words[5])
-        if which == "concept_assertion":
-            return ConceptAssertion(words[0], words[2])
-        return RoleAssertion(words[0], words[2], words[4])
+    cls = _CLASS_OF_PATTERN.get(kinds)
+    if cls is not None:
+        return cls(*(text for kind, text, _ in tokens if kind == "NAME"))
     if kinds.count("LE") == 1:
         split = kinds.index("LE")
         if _loose_expression(kinds[:split]) and _loose_expression(kinds[split + 1 :]):
@@ -356,7 +381,7 @@ def _match_statement(tokens: list[tuple[str, str, int]], line_no: int, line: str
                 f"axiom is not in strict normal form: {line.strip()!r}", line_no
             )
     best = 0
-    for pattern, _ in _PATTERNS:
+    for pattern in _CLASS_OF_PATTERN:
         k = 0
         while k < len(kinds) and k < len(pattern) and kinds[k] == pattern[k]:
             k += 1
@@ -405,19 +430,8 @@ def parse_ontology(text: str) -> Ontology:
 
 
 def format_statement(stmt: Statement) -> str:
-    if isinstance(stmt, Subsumption):
-        return f"{stmt.sub} <= {stmt.sup}"
-    if isinstance(stmt, Disjointness):
-        return f"{stmt.first} & {stmt.second} <= bot"
-    if isinstance(stmt, ExistsRight):
-        return f"{stmt.sub} <= some {stmt.role}.{stmt.filler}"
-    if isinstance(stmt, ExistsLeft):
-        return f"some {stmt.role}.{stmt.filler} <= {stmt.sup}"
-    if isinstance(stmt, ConceptAssertion):
-        return f"{stmt.concept}({stmt.individual})"
-    if isinstance(stmt, RoleAssertion):
-        return f"{stmt.role}({stmt.subject},{stmt.object})"
-    raise TypeError(f"not a statement: {stmt!r}")
+    kind = _kind(stmt)
+    return kind.template.format(*kind.values(stmt))
 
 
 def format_ontology(o: Ontology) -> str:
@@ -426,17 +440,10 @@ def format_ontology(o: Ontology) -> str:
 
 
 def _statement_json(stmt: Statement) -> dict:
-    if isinstance(stmt, Subsumption):
-        return {"type": "subsumption", "sub": stmt.sub, "sup": stmt.sup}
-    if isinstance(stmt, Disjointness):
-        return {"type": "disjointness", "first": stmt.first, "second": stmt.second}
-    if isinstance(stmt, ExistsRight):
-        return {"type": "exists_right", "sub": stmt.sub, "role": stmt.role, "filler": stmt.filler}
-    if isinstance(stmt, ExistsLeft):
-        return {"type": "exists_left", "role": stmt.role, "filler": stmt.filler, "sup": stmt.sup}
-    if isinstance(stmt, ConceptAssertion):
-        return {"type": "concept", "concept": stmt.concept, "individual": stmt.individual}
-    return {"type": "role", "role": stmt.role, "subject": stmt.subject, "object": stmt.object}
+    kind = _kind(stmt)
+    data = {name: value for (name, _), value in zip(kind.fields, kind.values(stmt))}
+    data["type"] = kind.tag
+    return data
 
 
 def ontology_to_json(o: Ontology) -> str:
@@ -444,8 +451,8 @@ def ontology_to_json(o: Ontology) -> str:
         "concepts": sorted(o.concepts),
         "roles": sorted(o.roles),
         "individuals": sorted(o.individuals),
-        "tbox": [_statement_json(a) for a in sorted(o.tbox, key=statement_sort_key)],
-        "abox": [_statement_json(a) for a in sorted(o.abox, key=statement_sort_key)],
+        "tbox": [_statement_json(a) for a in sorted_statements(o.tbox)],
+        "abox": [_statement_json(a) for a in sorted_statements(o.abox)],
     }
     return json.dumps(data, indent=2, sort_keys=True) + "\n"
 
@@ -502,24 +509,12 @@ def classify(
     concept raises UnsatisfiableConceptError; otherwise it is reported in
     the result and the caller decides.
     """
-    axioms = list(tbox)
-    names: list[str] = []
-    seen: set[str] = set()
-    for stmt in axioms:
-        for name, kind in _statement_names(stmt):
-            if kind == "concept" and name not in seen:
-                seen.add(name)
-                names.append(name)
-    for name in concepts:
-        if name not in seen:
-            seen.add(name)
-            names.append(name)
-    names.sort()
-
-    subs = [a for a in axioms if isinstance(a, Subsumption)]
-    disj = [a for a in axioms if isinstance(a, Disjointness)]
-    ex_right = [a for a in axioms if isinstance(a, ExistsRight)]
-    ex_left = [a for a in axioms if isinstance(a, ExistsLeft)]
+    by_class = _by_class(tbox)
+    names = sorted(_names_by_namespace(by_class)["concept"].union(concepts))
+    subs = by_class[Subsumption]
+    disj = by_class[Disjointness]
+    ex_right = by_class[ExistsRight]
+    ex_left = by_class[ExistsLeft]
 
     supers: dict[str, set[str]] = {a: {a} for a in names}
     successors: set[tuple[str, str, str]] = set()
@@ -630,8 +625,8 @@ class ClosedABox:
 
     def to_json_dict(self) -> dict:
         return {
-            "facts": [_statement_json(f) for f in sorted(self.facts, key=statement_sort_key)],
-            "roles": [_statement_json(r) for r in sorted(self.roles, key=statement_sort_key)],
+            "facts": [_statement_json(f) for f in sorted_statements(self.facts)],
+            "roles": [_statement_json(r) for r in sorted_statements(self.roles)],
             "inconsistent_individuals": sorted(self.inconsistent_individuals),
         }
 
@@ -646,13 +641,13 @@ def deductive_closure(o: Ontology, classification: Classification | None = None)
     sup_map: dict[str, list[str]] = {}
     for s in cls.subsumptions:
         sup_map.setdefault(s.sub, []).append(s.sup)
-    ex_left = [a for a in o.tbox if isinstance(a, ExistsLeft)]
+    ex_left = _by_class(o.tbox)[ExistsLeft]
+    assertions = _by_class(o.abox)
     role_edges: dict[str, list[tuple[str, str]]] = {}
-    for r in o.abox:
-        if isinstance(r, RoleAssertion):
-            role_edges.setdefault(r.role, []).append((r.subject, r.object))
+    for r in assertions[RoleAssertion]:
+        role_edges.setdefault(r.role, []).append((r.subject, r.object))
 
-    facts: set[ConceptAssertion] = {a for a in o.abox if isinstance(a, ConceptAssertion)}
+    facts: set[ConceptAssertion] = set(assertions[ConceptAssertion])
     changed = True
     while changed:
         changed = False
@@ -688,51 +683,7 @@ def deductive_closure(o: Ontology, classification: Classification | None = None)
 
     return ClosedABox(
         facts=frozenset(facts),
-        roles=frozenset(r for r in o.abox if isinstance(r, RoleAssertion)),
+        roles=frozenset(assertions[RoleAssertion]),
         inconsistent_individuals=frozenset(inconsistent),
     )
 
-
-# --- finite interpretations (semantic oracle support) -----------------------
-
-
-@dataclass(frozen=True)
-class Interpretation:
-    """A finite interpretation: universe, extensions, role graphs, names."""
-
-    universe: frozenset[int]
-    concepts: Mapping[str, frozenset[int]]
-    roles: Mapping[str, frozenset[tuple[int, int]]]
-    individuals: Mapping[str, int]
-
-    def extension(self, concept: str) -> frozenset[int]:
-        return self.concepts.get(concept, frozenset())
-
-    def satisfies(self, stmt: Statement) -> bool:
-        if isinstance(stmt, Subsumption):
-            return self.extension(stmt.sub) <= self.extension(stmt.sup)
-        if isinstance(stmt, Disjointness):
-            return not (self.extension(stmt.first) & self.extension(stmt.second))
-        if isinstance(stmt, ExistsRight):
-            pairs = self.roles.get(stmt.role, frozenset())
-            filler = self.extension(stmt.filler)
-            witnesses = {x for x, y in pairs if y in filler}
-            return self.extension(stmt.sub) <= witnesses
-        if isinstance(stmt, ExistsLeft):
-            pairs = self.roles.get(stmt.role, frozenset())
-            filler = self.extension(stmt.filler)
-            witnesses = {x for x, y in pairs if y in filler}
-            return witnesses <= self.extension(stmt.sup)
-        if isinstance(stmt, ConceptAssertion):
-            return self.individuals[stmt.individual] in self.extension(stmt.concept)
-        if isinstance(stmt, RoleAssertion):
-            pair = (self.individuals[stmt.subject], self.individuals[stmt.object])
-            return pair in self.roles.get(stmt.role, frozenset())
-        raise TypeError(f"not a statement: {stmt!r}")
-
-    def is_model(self, o: Ontology) -> bool:
-        return all(self.satisfies(stmt) for stmt in list(o.tbox) + list(o.abox))
-
-    def is_fulfilling(self, concepts: Iterable[str] | None = None) -> bool:
-        names = self.concepts.keys() if concepts is None else concepts
-        return all(self.extension(name) for name in names)

@@ -8,22 +8,17 @@ qualitative constraint network (QCN) assigns a constraint to every pair of
 variables, keeping the two orientations of a pair converse-coherent.
 
 Reasoning services: weak composition, algebraic closure (path
-consistency), consistency by backtracking over atomic refinements,
-enumeration of maximal quasi-atomic scenarios, and an exhaustive
-finite-model search (`find_set_model`) that realizes the set semantics
-directly and serves as an independent oracle for everything else.
+consistency), consistency by backtracking over atomic refinements, and
+enumeration of maximal quasi-atomic scenarios.
 """
 
 from __future__ import annotations
 
 import json
 from collections import deque
-from dataclasses import dataclass
 from enum import Enum
 from math import prod
 from typing import Iterable, Iterator, Mapping, Sequence
-
-import numpy as np
 
 __all__ = [
     "BaseRelation",
@@ -39,16 +34,11 @@ __all__ = [
     "converse",
     "compose",
     "compose_relations",
-    "generate_composition_table",
-    "relation_code_matrix",
-    "rel_of_sets",
     "QCN",
     "Scenario",
-    "SetInterpretation",
     "algebraic_closure",
     "is_consistent",
     "enumerate_scenarios",
-    "find_set_model",
     "qcn_to_json",
     "qcn_from_json",
     "qcn_to_dot",
@@ -237,9 +227,8 @@ def converse(rel: Relation) -> Relation:
     return rel.converse()
 
 
-# Weak composition of base relations, frozen as a constant.  The table is
-# regenerated from the set semantics over a 7-point universe by
-# `generate_composition_table` and the two must agree (see tests).
+# Weak composition of base relations, frozen as a constant.  The tests
+# regenerate it from the set semantics over a 7-point universe.
 _COMPOSITION_ENTRIES: dict[tuple[str, str], tuple[str, ...]] = {
     ("DR", "DR"): ("DR", "PO", "PP", "PPi", "EQ"),
     ("DR", "PO"): ("DR", "PO", "PP"),
@@ -304,21 +293,6 @@ _COMP_MASK = _build_comp_masks()
 def compose_relations(r1: Relation, r2: Relation) -> Relation:
     """Weak composition lifted to relation sets (union over members)."""
     return Relation.from_mask(_COMP_MASK[r1.mask][r2.mask])
-
-
-def rel_of_sets(x: frozenset, y: frozenset) -> BaseRelation:
-    """The unique base relation holding between two non-empty sets."""
-    if not x or not y:
-        raise ValueError("regions must be non-empty")
-    if x == y:
-        return EQ
-    if not x & y:
-        return DR
-    if x < y:
-        return PP
-    if y < x:
-        return PPi
-    return PO
 
 
 class QCN:
@@ -478,23 +452,41 @@ class QCN:
 
     @classmethod
     def from_json_dict(cls, data: Mapping) -> "QCN":
+        """Read `to_json_dict` output; any malformed document is a ValueError."""
+        malformed = "malformed QCN JSON: "
         try:
-            variables = list(data["variables"])
-            raw = list(data["constraints"])
-        except (KeyError, TypeError) as exc:
-            raise ValueError(f"malformed QCN JSON: {exc}") from None
+            variables, raw = data["variables"], data["constraints"]
+        except (KeyError, TypeError):
+            raise ValueError(malformed + "expected an object with variables and constraints") from None
+        if not _is_list_of(variables, str):
+            raise ValueError(malformed + "variables must be a list of names")
+        if not _is_list_of(raw, dict):
+            raise ValueError(malformed + "constraints must be a list of objects")
+        known = set(variables)
         seen: set[frozenset[str]] = set()
         constraints = []
         for entry in raw:
-            u, v = entry["from"], entry["to"]
+            try:
+                u, v, names = entry["from"], entry["to"], entry["rel"]
+            except KeyError:
+                raise ValueError(malformed + f"constraint {entry} needs from, to and rel") from None
+            for name in (u, v):
+                if not (isinstance(name, str) and name in known):
+                    raise ValueError(malformed + f"constraint names an unknown variable {name!r}")
+            if not _is_list_of(names, str):
+                raise ValueError(malformed + f"rel of constraint {entry} must be a list of names")
             key = frozenset((u, v))
             if len(key) != 2:
                 raise ValueError(f"constraint relates a variable to itself: {u!r}")
             if key in seen:
                 raise ValueError(f"duplicate constraint for pair ({u!r}, {v!r})")
             seen.add(key)
-            constraints.append(((u, v), Relation.from_names(entry["rel"])))
+            constraints.append(((u, v), Relation.from_names(names)))
         return cls(variables, constraints)
+
+
+def _is_list_of(value: object, item_type: type) -> bool:
+    return isinstance(value, list) and all(isinstance(item, item_type) for item in value)
 
 
 class Scenario(QCN):
@@ -515,31 +507,6 @@ class Scenario(QCN):
     @classmethod
     def from_qcn(cls, qcn: QCN) -> "Scenario":
         return cls(qcn.variables, {(u, v): rel for u, v, rel in qcn.items()})
-
-
-@dataclass(frozen=True)
-class SetInterpretation:
-    """A finite set-valued assignment realizing Table-style semantics."""
-
-    universe: tuple[int, ...]
-    assignment: dict[str, frozenset[int]]
-
-    def __post_init__(self) -> None:
-        points = set(self.universe)
-        for var, region in self.assignment.items():
-            if not region:
-                raise ValueError(f"region for {var!r} is empty")
-            if not region <= points:
-                raise ValueError(f"region for {var!r} leaves the universe")
-
-    def relation_between(self, u: str, v: str) -> BaseRelation:
-        return rel_of_sets(self.assignment[u], self.assignment[v])
-
-    def satisfies(self, qcn: QCN) -> bool:
-        for u, v, rel in qcn.items():
-            if self.relation_between(u, v) not in rel:
-                return False
-        return True
 
 
 def _close(m: list[list[int]], n: int, queue: deque[tuple[int, int]] | None = None) -> bool:
@@ -732,96 +699,6 @@ def enumerate_scenarios(n: QCN) -> list[Scenario]:
         masks = {pair: mask for pair, mask in zip(pair_list, box)}
         scenarios.append(QCN._from_parts(n.variables, masks, Scenario))
     return scenarios
-
-
-def relation_code_matrix(universe_size: int) -> np.ndarray:
-    """Base-relation indices for every pair of non-empty subset bitmasks.
-
-    Entry [a-1, b-1] is the canonical index (DR=0 .. EQ=4) of the relation
-    between the regions encoded by masks a and b over a universe of the
-    given size.  Pure set semantics; independent of the composition table.
-    """
-    count = (1 << universe_size) - 1
-    masks = np.arange(1, count + 1, dtype=np.int64)
-    a = masks[:, None]
-    b = masks[None, :]
-    inter = a & b
-    codes = np.full((count, count), PO.index, dtype=np.uint8)
-    codes[inter == 0] = DR.index
-    codes[(inter == a) & (a != b)] = PP.index
-    codes[(inter == b) & (a != b)] = PPi.index
-    codes[a == b] = EQ.index
-    return codes
-
-
-def generate_composition_table(
-    universe_size: int = 7,
-) -> dict[tuple[BaseRelation, BaseRelation], Relation]:
-    """Regenerate weak composition by brute force over set triples.
-
-    Seven points cover every Boolean cell of three regions, so the result
-    is the true table; it must equal the shipped constant.
-    """
-    codes = relation_code_matrix(universe_size)
-    table = {}
-    for b1 in _BASES:
-        left = (codes == b1.index).astype(np.uint32)
-        for b2 in _BASES:
-            right = (codes == b2.index).astype(np.uint32)
-            reachable = (left @ right) > 0
-            out = np.unique(codes[reachable])
-            table[(b1, b2)] = Relation(_BASES[i] for i in out)
-    return table
-
-
-def find_set_model(n: QCN, universe_size: int) -> SetInterpretation | None:
-    """Exhaustive search for a set assignment satisfying the network.
-
-    Enumerates non-empty subsets of a `universe_size`-point universe for
-    each variable (exponential; meant for small networks and as a test
-    oracle).  Returns the first model in mask-ascending order, or None.
-    """
-    if universe_size < 1:
-        raise ValueError("universe_size must be positive")
-    variables = n.variables
-    count = (1 << universe_size) - 1
-    if not variables:
-        return SetInterpretation(tuple(range(universe_size)), {})
-    codes = relation_code_matrix(universe_size)
-    allowed: dict[tuple[int, int], np.ndarray] = {}
-    for (i, j), mask in n._masks.items():
-        if mask == _FULL_MASK:
-            continue
-        if mask == 0:
-            return None
-        selector = np.zeros(5, dtype=bool)
-        for b in Relation.from_mask(mask):
-            selector[b.index] = True
-        allowed[(i, j)] = selector[codes]
-
-    chosen = [0] * len(variables)
-
-    def extend(k: int) -> bool:
-        if k == len(variables):
-            return True
-        candidates = np.ones(count, dtype=bool)
-        for i in range(k):
-            matrix = allowed.get((i, k))
-            if matrix is not None:
-                candidates &= matrix[chosen[i]]
-        for idx in np.flatnonzero(candidates):
-            chosen[k] = int(idx)
-            if extend(k + 1):
-                return True
-        return False
-
-    if not extend(0):
-        return None
-    assignment = {}
-    for var, idx in zip(variables, chosen):
-        mask = idx + 1
-        assignment[var] = frozenset(p for p in range(universe_size) if mask >> p & 1)
-    return SetInterpretation(tuple(range(universe_size)), assignment)
 
 
 def qcn_to_json(qcn: QCN) -> str:

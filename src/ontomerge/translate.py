@@ -9,26 +9,22 @@ and are reported as dropped.
 Backward: each quasi-atomic scenario label becomes a small axiom (and,
 for strict labels, assertion) block over the pair, with fresh witness
 concepts and individuals drawn from a deterministic pool.
-
-The flatten/inflate maps connect finite interpretations of the ontology
-with set assignments of the network and power the faithfulness tests.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Iterable, Mapping, Sequence
+from typing import Iterable, Sequence
 
 from .ontology import (
     Assertion,
     Axiom,
     ConceptAssertion,
     Disjointness,
-    Interpretation,
     Ontology,
     Statement,
     Subsumption,
-    statement_sort_key,
+    sorted_statements,
 )
 from .rcc5 import (
     EQ,
@@ -39,7 +35,6 @@ from .rcc5 import (
     QCN,
     Relation,
     Scenario,
-    SetInterpretation,
     UNIVERSAL,
 )
 
@@ -48,9 +43,6 @@ __all__ = [
     "forward",
     "FreshNamePool",
     "backward",
-    "NotFulfillingError",
-    "flatten",
-    "inflate",
 ]
 
 _SUBSUMPTION_LABEL = Relation([PP, EQ])
@@ -85,7 +77,7 @@ def forward(o: Ontology, variables: Sequence[str] | None = None) -> ForwardTrans
     masks: dict[tuple[str, str], Relation] = {}
     dropped: list[Axiom] = []
     degenerate: list[Axiom] = []
-    for axiom in sorted(o.tbox, key=statement_sort_key):
+    for axiom in sorted_statements(o.tbox):
         if isinstance(axiom, Subsumption):
             if axiom.sub == axiom.sup:
                 continue
@@ -233,54 +225,3 @@ def backward(s: Scenario, pool: FreshNamePool | None = None) -> Ontology:
             raise ValueError(f"not a scenario label: {label!r}")
     return Ontology.from_statements(statements, concepts=s.variables)
 
-
-class NotFulfillingError(ValueError):
-    """An interpretation leaves some concept empty."""
-
-
-def flatten(
-    interpretation: Interpretation, concepts: Sequence[str] | None = None
-) -> SetInterpretation:
-    """Region assignment read off a fulfilling interpretation's extensions."""
-    names = tuple(concepts) if concepts is not None else tuple(interpretation.concepts)
-    assignment = {}
-    for name in names:
-        extension = interpretation.extension(name)
-        if not extension:
-            raise NotFulfillingError(f"concept {name!r} has an empty extension")
-        assignment[name] = extension
-    return SetInterpretation(tuple(sorted(interpretation.universe)), assignment)
-
-
-def inflate(
-    solution: SetInterpretation,
-    roles: Iterable[str] = (),
-    individuals: Iterable[str] = (),
-    role_assignment: Mapping[str, frozenset[tuple[int, int]]] | None = None,
-    individual_assignment: Mapping[str, int] | None = None,
-) -> Interpretation:
-    """Interpretation blown up from a solution's regions.
-
-    Concept extensions copy the regions.  Unless explicit assignments are
-    supplied, every role is empty and every individual denotes the least
-    point of the universe.
-    """
-    universe = frozenset(solution.universe)
-    role_map: dict[str, frozenset[tuple[int, int]]] = {r: frozenset() for r in roles}
-    if role_assignment:
-        role_map.update(role_assignment)
-    individual_map: dict[str, int] = {}
-    names = list(individuals)
-    if names and not universe:
-        raise ValueError("cannot place individuals in an empty universe")
-    default_point = min(universe) if universe else 0
-    for name in names:
-        individual_map[name] = default_point
-    if individual_assignment:
-        individual_map.update(individual_assignment)
-    return Interpretation(
-        universe=universe,
-        concepts=dict(solution.assignment),
-        roles=role_map,
-        individuals=individual_map,
-    )

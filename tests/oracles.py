@@ -10,7 +10,8 @@ grids keep the exhaustive searches fast enough to run on every test run.
 from __future__ import annotations
 
 import itertools
-from typing import Iterable, Iterator, Sequence
+from dataclasses import dataclass
+from typing import Iterable, Iterator, Mapping, Sequence
 
 import numpy as np
 
@@ -19,13 +20,12 @@ from ontomerge.ontology import (
     Disjointness,
     ExistsLeft,
     ExistsRight,
-    Interpretation,
     Ontology,
     RoleAssertion,
     Statement,
     Subsumption,
 )
-from ontomerge.rcc5 import QCN, BaseRelation, Relation
+from ontomerge.rcc5 import DR, EQ, PO, PP, QCN, BaseRelation, PPi, Relation
 
 # base-relation indices in canonical order DR, PO, PP, PPi, EQ
 _DR, _PO, _PP, _PPI, _EQ = range(5)
@@ -44,6 +44,210 @@ def code_matrix(universe_size: int) -> np.ndarray:
     codes[(inter == b) & (a != b)] = _PPI
     codes[a == b] = _EQ
     return codes
+
+
+def generate_composition_table(
+    universe_size: int = 7,
+) -> dict[tuple[BaseRelation, BaseRelation], Relation]:
+    """Regenerate weak composition by brute force over set triples.
+
+    Seven points cover every Boolean cell of three regions, so the result
+    is the true table; it must equal the shipped constant.
+    """
+    codes = code_matrix(universe_size)
+    bases = tuple(BaseRelation)
+    table = {}
+    for b1 in bases:
+        left = (codes == b1.index).astype(np.uint32)
+        for b2 in bases:
+            right = (codes == b2.index).astype(np.uint32)
+            reachable = (left @ right) > 0
+            out = np.unique(codes[reachable])
+            table[(b1, b2)] = Relation(bases[i] for i in out)
+    return table
+
+
+def rel_of_sets(x: frozenset, y: frozenset) -> BaseRelation:
+    """The unique base relation holding between two non-empty sets."""
+    if not x or not y:
+        raise ValueError("regions must be non-empty")
+    if x == y:
+        return EQ
+    if not x & y:
+        return DR
+    if x < y:
+        return PP
+    if y < x:
+        return PPi
+    return PO
+
+
+@dataclass(frozen=True)
+class SetInterpretation:
+    """A finite set-valued assignment realizing Table-style semantics."""
+
+    universe: tuple[int, ...]
+    assignment: dict[str, frozenset[int]]
+
+    def __post_init__(self) -> None:
+        points = set(self.universe)
+        for var, region in self.assignment.items():
+            if not region:
+                raise ValueError(f"region for {var!r} is empty")
+            if not region <= points:
+                raise ValueError(f"region for {var!r} leaves the universe")
+
+    def relation_between(self, u: str, v: str) -> BaseRelation:
+        return rel_of_sets(self.assignment[u], self.assignment[v])
+
+    def satisfies(self, qcn: QCN) -> bool:
+        for u, v, rel in qcn.items():
+            if self.relation_between(u, v) not in rel:
+                return False
+        return True
+
+
+def find_set_model(n: QCN, universe_size: int) -> SetInterpretation | None:
+    """Exhaustive search for a set assignment satisfying the network.
+
+    Enumerates non-empty subsets of a `universe_size`-point universe for
+    each variable (exponential; meant for small networks).  Returns the
+    first model in mask-ascending order, or None.
+    """
+    if universe_size < 1:
+        raise ValueError("universe_size must be positive")
+    variables = n.variables
+    count = (1 << universe_size) - 1
+    if not variables:
+        return SetInterpretation(tuple(range(universe_size)), {})
+    codes = code_matrix(universe_size)
+    index = {v: k for k, v in enumerate(variables)}
+    allowed: dict[tuple[int, int], np.ndarray] = {}
+    for u, v, rel in n.items():
+        if rel.is_empty:
+            return None
+        selector = np.zeros(5, dtype=bool)
+        for b in rel:
+            selector[b.index] = True
+        allowed[(index[u], index[v])] = selector[codes]
+
+    chosen = [0] * len(variables)
+
+    def extend(k: int) -> bool:
+        if k == len(variables):
+            return True
+        candidates = np.ones(count, dtype=bool)
+        for i in range(k):
+            matrix = allowed.get((i, k))
+            if matrix is not None:
+                candidates &= matrix[chosen[i]]
+        for idx in np.flatnonzero(candidates):
+            chosen[k] = int(idx)
+            if extend(k + 1):
+                return True
+        return False
+
+    if not extend(0):
+        return None
+    assignment = {}
+    for var, idx in zip(variables, chosen):
+        mask = idx + 1
+        assignment[var] = frozenset(p for p in range(universe_size) if mask >> p & 1)
+    return SetInterpretation(tuple(range(universe_size)), assignment)
+
+
+@dataclass(frozen=True)
+class Interpretation:
+    """A finite interpretation: universe, extensions, role graphs, names."""
+
+    universe: frozenset[int]
+    concepts: Mapping[str, frozenset[int]]
+    roles: Mapping[str, frozenset[tuple[int, int]]]
+    individuals: Mapping[str, int]
+
+    def extension(self, concept: str) -> frozenset[int]:
+        return self.concepts.get(concept, frozenset())
+
+    def satisfies(self, stmt: Statement) -> bool:
+        if isinstance(stmt, Subsumption):
+            return self.extension(stmt.sub) <= self.extension(stmt.sup)
+        if isinstance(stmt, Disjointness):
+            return not (self.extension(stmt.first) & self.extension(stmt.second))
+        if isinstance(stmt, ExistsRight):
+            pairs = self.roles.get(stmt.role, frozenset())
+            filler = self.extension(stmt.filler)
+            witnesses = {x for x, y in pairs if y in filler}
+            return self.extension(stmt.sub) <= witnesses
+        if isinstance(stmt, ExistsLeft):
+            pairs = self.roles.get(stmt.role, frozenset())
+            filler = self.extension(stmt.filler)
+            witnesses = {x for x, y in pairs if y in filler}
+            return witnesses <= self.extension(stmt.sup)
+        if isinstance(stmt, ConceptAssertion):
+            return self.individuals[stmt.individual] in self.extension(stmt.concept)
+        if isinstance(stmt, RoleAssertion):
+            pair = (self.individuals[stmt.subject], self.individuals[stmt.object])
+            return pair in self.roles.get(stmt.role, frozenset())
+        raise TypeError(f"not a statement: {stmt!r}")
+
+    def is_model(self, o: Ontology) -> bool:
+        return all(self.satisfies(stmt) for stmt in list(o.tbox) + list(o.abox))
+
+    def is_fulfilling(self, concepts: Iterable[str] | None = None) -> bool:
+        names = self.concepts.keys() if concepts is None else concepts
+        return all(self.extension(name) for name in names)
+
+
+class NotFulfillingError(ValueError):
+    """An interpretation leaves some concept empty."""
+
+
+def flatten(
+    interpretation: Interpretation, concepts: Sequence[str] | None = None
+) -> SetInterpretation:
+    """Region assignment read off a fulfilling interpretation's extensions."""
+    names = tuple(concepts) if concepts is not None else tuple(interpretation.concepts)
+    assignment = {}
+    for name in names:
+        extension = interpretation.extension(name)
+        if not extension:
+            raise NotFulfillingError(f"concept {name!r} has an empty extension")
+        assignment[name] = extension
+    return SetInterpretation(tuple(sorted(interpretation.universe)), assignment)
+
+
+def inflate(
+    solution: SetInterpretation,
+    roles: Iterable[str] = (),
+    individuals: Iterable[str] = (),
+    role_assignment: Mapping[str, frozenset[tuple[int, int]]] | None = None,
+    individual_assignment: Mapping[str, int] | None = None,
+) -> Interpretation:
+    """Interpretation blown up from a solution's regions.
+
+    Concept extensions copy the regions.  Unless explicit assignments are
+    supplied, every role is empty and every individual denotes the least
+    point of the universe.
+    """
+    universe = frozenset(solution.universe)
+    role_map: dict[str, frozenset[tuple[int, int]]] = {r: frozenset() for r in roles}
+    if role_assignment:
+        role_map.update(role_assignment)
+    individual_map: dict[str, int] = {}
+    names = list(individuals)
+    if names and not universe:
+        raise ValueError("cannot place individuals in an empty universe")
+    default_point = min(universe) if universe else 0
+    for name in names:
+        individual_map[name] = default_point
+    if individual_assignment:
+        individual_map.update(individual_assignment)
+    return Interpretation(
+        universe=universe,
+        concepts=dict(solution.assignment),
+        roles=role_map,
+        individuals=individual_map,
+    )
 
 
 def subset_matrix(universe_size: int) -> np.ndarray:
@@ -274,18 +478,7 @@ def atomic_qcn_of_regions(regions: dict[str, frozenset[int]]) -> QCN:
     constraints = {}
     for i, u in enumerate(names):
         for v in names[i + 1 :]:
-            x, y = regions[u], regions[v]
-            if x == y:
-                base = "EQ"
-            elif not x & y:
-                base = "DR"
-            elif x < y:
-                base = "PP"
-            elif y < x:
-                base = "PPi"
-            else:
-                base = "PO"
-            constraints[(u, v)] = Relation.from_names([base])
+            constraints[(u, v)] = Relation([rel_of_sets(regions[u], regions[v])])
     return QCN(names, constraints)
 
 

@@ -27,14 +27,13 @@ from ontomerge.rcc5 import (
     compose,
     converse,
     enumerate_scenarios,
-    find_set_model,
-    generate_composition_table,
     is_consistent,
 )
 from ontomerge.selection import nb_conflicts, select_scenario
 from ontomerge.translate import backward, forward
 
 import oracles
+from oracles import find_set_model, generate_composition_table
 
 
 def rel(*bases):

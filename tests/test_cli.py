@@ -194,6 +194,17 @@ class TestTranslateCommand:
         code, _, err = run_cli("translate", "backward", str(network), capsys=capsys)
         assert code == 2
         assert "quasi-atomic" in err
+        malformed = [
+            {"variables": ["A", "B"], "constraints": [{"from": "A", "rel": ["DR"]}]},
+            {"variables": ["A", "B"], "constraints": [{"from": "A", "to": "C", "rel": ["DR"]}]},
+            {"variables": "AB", "constraints": []},
+            {"variables": ["A", "B"], "constraints": [{"from": "A", "to": "B", "rel": "PP"}]},
+        ]
+        for document in malformed:
+            network.write_text(json.dumps(document))
+            code, _, err = run_cli("translate", "backward", str(network), capsys=capsys)
+            assert code == 2, document
+            assert "translate-backward" in err and "malformed QCN JSON" in err, document
 
     def test_backward_translates_scenario(self, tmp_path, capsys):
         network = tmp_path / "qcn.json"
@@ -219,6 +230,13 @@ class TestTranslateCommand:
         # the forward network is not quasi-atomic on the unconstrained pair
         code, _, err = run_cli("translate", "backward", str(network), capsys=capsys)
         assert code == 2
+
+
+def test_import_loads_no_numpy():
+    # a fresh interpreter, since the test process imports numpy for the oracles
+    command = [sys.executable, "-c", "import sys, ontomerge; print('numpy' in sys.modules)"]
+    result = subprocess.run(command, capture_output=True, text=True, check=True)
+    assert result.stdout == "False\n"
 
 
 class TestDeterminism:

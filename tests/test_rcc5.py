@@ -17,14 +17,11 @@ from ontomerge.rcc5 import (
     QCN,
     Relation,
     Scenario,
-    SetInterpretation,
     algebraic_closure,
     compose,
     compose_relations,
     converse,
     enumerate_scenarios,
-    find_set_model,
-    generate_composition_table,
     is_consistent,
     qcn_from_json,
     qcn_to_dot,
@@ -32,6 +29,7 @@ from ontomerge.rcc5 import (
 )
 
 import oracles
+from oracles import SetInterpretation, find_set_model, generate_composition_table
 
 relations = st.builds(Relation.from_mask, st.integers(min_value=0, max_value=31))
 

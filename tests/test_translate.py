@@ -9,7 +9,6 @@ from ontomerge.ontology import (
     ConceptAssertion,
     Disjointness,
     ExistsRight,
-    Interpretation,
     Ontology,
     Subsumption,
     parse_ontology,
@@ -26,20 +25,13 @@ from ontomerge.rcc5 import (
     QCN,
     Relation,
     Scenario,
-    SetInterpretation,
     algebraic_closure,
     is_consistent,
 )
-from ontomerge.translate import (
-    FreshNamePool,
-    NotFulfillingError,
-    backward,
-    flatten,
-    forward,
-    inflate,
-)
+from ontomerge.translate import FreshNamePool, backward, forward
 
 import oracles
+from oracles import Interpretation, NotFulfillingError, SetInterpretation, flatten, inflate
 
 
 def rel(*bases):
