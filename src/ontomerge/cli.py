@@ -115,7 +115,8 @@ def run_pipeline(sources: Sequence[Ontology]) -> PipelineResult:
         raise PipelineError("translate-forward", str(exc)) from exc
     merged, trace = merge([t.qcn for t in translations])
     scenarios = tuple(enumerate_scenarios(merged))
-    assert scenarios, "a consistent merged network admits a scenario"
+    if not scenarios:
+        raise RuntimeError("the merged network is consistent, yet it admits no scenario")
     selected, report = select_scenario(scenarios, list(sources))
     result = backward(selected)
     return PipelineResult(
@@ -246,9 +247,9 @@ def cmd_translate(args: argparse.Namespace) -> int:
     try:
         qcn = qcn_from_json(text)
         scenario = Scenario.from_qcn(qcn)
+        result = backward(scenario)
     except (ValueError, json.JSONDecodeError) as exc:
         raise PipelineError("translate-backward", f"{args.input}: {exc}") from exc
-    result = backward(scenario)
     payload = ontology_to_json(result) if args.json else format_ontology(result)
     _write_output(payload, args.output)
     return EXIT_OK

@@ -88,7 +88,8 @@ def merge(profile: Sequence[QCN]) -> tuple[QCN, MergeTrace]:
         candidates = [
             pair for pair in table.pairs if not current.constraint(*pair).is_full
         ]
-        assert candidates, "the all-full network is consistent"
+        if not candidates:
+            raise RuntimeError("relaxation ran out of pairs, yet the all-full network is consistent")
         values = {pair: val(current.constraint(*pair), pair, table) for pair in candidates}
         highest = max(values.values())
         selected = tuple(pair for pair in table.pairs if values.get(pair) == highest)
@@ -102,7 +103,8 @@ def merge(profile: Sequence[QCN]) -> tuple[QCN, MergeTrace]:
                 snapshot=current,
             )
         )
-        assert len(iterations) <= bound, "relaxation failed to terminate"
+        if len(iterations) > bound:
+            raise RuntimeError(f"relaxation failed to terminate within {bound} iterations")
 
     trace = MergeTrace(initial=initial, iterations=tuple(iterations), final=current, table=table)
     return current, trace

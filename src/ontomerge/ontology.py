@@ -311,6 +311,12 @@ _NAME_RE = re.compile(r"[A-Za-z0-9_]+")
 _RESERVED = {"some": "SOME", "bot": "BOT"}
 _PUNCT = {"&": "AMP", "(": "LPAR", ")": "RPAR", ",": "COMMA", ".": "DOT"}
 
+
+def is_name(word: str) -> bool:
+    """Whether the text grammar reads `word` as one name."""
+    return _NAME_RE.fullmatch(word) is not None and word not in _RESERVED
+
+
 def _tokenize(line: str, line_no: int) -> list[tuple[str, str, int]]:
     tokens: list[tuple[str, str, int]] = []
     pos = 0
@@ -460,28 +466,46 @@ def ontology_to_json(o: Ontology) -> str:
 # --- classification ---------------------------------------------------------
 
 
+_NOTHING: frozenset[str] = frozenset()
+
+
+def _index(pairs: Iterable[tuple[str, str]]) -> dict[str, frozenset[str]]:
+    """Group (key, value) pairs into key -> frozenset of values."""
+    groups: dict[str, set[str]] = {}
+    for key, value in pairs:
+        groups.setdefault(key, set()).add(value)
+    return {key: frozenset(values) for key, values in groups.items()}
+
+
 @dataclass(frozen=True)
 class Classification:
     """Entailed atomic facts of a TBox.
 
     `subsumptions` includes the reflexive ones; `disjointness` is the
     asserted set closed downward under subsumption (self-disjointness is
-    reported through `unsatisfiable` instead of as an axiom).
+    reported through `unsatisfiable` instead of as an axiom).  `supers`
+    indexes `subsumptions` by their left-hand concept; it is built from
+    them when not given and takes no part in equality.
     """
 
     subsumptions: frozenset[Subsumption]
     disjointness: frozenset[Disjointness]
     unsatisfiable: frozenset[str]
+    supers: Mapping[str, frozenset[str]] = field(default=None, compare=False, repr=False)
+
+    def __post_init__(self) -> None:
+        if self.supers is None:
+            object.__setattr__(self, "supers", _index((s.sub, s.sup) for s in self.subsumptions))
 
     @property
     def axioms(self) -> frozenset[Axiom]:
         return self.subsumptions | self.disjointness
 
     def supers_of(self, concept: str) -> frozenset[str]:
-        return frozenset(s.sup for s in self.subsumptions if s.sub == concept)
+        return self.supers.get(concept, _NOTHING)
 
     def entails_subsumption(self, sub: str, sup: str) -> bool:
-        return Subsumption(sub, sup) in self.subsumptions
+        return sup in self.supers_of(sub)
 
     def entails_disjointness(self, a: str, b: str) -> bool:
         return Disjointness(a, b) in self.disjointness
@@ -508,84 +532,83 @@ def classify(
     through existential successors.  With strict=True an unsatisfiable
     concept raises UnsatisfiableConceptError; otherwise it is reported in
     the result and the caller decides.
+
+    This is EL completion (Baader, Brandt & Lutz, IJCAI 2005): the axioms
+    are indexed by their left-hand side, and each newly derived
+    ``(concept, super)`` fact or successor edge fires only the axioms
+    that mention it, so each fact is processed once.
     """
     by_class = _by_class(tbox)
     names = sorted(_names_by_namespace(by_class)["concept"].union(concepts))
-    subs = by_class[Subsumption]
-    disj = by_class[Disjointness]
-    ex_right = by_class[ExistsRight]
-    ex_left = by_class[ExistsLeft]
+    told: dict[str, list[str]] = {}  # A <= B, by A
+    for axiom in by_class[Subsumption]:
+        told.setdefault(axiom.sub, []).append(axiom.sup)
+    exists_right: dict[str, list[tuple[str, str]]] = {}  # A <= some r.B, by A
+    for axiom in by_class[ExistsRight]:
+        exists_right.setdefault(axiom.sub, []).append((axiom.role, axiom.filler))
+    exists_left: dict[tuple[str, str], list[str]] = {}  # some r.B <= C, by (r, B)
+    for axiom in by_class[ExistsLeft]:
+        exists_left.setdefault((axiom.role, axiom.filler), []).append(axiom.sup)
 
     supers: dict[str, set[str]] = {a: {a} for a in names}
     successors: set[tuple[str, str, str]] = set()
-    changed = True
-    while changed:
-        changed = False
-        for a in names:
-            sa = supers[a]
-            for axiom in subs:
-                if axiom.sub in sa and axiom.sup not in sa:
-                    sa.add(axiom.sup)
-                    changed = True
-            for axiom in ex_right:
-                edge = (a, axiom.role, axiom.filler)
-                if axiom.sub in sa and edge not in successors:
-                    successors.add(edge)
-                    changed = True
-        for axiom in ex_left:
-            for a, role, filler in list(successors):
-                if role == axiom.role and axiom.filler in supers[filler]:
-                    if axiom.sup not in supers[a]:
-                        supers[a].add(axiom.sup)
-                        changed = True
+    predecessors: dict[str, list[tuple[str, str]]] = {}  # B -> (A, r) per edge A -r-> B
+    queue = [(a, a) for a in names]
 
-    pairs: set[frozenset[str]] = {d.concepts for d in disj}
-    changed = True
-    while changed:
-        changed = False
-        for pair in list(pairs):
-            members = tuple(pair)
-            for a in names:
-                for x in members:
-                    if x in supers[a]:
-                        other = members[1] if len(members) == 2 and x == members[0] else members[0]
-                        derived = frozenset((a, other))
-                        if derived not in pairs:
-                            pairs.add(derived)
-                            changed = True
+    def derive(a: str, x: str) -> None:
+        if x not in supers[a]:
+            supers[a].add(x)
+            queue.append((a, x))
 
-    unsatisfiable: set[str] = set()
-    for a in names:
-        sa = supers[a]
-        for pair in pairs:
-            if pair <= sa:
-                unsatisfiable.add(a)
-                break
-    changed = True
-    while changed:
-        changed = False
-        for a, _, filler in successors:
-            if filler in unsatisfiable and a not in unsatisfiable:
-                unsatisfiable.add(a)
-                changed = True
-        for a in names:
-            if a in unsatisfiable:
+    while queue:
+        a, x = queue.pop()
+        for y in told.get(x, ()):
+            derive(a, y)
+        for b, role in predecessors.get(a, ()):
+            for y in exists_left.get((role, x), ()):
+                derive(b, y)
+        for role, filler in exists_right.get(x, ()):
+            if (a, role, filler) in successors:
                 continue
-            if any(x in unsatisfiable for x in supers[a]):
-                unsatisfiable.add(a)
-                changed = True
+            successors.add((a, role, filler))
+            predecessors.setdefault(filler, []).append((a, role))
+            for z in list(supers[filler]):
+                for y in exists_left.get((role, z), ()):
+                    derive(a, y)
+
+    # a and b are disjoint when x is a super of a and y one of b for an
+    # asserted x & y <= bot; a == b makes a unsatisfiable.
+    disjoint: set[tuple[str, str]] = set()
+    unsatisfiable: set[str] = set()
+    if by_class[Disjointness]:
+        subs: dict[str, list[str]] = {}
+        for a in names:
+            for x in supers[a]:
+                subs.setdefault(x, []).append(a)
+        for d in by_class[Disjointness]:
+            for a in subs[d.first]:
+                for b in subs[d.second]:
+                    if a == b:
+                        unsatisfiable.add(a)
+                    else:
+                        disjoint.add((a, b) if a < b else (b, a))
+        # Every concept below an unsatisfiable one has its supers, so it is
+        # caught above; only successor edges spread unsatisfiability further.
+        blocked = list(unsatisfiable)
+        while blocked:
+            for a, _ in predecessors.get(blocked.pop(), ()):
+                if a not in unsatisfiable:
+                    unsatisfiable.add(a)
+                    blocked.append(a)
 
     if strict and unsatisfiable:
         raise UnsatisfiableConceptError(min(unsatisfiable))
 
     return Classification(
-        subsumptions=frozenset(
-            Subsumption(a, b) for a in names for b in supers[a]
-        ),
-        disjointness=frozenset(
-            Disjointness(x, y) for pair in pairs if len(pair) == 2 for x, y in [sorted(pair)]
-        ),
+        subsumptions=frozenset(Subsumption(a, b) for a in names for b in supers[a]),
+        disjointness=frozenset(Disjointness(a, b) for a, b in disjoint),
         unsatisfiable=frozenset(unsatisfiable),
+        supers={a: frozenset(sa) for a, sa in supers.items()},
     )
 
 
@@ -600,24 +623,36 @@ class ClosedABox:
     subsumption propagation, existential-left firing on asserted role
     edges); `roles` are the asserted role assertions, never derived.
     Individuals asserted into provably disjoint concepts are recorded,
-    not raised: conflicting sources are expected input.
+    not raised: conflicting sources are expected input.  `by_concept`
+    and `by_individual` index `facts` both ways; they are built from
+    `facts` when not given and take no part in equality.
     """
 
     facts: frozenset[ConceptAssertion]
     roles: frozenset[RoleAssertion]
     inconsistent_individuals: frozenset[str]
+    by_concept: Mapping[str, frozenset[str]] = field(default=None, compare=False, repr=False)
+    by_individual: Mapping[str, frozenset[str]] = field(default=None, compare=False, repr=False)
+
+    def __post_init__(self) -> None:
+        if self.by_concept is None:
+            object.__setattr__(self, "by_concept", _index((f.concept, f.individual) for f in self.facts))
+        if self.by_individual is None:
+            object.__setattr__(
+                self, "by_individual", _index((f.individual, f.concept) for f in self.facts)
+            )
 
     def holds(self, concept: str, individual: str) -> bool:
         return ConceptAssertion(concept, individual) in self.facts
 
     def instances_of(self, concept: str) -> frozenset[str]:
-        return frozenset(f.individual for f in self.facts if f.concept == concept)
+        return self.by_concept.get(concept, _NOTHING)
 
     def concepts_of(self, individual: str) -> frozenset[str]:
-        return frozenset(f.concept for f in self.facts if f.individual == individual)
+        return self.by_individual.get(individual, _NOTHING)
 
     def individuals(self) -> frozenset[str]:
-        out = {f.individual for f in self.facts}
+        out = set(self.by_individual)
         for r in self.roles:
             out.add(r.subject)
             out.add(r.object)
@@ -636,54 +671,60 @@ def closed_abox_to_json(closed: ClosedABox) -> str:
 
 
 def deductive_closure(o: Ontology, classification: Classification | None = None) -> ClosedABox:
-    """All entailed concept memberships of the named individuals."""
+    """All entailed concept memberships of the named individuals.
+
+    Worklist saturation: a derived membership C(i) brings in all of C's
+    entailed supers at once, and each new membership in a filler C fires
+    every ``some r.C <= D`` on the subjects of the r-edges into i.  A
+    given `classification` must be `classify`'s result for the TBox, whose
+    subsumptions are reflexive and transitive.
+    """
     cls = classification if classification is not None else classify(o.tbox, concepts=o.concepts)
-    sup_map: dict[str, list[str]] = {}
-    for s in cls.subsumptions:
-        sup_map.setdefault(s.sub, []).append(s.sup)
-    ex_left = _by_class(o.tbox)[ExistsLeft]
+    exists_left: dict[str, list[tuple[str, str]]] = {}  # some r.C <= D, by C
+    for axiom in _by_class(o.tbox)[ExistsLeft]:
+        exists_left.setdefault(axiom.filler, []).append((axiom.role, axiom.sup))
     assertions = _by_class(o.abox)
-    role_edges: dict[str, list[tuple[str, str]]] = {}
+    subjects: dict[tuple[str, str], list[str]] = {}  # (r, object) -> subjects of r-edges
     for r in assertions[RoleAssertion]:
-        role_edges.setdefault(r.role, []).append((r.subject, r.object))
+        subjects.setdefault((r.role, r.object), []).append(r.subject)
 
-    facts: set[ConceptAssertion] = set(assertions[ConceptAssertion])
-    changed = True
-    while changed:
-        changed = False
-        for fact in list(facts):
-            for sup in sup_map.get(fact.concept, ()):
-                derived = ConceptAssertion(sup, fact.individual)
-                if derived not in facts:
-                    facts.add(derived)
-                    changed = True
-        for axiom in ex_left:
-            for subject, obj in role_edges.get(axiom.role, ()):
-                if ConceptAssertion(axiom.filler, obj) in facts:
-                    derived = ConceptAssertion(axiom.sup, subject)
-                    if derived not in facts:
-                        facts.add(derived)
-                        changed = True
+    members: dict[str, set[str]] = {}  # concept -> individuals, closed under supers
+    firing: list[tuple[str, str]] = []  # new memberships in a filler of some r.C <= D
 
-    by_individual: dict[str, set[str]] = {}
-    for fact in facts:
-        by_individual.setdefault(fact.individual, set()).add(fact.concept)
-    inconsistent: set[str] = set()
-    for individual, members in by_individual.items():
-        if members & cls.unsatisfiable:
-            inconsistent.add(individual)
-            continue
-        found = False
-        for d in cls.disjointness:
-            if d.first in members and d.second in members:
-                found = True
-                break
-        if found:
-            inconsistent.add(individual)
+    def derive(concept: str, individual: str) -> None:
+        if individual in members.get(concept, ()):
+            return
+        for sup in chain((concept,), cls.supers_of(concept)):
+            found = members.setdefault(sup, set())
+            if individual not in found:
+                found.add(individual)
+                if sup in exists_left:
+                    firing.append((sup, individual))
+
+    for fact in assertions[ConceptAssertion]:
+        derive(fact.concept, fact.individual)
+    while firing:
+        concept, individual = firing.pop()
+        for role, sup in exists_left[concept]:
+            for subject in subjects.get((role, individual), ()):
+                derive(sup, subject)
+
+    by_individual = _index((i, c) for c, found in members.items() for i in found)
+    partners: dict[str, set[str]] = {}
+    for d in cls.disjointness:
+        partners.setdefault(d.first, set()).add(d.second)
+        partners.setdefault(d.second, set()).add(d.first)
+    inconsistent = {
+        individual
+        for individual, concepts in by_individual.items()
+        if not concepts.isdisjoint(cls.unsatisfiable)
+        or any(not concepts.isdisjoint(partners.get(c, ())) for c in concepts)
+    }
 
     return ClosedABox(
-        facts=frozenset(facts),
+        facts=frozenset(ConceptAssertion(c, i) for c, found in members.items() for i in found),
         roles=frozenset(assertions[RoleAssertion]),
         inconsistent_individuals=frozenset(inconsistent),
+        by_concept={c: frozenset(found) for c, found in members.items()},
+        by_individual=by_individual,
     )
-

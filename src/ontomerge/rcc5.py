@@ -89,6 +89,7 @@ def _converse_mask(mask: int) -> int:
 
 
 _CONV_MASK = tuple(_converse_mask(m) for m in range(32))
+_MEMBERS = tuple(tuple(b for b in _BASES if b.value & m) for m in range(32))
 
 
 class Relation:
@@ -134,7 +135,7 @@ class Relation:
 
     @property
     def members(self) -> tuple[BaseRelation, ...]:
-        return tuple(b for b in _BASES if b.value & self._mask)
+        return _MEMBERS[self._mask]
 
     def names(self) -> tuple[str, ...]:
         return tuple(b.name for b in self.members)

@@ -12,7 +12,8 @@ lexicographic tie-break on its labels.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Mapping, Sequence
+from operator import attrgetter
+from typing import Callable, Mapping, Sequence
 
 from .ontology import ClosedABox, Ontology, deductive_closure
 from .rcc5 import EQ, PO, PP, DR, PPi, Relation, Scenario
@@ -27,10 +28,18 @@ __all__ = [
     "select_scenario",
 ]
 
-_SUBSET_LIKE = Relation([PP, EQ])
-_SUPERSET_LIKE = Relation([PPi, EQ])
-_DISJOINT = Relation([DR])
-_OVERLAP = Relation([PO])
+#: The count each scenario label is charged, by label mask: the non-empty
+#: subsets of {PP,EQ} the subset count, the other non-empty subsets of
+#: {PPi,EQ} the superset count, {DR} the common count, {PO} the overlap.
+_COUNT_OF_LABEL: dict[int, Callable[["PairConflicts"], int]] = {
+    PP.value: attrgetter("subset_count"),
+    EQ.value: attrgetter("subset_count"),
+    PP.value | EQ.value: attrgetter("subset_count"),
+    PPi.value: attrgetter("superset_count"),
+    PPi.value | EQ.value: attrgetter("superset_count"),
+    DR.value: attrgetter("common_count"),
+    PO.value: attrgetter("overlap_count"),
+}
 
 
 @dataclass(frozen=True)
@@ -59,15 +68,11 @@ class PairConflicts:
         return max(counts) - min(counts)
 
     def for_label(self, label: Relation) -> int:
-        if not label.is_empty and label <= _SUBSET_LIKE:
-            return self.subset_count
-        if not label.is_empty and label <= _SUPERSET_LIKE:
-            return self.superset_count
-        if label == _DISJOINT:
-            return self.common_count
-        if label == _OVERLAP:
-            return self.overlap_count
-        raise ValueError(f"not a scenario label: {label!r}")
+        try:
+            count = _COUNT_OF_LABEL[label.mask]
+        except KeyError:
+            raise ValueError(f"not a scenario label: {label!r}") from None
+        return count(self)
 
     def to_json_dict(self) -> dict:
         return {
@@ -195,12 +200,11 @@ def select_scenario(
 
     scores = []
     for s in candidates:
-        per_source = []
-        for source_index in range(len(closures)):
-            subtotal = 0
-            for u, v in _canonical_pairs(s):
-                subtotal += counts[(source_index, (u, v))].for_label(s.constraint(u, v))
-            per_source.append(subtotal)
+        labelled = [(pair, s.constraint(*pair)) for pair in _canonical_pairs(s)]
+        per_source = [
+            sum(counts[(source_index, pair)].for_label(label) for pair, label in labelled)
+            for source_index in range(len(closures))
+        ]
         scores.append(
             ScenarioScore(scenario=s, distance=sum(per_source), per_source=tuple(per_source))
         )

@@ -24,6 +24,7 @@ from .ontology import (
     Ontology,
     Statement,
     Subsumption,
+    is_name,
     sorted_statements,
 )
 from .rcc5 import (
@@ -197,8 +198,12 @@ def backward(s: Scenario, pool: FreshNamePool | None = None) -> Ontology:
     """Translate a scenario back into a strict-normal-form ontology.
 
     Pairs are visited in lexicographic order; the emitted ontology is the
-    union of the per-pair blocks.
+    union of the per-pair blocks.  A variable the text grammar cannot read
+    as a name (``a-b``, ``some``) is a ValueError.
     """
+    for var in s.variables:
+        if not is_name(var):
+            raise ValueError(f"variable {var!r} is not a name the ontology grammar can read")
     if pool is None:
         pool = FreshNamePool(reserved=s.variables)
     statements: list[Statement] = []

@@ -5,6 +5,12 @@ non-empty subsets of a finite universe, concepts are sets, roles are
 pair sets) by brute-force enumeration, without touching the library's
 composition table, closure, classification or conflict counting.  numpy
 grids keep the exhaustive searches fast enough to run on every test run.
+
+Two slow references sit beside them: `reference_classify` and
+`reference_closure` are the fixpoint-rescan versions of
+`ontology.classify` and `ontology.deductive_closure` that the indexed
+worklist saturation replaced, kept verbatim so the fast paths can be
+checked for agreement with them.
 """
 
 from __future__ import annotations
@@ -16,6 +22,9 @@ from typing import Iterable, Iterator, Mapping, Sequence
 import numpy as np
 
 from ontomerge.ontology import (
+    Axiom,
+    Classification,
+    ClosedABox,
     ConceptAssertion,
     Disjointness,
     ExistsLeft,
@@ -24,6 +33,9 @@ from ontomerge.ontology import (
     RoleAssertion,
     Statement,
     Subsumption,
+    UnsatisfiableConceptError,
+    _by_class,
+    _names_by_namespace,
 )
 from ontomerge.rcc5 import DR, EQ, PO, PP, QCN, BaseRelation, PPi, Relation
 
@@ -529,3 +541,154 @@ def equivalent_modulo_renaming(left: Ontology, right: Ontology, fixed: Iterable[
             if renamed_abox == target_abox:
                 return True
     return False
+
+
+# --- slow references for classification and closure -------------------------
+
+
+def reference_classify(
+    tbox: Iterable[Axiom],
+    concepts: Iterable[str] = (),
+    strict: bool = False,
+) -> Classification:
+    """Saturate a strict-normal-form TBox into its atomic consequences.
+
+    Rules: reflexivity, transitive subsumption, propagation through
+    existential axioms (A <= some r.B, B <= B', some r.B' <= C entail
+    A <= C, also along entailed chains), downward propagation of
+    disjointness, and detection of unsatisfiable concepts, including
+    through existential successors.  With strict=True an unsatisfiable
+    concept raises UnsatisfiableConceptError; otherwise it is reported in
+    the result and the caller decides.
+    """
+    by_class = _by_class(tbox)
+    names = sorted(_names_by_namespace(by_class)["concept"].union(concepts))
+    subs = by_class[Subsumption]
+    disj = by_class[Disjointness]
+    ex_right = by_class[ExistsRight]
+    ex_left = by_class[ExistsLeft]
+
+    supers: dict[str, set[str]] = {a: {a} for a in names}
+    successors: set[tuple[str, str, str]] = set()
+    changed = True
+    while changed:
+        changed = False
+        for a in names:
+            sa = supers[a]
+            for axiom in subs:
+                if axiom.sub in sa and axiom.sup not in sa:
+                    sa.add(axiom.sup)
+                    changed = True
+            for axiom in ex_right:
+                edge = (a, axiom.role, axiom.filler)
+                if axiom.sub in sa and edge not in successors:
+                    successors.add(edge)
+                    changed = True
+        for axiom in ex_left:
+            for a, role, filler in list(successors):
+                if role == axiom.role and axiom.filler in supers[filler]:
+                    if axiom.sup not in supers[a]:
+                        supers[a].add(axiom.sup)
+                        changed = True
+
+    pairs: set[frozenset[str]] = {d.concepts for d in disj}
+    changed = True
+    while changed:
+        changed = False
+        for pair in list(pairs):
+            members = tuple(pair)
+            for a in names:
+                for x in members:
+                    if x in supers[a]:
+                        other = members[1] if len(members) == 2 and x == members[0] else members[0]
+                        derived = frozenset((a, other))
+                        if derived not in pairs:
+                            pairs.add(derived)
+                            changed = True
+
+    unsatisfiable: set[str] = set()
+    for a in names:
+        sa = supers[a]
+        for pair in pairs:
+            if pair <= sa:
+                unsatisfiable.add(a)
+                break
+    changed = True
+    while changed:
+        changed = False
+        for a, _, filler in successors:
+            if filler in unsatisfiable and a not in unsatisfiable:
+                unsatisfiable.add(a)
+                changed = True
+        for a in names:
+            if a in unsatisfiable:
+                continue
+            if any(x in unsatisfiable for x in supers[a]):
+                unsatisfiable.add(a)
+                changed = True
+
+    if strict and unsatisfiable:
+        raise UnsatisfiableConceptError(min(unsatisfiable))
+
+    return Classification(
+        subsumptions=frozenset(
+            Subsumption(a, b) for a in names for b in supers[a]
+        ),
+        disjointness=frozenset(
+            Disjointness(x, y) for pair in pairs if len(pair) == 2 for x, y in [sorted(pair)]
+        ),
+        unsatisfiable=frozenset(unsatisfiable),
+    )
+
+
+def reference_closure(o: Ontology, classification: Classification | None = None) -> ClosedABox:
+    """All entailed concept memberships of the named individuals."""
+    cls = classification if classification is not None else reference_classify(o.tbox, concepts=o.concepts)
+    sup_map: dict[str, list[str]] = {}
+    for s in cls.subsumptions:
+        sup_map.setdefault(s.sub, []).append(s.sup)
+    ex_left = _by_class(o.tbox)[ExistsLeft]
+    assertions = _by_class(o.abox)
+    role_edges: dict[str, list[tuple[str, str]]] = {}
+    for r in assertions[RoleAssertion]:
+        role_edges.setdefault(r.role, []).append((r.subject, r.object))
+
+    facts: set[ConceptAssertion] = set(assertions[ConceptAssertion])
+    changed = True
+    while changed:
+        changed = False
+        for fact in list(facts):
+            for sup in sup_map.get(fact.concept, ()):
+                derived = ConceptAssertion(sup, fact.individual)
+                if derived not in facts:
+                    facts.add(derived)
+                    changed = True
+        for axiom in ex_left:
+            for subject, obj in role_edges.get(axiom.role, ()):
+                if ConceptAssertion(axiom.filler, obj) in facts:
+                    derived = ConceptAssertion(axiom.sup, subject)
+                    if derived not in facts:
+                        facts.add(derived)
+                        changed = True
+
+    by_individual: dict[str, set[str]] = {}
+    for fact in facts:
+        by_individual.setdefault(fact.individual, set()).add(fact.concept)
+    inconsistent: set[str] = set()
+    for individual, members in by_individual.items():
+        if members & cls.unsatisfiable:
+            inconsistent.add(individual)
+            continue
+        found = False
+        for d in cls.disjointness:
+            if d.first in members and d.second in members:
+                found = True
+                break
+        if found:
+            inconsistent.add(individual)
+
+    return ClosedABox(
+        facts=frozenset(facts),
+        roles=frozenset(assertions[RoleAssertion]),
+        inconsistent_individuals=frozenset(inconsistent),
+    )

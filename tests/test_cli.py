@@ -1,9 +1,12 @@
+import ast
 import json
 import subprocess
 import sys
+from pathlib import Path
 
 import pytest
 
+import ontomerge
 from ontomerge.cli import main
 from ontomerge.ontology import classify, parse_ontology
 from ontomerge.rcc5 import Relation, qcn_from_json
@@ -205,6 +208,23 @@ class TestTranslateCommand:
             code, _, err = run_cli("translate", "backward", str(network), capsys=capsys)
             assert code == 2, document
             assert "translate-backward" in err and "malformed QCN JSON" in err, document
+        unreadable = [
+            ("some", {"variables": ["some", "B"], "rel": ["PP", "EQ"]}),
+            ("a-b", {"variables": ["B", "a-b"], "rel": ["DR"]}),
+        ]
+        for name, document in unreadable:
+            u, v = document["variables"]
+            network.write_text(
+                json.dumps(
+                    {
+                        "variables": document["variables"],
+                        "constraints": [{"from": u, "to": v, "rel": document["rel"]}],
+                    }
+                )
+            )
+            code, out, err = run_cli("translate", "backward", str(network), capsys=capsys)
+            assert code == 2 and out == "", document
+            assert "translate-backward" in err and repr(name) in err, document
 
     def test_backward_translates_scenario(self, tmp_path, capsys):
         network = tmp_path / "qcn.json"
@@ -230,6 +250,17 @@ class TestTranslateCommand:
         # the forward network is not quasi-atomic on the unconstrained pair
         code, _, err = run_cli("translate", "backward", str(network), capsys=capsys)
         assert code == 2
+
+
+def test_no_assert_in_the_package():
+    # assert statements vanish under python -O, so no control flow may rest on them
+    package = Path(ontomerge.__file__).parent
+    modules = sorted(package.glob("*.py"))
+    assert modules
+    for module in modules:
+        tree = ast.parse(module.read_text(encoding="utf-8"), filename=str(module))
+        lines = [node.lineno for node in ast.walk(tree) if isinstance(node, ast.Assert)]
+        assert not lines, f"{module.name}: assert on lines {lines}"
 
 
 def test_import_loads_no_numpy():

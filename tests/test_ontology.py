@@ -302,3 +302,79 @@ class TestDeductiveClosure:
         payload = json.loads(closed_abox_to_json(deductive_closure(o)))
         assert {"facts", "roles", "inconsistent_individuals"} <= set(payload)
         assert {"concept": "T", "individual": "x", "type": "concept"} in payload["facts"]
+
+
+def _random_ontology(rng: random.Random) -> Ontology:
+    """A small ontology using all four axiom shapes, role edges included.
+
+    Half the cases get a chained existential pair (A <= some r.B and
+    some r.B' <= C with B' a told super of B, or B itself).
+    """
+    concepts = "ABCDE"[: rng.choice((4, 5))]
+    roles = ("r", "s")
+    individuals = ("a", "b", "c")
+    pick = lambda: rng.choice(concepts)
+    statements = []
+    statements += [Subsumption(pick(), pick()) for _ in range(rng.randrange(0, 5))]
+    statements += [Disjointness(pick(), pick()) for _ in range(rng.randrange(0, 3))]
+    statements += [ExistsRight(pick(), rng.choice(roles), pick()) for _ in range(rng.randrange(0, 3))]
+    statements += [ExistsLeft(rng.choice(roles), pick(), pick()) for _ in range(rng.randrange(0, 3))]
+    if rng.random() < 0.5:
+        role, filler = rng.choice(roles), pick()
+        statements.append(ExistsRight(pick(), role, filler))
+        sup = pick()
+        statements.append(Subsumption(filler, sup))
+        statements.append(ExistsLeft(role, rng.choice((filler, sup)), pick()))
+    statements += [ConceptAssertion(pick(), rng.choice(individuals)) for _ in range(rng.randrange(0, 6))]
+    statements += [
+        RoleAssertion(rng.choice(roles), rng.choice(individuals), rng.choice(individuals))
+        for _ in range(rng.randrange(0, 5))
+    ]
+    return Ontology.from_statements(statements, concepts=concepts, roles=roles)
+
+
+class TestReferenceAgreement:
+    """The indexed worklist saturation against the rescanning code it replaced."""
+
+    def test_classify_and_closure_agree_with_reference(self):
+        rng = random.Random(4242)
+        shapes = dict.fromkeys(
+            (
+                "satisfiable", "unsatisfiable", "self_disjoint", "derived_disjoint",
+                "role_derived", "role_edges", "memberless_concept",
+            ),
+            0,
+        )
+        for _ in range(400):
+            o = _random_ontology(rng)
+            fast = classify(o.tbox, concepts=o.concepts)
+            slow = oracles.reference_classify(o.tbox, concepts=o.concepts)
+            assert fast.subsumptions == slow.subsumptions, o
+            assert fast.disjointness == slow.disjointness, o
+            assert fast.unsatisfiable == slow.unsatisfiable, o
+            for c in o.concepts:
+                assert fast.supers_of(c) == {s.sup for s in slow.subsumptions if s.sub == c}
+
+            closed = deductive_closure(o)
+            reference = oracles.reference_closure(o)
+            assert closed == reference, o
+            assert closed.facts == reference.facts, o
+            assert closed.inconsistent_individuals == reference.inconsistent_individuals, o
+            for c in o.concepts + ("Z",):
+                expected = {f.individual for f in reference.facts if f.concept == c}
+                assert closed.instances_of(c) == expected, (o, c)
+            for i in o.individuals:
+                assert closed.concepts_of(i) == {f.concept for f in reference.facts if f.individual == i}
+            assert closed.individuals() == set(o.individuals)
+
+            shapes["satisfiable"] += not slow.unsatisfiable
+            shapes["unsatisfiable"] += bool(slow.unsatisfiable)
+            shapes["derived_disjoint"] += not slow.disjointness <= o.tbox
+            shapes["self_disjoint"] += any(d.first == d.second for d in o.tbox if isinstance(d, Disjointness))
+            without_roles = {a for a in o.tbox if not isinstance(a, ExistsLeft)}
+            shapes["role_derived"] += slow.subsumptions != oracles.reference_classify(
+                without_roles, concepts=o.concepts
+            ).subsumptions
+            shapes["role_edges"] += any(isinstance(a, RoleAssertion) for a in o.abox)
+            shapes["memberless_concept"] += any(not closed.instances_of(c) for c in o.concepts)
+        assert all(count >= 20 for count in shapes.values()), shapes
