@@ -96,9 +96,6 @@ class DistanceTable:
     columns: Mapping[tuple[str, str], tuple[int, int, int, int, int]]
     empty_entries: tuple[tuple[int, tuple[str, str]], ...]
 
-    def distance(self, u: str, v: str, b: BaseRelation) -> int:
-        return self.column(u, v)[b]
-
     def column(self, u: str, v: str) -> dict[BaseRelation, int]:
         """Distances for the ordered pair (u, v)."""
         key = _canonical(u, v)

@@ -13,7 +13,7 @@ from dataclasses import dataclass, field
 from typing import Sequence
 
 from .distance import DistanceTable, distance_table
-from .rcc5 import EMPTY, QCN, BaseRelation, Relation, is_consistent
+from .rcc5 import QCN, BaseRelation, Relation, is_consistent
 
 __all__ = ["relax", "val", "MergeIteration", "MergeTrace", "merge"]
 
@@ -77,24 +77,22 @@ def merge(profile: Sequence[QCN]) -> tuple[QCN, MergeTrace]:
     """
     table = distance_table(profile)
     variables = profile[0].variables
-    current = QCN(variables)
-    for pair in table.pairs:
-        current = current.updated(*pair, relax(EMPTY, pair, table))
-    initial = current
+    labels = {pair: table.minimal_bases(*pair) for pair in table.pairs}
+    current = initial = QCN(variables, labels)
 
     iterations: list[MergeIteration] = []
     bound = 4 * len(table.pairs) + 1
     while not is_consistent(current):
-        candidates = [
-            pair for pair in table.pairs if not current.constraint(*pair).is_full
-        ]
-        if not candidates:
+        values = {
+            pair: val(label, pair, table) for pair, label in labels.items() if not label.is_full
+        }
+        if not values:
             raise RuntimeError("relaxation ran out of pairs, yet the all-full network is consistent")
-        values = {pair: val(current.constraint(*pair), pair, table) for pair in candidates}
         highest = max(values.values())
-        selected = tuple(pair for pair in table.pairs if values.get(pair) == highest)
+        selected = tuple(pair for pair, value in values.items() if value == highest)
         for pair in selected:
-            current = current.updated(*pair, relax(current.constraint(*pair), pair, table))
+            labels[pair] = relax(labels[pair], pair, table)
+        current = QCN(variables, labels)
         iterations.append(
             MergeIteration(
                 index=len(iterations) + 1,

@@ -18,7 +18,7 @@ import json
 from collections import deque
 from enum import Enum
 from math import prod
-from typing import Iterable, Iterator, Mapping, Sequence
+from typing import Callable, Iterable, Iterator, Mapping, TypeVar
 
 __all__ = [
     "BaseRelation",
@@ -43,6 +43,8 @@ __all__ = [
     "qcn_from_json",
     "qcn_to_dot",
 ]
+
+T = TypeVar("T")
 
 
 class BaseRelation(Enum):
@@ -148,10 +150,6 @@ class Relation:
     def is_full(self) -> bool:
         return self._mask == _FULL_MASK
 
-    @property
-    def is_singleton(self) -> bool:
-        return self._mask.bit_count() == 1
-
     def converse(self) -> "Relation":
         return Relation.from_mask(_CONV_MASK[self._mask])
 
@@ -184,9 +182,6 @@ class Relation:
 
     def __lt__(self, other: "Relation") -> bool:
         return self <= other and self._mask != other._mask
-
-    def issubset(self, other: "Relation") -> bool:
-        return self <= other
 
     def __eq__(self, other: object) -> bool:
         return isinstance(other, Relation) and self._mask == other._mask
@@ -299,13 +294,16 @@ def compose_relations(r1: Relation, r2: Relation) -> Relation:
 class QCN:
     """A qualitative constraint network: variables plus pair constraints.
 
-    Constraints are stored once per unordered pair (in variable-list
-    order); the accessor returns the converse for the flipped
-    orientation, so coherence holds by construction.  Instances are
-    immutable; updates return new networks.
+    Constraints live in one n×n matrix of relation masks indexed by
+    variable position, the layout closure and search work on.  Entry
+    (i, j) holds the constraint on (variables[i], variables[j]), entry
+    (j, i) its converse and the diagonal EQ; every write sets both
+    orientations, so coherence holds by construction.  Instances are
+    immutable: the matrix is never written after construction, and
+    updates return new networks.
     """
 
-    __slots__ = ("_variables", "_index", "_masks")
+    __slots__ = ("_variables", "_index", "_matrix")
 
     def __init__(
         self,
@@ -318,20 +316,23 @@ class QCN:
             raise ValueError("duplicate variable names")
         self._variables = vars_t
         self._index = {v: i for i, v in enumerate(vars_t)}
-        masks: dict[tuple[int, int], int] = {}
         n = len(vars_t)
-        for i in range(n):
-            for j in range(i + 1, n):
-                masks[(i, j)] = _FULL_MASK
+        m = [[EQ.value if i == j else _FULL_MASK for j in range(n)] for i in range(n)]
+        self._matrix = m
         items = constraints.items() if isinstance(constraints, Mapping) else constraints
         for (u, v), rel in items:
             i, j = self._pair_indices(u, v)
-            rel = Relation(rel)
-            if i < j:
-                masks[(i, j)] &= rel.mask
-            else:
-                masks[(j, i)] &= rel.converse().mask
-        self._masks = masks
+            _put(m, i, j, m[i][j] & Relation(rel).mask)
+
+    @classmethod
+    def _from_matrix(cls, variables: tuple[str, ...], m: list[list[int]]) -> "QCN":
+        obj = object.__new__(cls)
+        obj._variables = variables
+        obj._index = {v: i for i, v in enumerate(variables)}
+        obj._matrix = m
+        if cls is Scenario:
+            obj._validate_quasi_atomic()
+        return obj
 
     def _pair_indices(self, u: str, v: str) -> tuple[int, int]:
         try:
@@ -343,6 +344,13 @@ class QCN:
             raise ValueError(f"constraints relate distinct variables, got ({u!r}, {v!r})")
         return i, j
 
+    def _upper(self) -> Iterator[tuple[int, int, int]]:
+        """(i, j, mask) for every pair with i < j, row by row."""
+        m = self._matrix
+        for i, row in enumerate(m):
+            for j in range(i + 1, len(m)):
+                yield i, j, row[j]
+
     @property
     def variables(self) -> tuple[str, ...]:
         return self._variables
@@ -350,19 +358,14 @@ class QCN:
     def constraint(self, u: str, v: str) -> Relation:
         """The relation on (u, v), in that orientation."""
         i, j = self._pair_indices(u, v)
-        if i < j:
-            return Relation.from_mask(self._masks[(i, j)])
-        return Relation.from_mask(_CONV_MASK[self._masks[(j, i)]])
+        return Relation.from_mask(self._matrix[i][j])
 
     def pairs(self) -> Iterator[tuple[str, str]]:
         """All unordered pairs, oriented by variable-list order."""
-        n = len(self._variables)
-        for i in range(n):
-            for j in range(i + 1, n):
-                yield self._variables[i], self._variables[j]
+        return ((self._variables[i], self._variables[j]) for i, j, _ in self._upper())
 
     def items(self, omit_full: bool = True) -> Iterator[tuple[str, str, Relation]]:
-        for (i, j), mask in sorted(self._masks.items()):
+        for i, j, mask in self._upper():
             if omit_full and mask == _FULL_MASK:
                 continue
             yield self._variables[i], self._variables[j], Relation.from_mask(mask)
@@ -370,9 +373,9 @@ class QCN:
     def updated(self, u: str, v: str, rel: Relation) -> "QCN":
         """A copy with the (u, v) constraint replaced by `rel`."""
         i, j = self._pair_indices(u, v)
-        masks = dict(self._masks)
-        masks[(min(i, j), max(i, j))] = rel.mask if i < j else rel.converse().mask
-        return self._from_parts(self._variables, masks, type(self))
+        m = [row[:] for row in self._matrix]
+        _put(m, i, j, rel.mask)
+        return self._from_matrix(self._variables, m)
 
     def refined(self, u: str, v: str, rel: Relation) -> "QCN":
         """A copy with the (u, v) constraint intersected with `rel`."""
@@ -384,59 +387,19 @@ class QCN:
         missing = set(self._variables) - set(vars_t)
         if missing:
             raise ValueError(f"expanded variable set drops {sorted(missing)}")
-        out = QCN(vars_t)
-        masks = dict(out._masks)
-        for u, v, rel in self.items():
-            i, j = out._pair_indices(u, v)
-            masks[(min(i, j), max(i, j))] = rel.mask if i < j else rel.converse().mask
-        return self._from_parts(vars_t, masks, QCN)
-
-    @staticmethod
-    def _from_parts(variables: tuple[str, ...], masks: dict[tuple[int, int], int], cls) -> "QCN":
-        obj = object.__new__(cls)
-        obj._variables = variables
-        obj._index = {v: i for i, v in enumerate(variables)}
-        obj._masks = masks
-        if cls is Scenario:
-            obj._validate_quasi_atomic()
-        return obj
+        return QCN(vars_t, (((u, v), rel) for u, v, rel in self.items()))
 
     @property
     def has_empty_constraint(self) -> bool:
-        return any(mask == 0 for mask in self._masks.values())
-
-    @property
-    def is_atomic(self) -> bool:
-        return all(mask.bit_count() == 1 for mask in self._masks.values())
-
-    @property
-    def is_quasi_atomic(self) -> bool:
-        return all(mask in _SCENARIO_MASKS for mask in self._masks.values())
-
-    def _matrix(self) -> list[list[int]]:
-        n = len(self._variables)
-        m = [[EQ.value if i == j else _FULL_MASK for j in range(n)] for i in range(n)]
-        for (i, j), mask in self._masks.items():
-            m[i][j] = mask
-            m[j][i] = _CONV_MASK[mask]
-        return m
-
-    @classmethod
-    def _from_matrix(cls, variables: tuple[str, ...], m: Sequence[Sequence[int]]) -> "QCN":
-        masks = {}
-        n = len(variables)
-        for i in range(n):
-            for j in range(i + 1, n):
-                masks[(i, j)] = m[i][j]
-        return cls._from_parts(variables, masks, cls)
+        return any(mask == 0 for _, _, mask in self._upper())
 
     def __eq__(self, other: object) -> bool:
         if not isinstance(other, QCN):
             return NotImplemented
-        return self._variables == other._variables and self._masks == other._masks
+        return self._variables == other._variables and self._matrix == other._matrix
 
     def __hash__(self) -> int:
-        return hash((self._variables, tuple(sorted(self._masks.items()))))
+        return hash((self._variables, tuple(map(tuple, self._matrix))))
 
     def __repr__(self) -> str:
         parts = ", ".join(f"{u}{rel!r}{v}" for u, v, rel in self.items())
@@ -498,7 +461,7 @@ class Scenario(QCN):
         self._validate_quasi_atomic()
 
     def _validate_quasi_atomic(self) -> None:
-        for (i, j), mask in self._masks.items():
+        for i, j, mask in self._upper():
             if mask not in _SCENARIO_MASKS:
                 u, v = self._variables[i], self._variables[j]
                 raise ValueError(
@@ -507,7 +470,13 @@ class Scenario(QCN):
 
     @classmethod
     def from_qcn(cls, qcn: QCN) -> "Scenario":
-        return cls(qcn.variables, {(u, v): rel for u, v, rel in qcn.items()})
+        return cls._from_matrix(qcn.variables, qcn._matrix)
+
+
+def _put(m: list[list[int]], i: int, j: int, mask: int) -> None:
+    """Set the (i, j) constraint of matrix `m` and its converse."""
+    m[i][j] = mask
+    m[j][i] = _CONV_MASK[mask]
 
 
 def _close(m: list[list[int]], n: int, queue: deque[tuple[int, int]] | None = None) -> bool:
@@ -560,15 +529,9 @@ def algebraic_closure(n: QCN) -> QCN:
     When a constraint empties, propagation stops and the network is
     returned with that empty constraint, which signals inconsistency.
     """
-    m = n._matrix()
+    m = [row[:] for row in n._matrix]
     _close(m, len(n.variables))
     return QCN._from_matrix(n.variables, m)
-
-
-def _bits(mask: int) -> Iterator[int]:
-    for bit in _SINGLETON_MASKS:
-        if mask & bit:
-            yield bit
 
 
 def _choose_pair(m: list[list[int]], n: int) -> tuple[int, int] | None:
@@ -585,57 +548,70 @@ def _choose_pair(m: list[list[int]], n: int) -> tuple[int, int] | None:
     return best
 
 
-def is_consistent(n: QCN) -> bool:
-    """Whether some atomic refinement survives closure without emptying.
+def _leaves(root: T, children: Callable[[T], Iterator[T] | None]) -> Iterator[T]:
+    """The leaves of the tree below `root`, depth first in child order.
 
-    Backtracking over atomic refinements with closure as forward
-    checking; path consistency decides atomic RCC-5 networks, so a fully
-    refined, closed network is a witness.
+    `children(node)` is None at a leaf and otherwise an iterator over the
+    node's children; a node whose iterator is empty is a dead end.  The
+    open iterators sit on an explicit stack, so the depth of the tree is
+    bounded by memory, not by Python's recursion limit.
     """
-    m = n._matrix()
+    stack = [iter((root,))]
+    while stack:
+        node = next(stack[-1], None)
+        if node is None:
+            stack.pop()
+            continue
+        below = children(node)
+        if below is None:
+            yield node
+        else:
+            stack.append(below)
+
+
+def _refinements(n: QCN) -> Iterator[list[list[int]]]:
+    """Every consistent atomic refinement of `n`, as a closed mask matrix.
+
+    Backtracking over atomic refinements with closure as forward checking
+    (Renz & Nebel 2001): each node fixes the smallest open constraint to
+    one of its base relations, then closes from that pair.  Path
+    consistency decides atomic RCC-5 networks, so every leaf, a closed
+    network without an open pair, is consistent.
+    """
     size = len(n.variables)
-    if not _close(m, size):
-        return False
-    return _consistent_search(m, size)
+    root = [row[:] for row in n._matrix]
+    if not _close(root, size):
+        return iter(())
+
+    def children(m: list[list[int]]) -> Iterator[list[list[int]]] | None:
+        pair = _choose_pair(m, size)
+        return None if pair is None else _branches(m, size, *pair)
+
+    return _leaves(root, children)
 
 
-def _consistent_search(m: list[list[int]], n: int) -> bool:
-    pair = _choose_pair(m, n)
-    if pair is None:
-        return True
-    i, j = pair
-    for bit in _bits(m[i][j]):
-        m2 = [row[:] for row in m]
-        m2[i][j] = bit
-        m2[j][i] = _CONV_MASK[bit]
-        if _close(m2, n, deque([(i, j)])) and _consistent_search(m2, n):
-            return True
-    return False
+def _branches(m: list[list[int]], n: int, i: int, j: int) -> Iterator[list[list[int]]]:
+    """Closed copies of `m` with (i, j) fixed to each of its base relations.
+
+    A copy in which a constraint empties is dropped.
+    """
+    for b in _MEMBERS[m[i][j]]:
+        child = [row[:] for row in m]
+        _put(child, i, j, b.value)
+        if _close(child, n, deque([(i, j)])):
+            yield child
+
+
+def is_consistent(n: QCN) -> bool:
+    """Whether some atomic refinement survives closure without emptying."""
+    return next(_refinements(n), None) is not None
 
 
 def _atomic_refinements(n: QCN) -> tuple[list[tuple[int, int]], list[tuple[int, ...]]]:
     """All consistent atomic refinements, as mask tuples over the pair list."""
     size = len(n.variables)
     pair_list = [(i, j) for i in range(size) for j in range(i + 1, size)]
-    solutions: list[tuple[int, ...]] = []
-    m = n._matrix()
-    if not _close(m, size):
-        return pair_list, solutions
-
-    def walk(m: list[list[int]]) -> None:
-        pair = _choose_pair(m, size)
-        if pair is None:
-            solutions.append(tuple(m[i][j] for i, j in pair_list))
-            return
-        i, j = pair
-        for bit in _bits(m[i][j]):
-            m2 = [row[:] for row in m]
-            m2[i][j] = bit
-            m2[j][i] = _CONV_MASK[bit]
-            if _close(m2, size, deque([(i, j)])):
-                walk(m2)
-
-    walk(m)
+    solutions = [tuple(m[i][j] for i, j in pair_list) for m in _refinements(n)]
     return pair_list, solutions
 
 
@@ -651,40 +627,30 @@ def enumerate_scenarios(n: QCN) -> list[Scenario]:
     pair_list, atoms = _atomic_refinements(n)
     if not atoms:
         return []
-    quasi_pp = PP.value | EQ.value
-    quasi_ppi = PPi.value | EQ.value
-    input_matrix = n._matrix()
-    label_options: list[tuple[int, ...]] = []
-    for i, j in pair_list:
-        cmask = input_matrix[i][j]
-        options = [bit for bit in _SINGLETON_MASKS if cmask & bit]
-        if cmask & quasi_pp == quasi_pp:
-            options.append(quasi_pp)
-        if cmask & quasi_ppi == quasi_ppi:
-            options.append(quasi_ppi)
-        label_options.append(tuple(options))
+    quasi = (PP.value | EQ.value, PPi.value | EQ.value)
+    label_options = [
+        tuple(b.value for b in _MEMBERS[mask]) + tuple(q for q in quasi if mask & q == q)
+        for mask in (n._matrix[i][j] for i, j in pair_list)
+    ]
 
-    boxes: list[tuple[int, ...]] = []
-
-    def dfs(pos: int, chosen: list[int], subset: list[tuple[int, ...]]) -> None:
-        if pos == len(pair_list):
-            if len(subset) == prod(label.bit_count() for label in chosen):
-                boxes.append(tuple(chosen))
-            return
+    # A node holds the labels chosen for a prefix of the pair list and the
+    # atomic refinements inside them, among which every chosen base occurs.
+    def extend(node: tuple) -> Iterator[tuple]:
+        chosen, subset = node
+        pos = len(chosen)
         for label in label_options[pos]:
             narrowed = [a for a in subset if a[pos] & label]
-            if not narrowed:
-                continue
-            present = 0
-            for a in narrowed:
-                present |= a[pos]
-            if present & label != label:
-                continue
-            chosen.append(label)
-            dfs(pos + 1, chosen, narrowed)
-            chosen.pop()
+            if len({a[pos] for a in narrowed}) == label.bit_count():
+                yield chosen + (label,), narrowed
 
-    dfs(0, [], atoms)
+    def children(node: tuple) -> Iterator[tuple] | None:
+        return None if len(node[0]) == len(pair_list) else extend(node)
+
+    boxes = [
+        chosen
+        for chosen, subset in _leaves(((), atoms), children)
+        if len(subset) == prod(label.bit_count() for label in chosen)
+    ]
 
     maximal = [
         box
@@ -697,8 +663,10 @@ def enumerate_scenarios(n: QCN) -> list[Scenario]:
 
     scenarios = []
     for box in maximal:
-        masks = {pair: mask for pair, mask in zip(pair_list, box)}
-        scenarios.append(QCN._from_parts(n.variables, masks, Scenario))
+        m = [row[:] for row in n._matrix]
+        for (i, j), mask in zip(pair_list, box):
+            _put(m, i, j, mask)
+        scenarios.append(Scenario._from_matrix(n.variables, m))
     return scenarios
 
 

@@ -140,6 +140,15 @@ class TestCheckCommand:
         assert code == 0
         assert out.strip().endswith("consistent")
 
+    def test_many_unrelated_concepts(self, tmp_path, capsys):
+        # 50 concepts without axioms leave 1,225 open pairs for the search
+        source = tmp_path / "wide.txt"
+        source.write_text("".join(f"C{i}(x{i})\n" for i in range(50)))
+        code, out, _ = run_cli("check", str(source), capsys=capsys)
+        assert code == 0
+        assert out.strip().endswith("consistent")
+        assert "inconsistent" not in out
+
     def test_conflicting_input(self, tmp_path, capsys):
         conflicted = tmp_path / "conflict.txt"
         conflicted.write_text("C <= D\nC & D <= bot\n")

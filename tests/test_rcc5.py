@@ -6,6 +6,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from ontomerge.rcc5 import (
+    _atomic_refinements,
     EMPTY,
     EQ,
     PO,
@@ -234,6 +235,36 @@ class TestConsistency:
             }
             n = QCN(["a", "b", "c"], constraints)
             assert is_consistent(n) == oracles.satisfiable_3var(n), constraints
+
+    def test_depth_is_not_bounded_by_the_recursion_limit(self):
+        # the search fixes one open pair per level: 1,770 levels here
+        assert is_consistent(QCN([f"v{i}" for i in range(60)]))
+
+    def test_atomic_refinements_match_closure_of_each_candidate(self):
+        # path consistency decides atomic RCC-5 networks, so closing every
+        # atomic candidate by itself is an oracle independent of the search
+        rng = random.Random(5150)
+        networks = []
+        for _ in range(20):
+            pairs = itertools.combinations("abcd", 2)
+            networks.append({pair: rng.randrange(1, 32) for pair in pairs})
+        # five variables, where fixing a pair empties a constraint during the search
+        for masks in ((14, 3, 2, 4, 17, 25, 19, 12, 3, 2), (10, 2, 18, 30, 12, 3, 9, 12, 17, 28)):
+            networks.append(dict(zip(itertools.combinations("abcde", 2), masks)))
+        for masks in networks:
+            constraints = {pair: Relation.from_mask(mask) for pair, mask in masks.items()}
+            variables = sorted({v for pair in constraints for v in pair})
+            n = QCN(variables, constraints)
+            expected = set()
+            for combo in itertools.product(*(rel.members for rel in constraints.values())):
+                atomic = QCN(variables, dict(zip(constraints, (Relation([b]) for b in combo))))
+                if not algebraic_closure(atomic).has_empty_constraint:
+                    expected.add(tuple(b.value for b in combo))
+            pair_list, solutions = _atomic_refinements(n)
+            assert pair_list == list(itertools.combinations(range(len(variables)), 2))
+            assert len(solutions) == len(set(solutions)), masks
+            assert set(solutions) == expected, masks
+            assert is_consistent(n) == bool(expected), masks
 
 
 class TestFindSetModel:
