@@ -59,6 +59,8 @@ def _read_text(path: str, stage: str) -> str:
         return Path(path).read_text(encoding="utf-8")
     except OSError as exc:
         raise PipelineError(stage, f"cannot read {path}: {exc.strerror or exc}") from exc
+    except UnicodeDecodeError as exc:
+        raise PipelineError(stage, f"cannot read {path}: not UTF-8 text ({exc})") from exc
 
 
 def _load_ontology(path: str) -> Ontology:
@@ -136,7 +138,10 @@ def _write_output(text: str, path: str | None) -> None:
     if path is None or path == "-":
         sys.stdout.write(text)
     else:
-        Path(path).write_text(text, encoding="utf-8")
+        try:
+            Path(path).write_text(text, encoding="utf-8")
+        except OSError as exc:
+            raise PipelineError("output", f"cannot write {path}: {exc.strerror or exc}") from exc
 
 
 def _dump_json(data: dict) -> str:

@@ -13,7 +13,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 from typing import Iterator, Mapping, Sequence
 
-from .rcc5 import EQ, PO, PP, DR, PPi, BaseRelation, QCN, Relation
+from .rcc5 import EQ, PO, PP, DR, PPi, UNIVERSAL, BaseRelation, QCN, Relation
 
 __all__ = [
     "NEIGHBORHOOD_EDGES",
@@ -31,35 +31,38 @@ NEIGHBORHOOD_EDGES: frozenset[frozenset[BaseRelation]] = frozenset(
 )
 
 
-def _all_pairs_shortest_paths() -> dict[tuple[BaseRelation, BaseRelation], int]:
-    neighbors: dict[BaseRelation, list[BaseRelation]] = {b: [] for b in BaseRelation}
-    for edge in NEIGHBORHOOD_EDGES:
-        a, b = sorted(edge, key=lambda r: r.index)
-        neighbors[a].append(b)
-        neighbors[b].append(a)
-    dist: dict[tuple[BaseRelation, BaseRelation], int] = {}
-    for start in BaseRelation:
-        seen = {start: 0}
-        frontier = [start]
-        while frontier:
-            nxt = []
-            for node in frontier:
-                for other in neighbors[node]:
-                    if other not in seen:
-                        seen[other] = seen[node] + 1
-                        nxt.append(other)
-            frontier = nxt
-        for end, d in seen.items():
-            dist[(start, end)] = d
-    return dist
+def _distance_rows() -> tuple[tuple[int, ...], ...]:
+    """Row `mask`, column `b.index`: distance from b to the constraint `mask`.
+
+    The ball around b grows by one neighbourhood step at a time until it
+    covers every base relation; the distance to a non-empty constraint is
+    the number of balls that miss it.  The empty constraint's row is 0.
+    """
+    reach = {b.value: b.value for b in BaseRelation}
+    for a, c in NEIGHBORHOOD_EDGES:
+        reach[a.value] |= c.value
+        reach[c.value] |= a.value
+    rows = [[0] * 5 for _ in range(32)]
+    for b in BaseRelation:
+        ball = b.value
+        while ball != UNIVERSAL.mask:
+            for mask in range(1, 32):
+                if not mask & ball:
+                    rows[mask][b.index] += 1
+            grown = ball
+            for bit, neighbours in reach.items():
+                if bit & ball:
+                    grown |= neighbours
+            ball = grown
+    return tuple(map(tuple, rows))
 
 
-_DIST = _all_pairs_shortest_paths()
+_DIST = _distance_rows()
 
 
 def base_distance(b1: BaseRelation, b2: BaseRelation) -> int:
     """Shortest-path length between two base relations in the graph."""
-    return _DIST[(b1, b2)]
+    return _DIST[b2.value][b1.index]
 
 
 def constraint_distance(b: BaseRelation, phi: Relation) -> int:
@@ -69,14 +72,12 @@ def constraint_distance(b: BaseRelation, phi: Relation) -> int:
     build tables flag the affected pairs (a self-contradictory source
     imposes no preference).
     """
-    if phi.is_empty:
-        return 0
-    return min(_DIST[(b, member)] for member in phi)
+    return _DIST[phi.mask][b.index]
 
 
 def profile_distance(b: BaseRelation, entries: Sequence[Relation]) -> int:
     """Distance from a base relation to a profile: sum over the entries."""
-    return sum(constraint_distance(b, phi) for phi in entries)
+    return sum(_DIST[phi.mask][b.index] for phi in entries)
 
 
 def _canonical(u: str, v: str) -> tuple[str, str]:
@@ -141,7 +142,7 @@ def distance_table(profile: Sequence[QCN]) -> DistanceTable:
         for k, entry in enumerate(entries):
             if entry.is_empty:
                 flagged.append((k, (u, v)))
-        columns[(u, v)] = tuple(profile_distance(b, entries) for b in BaseRelation)
+        columns[(u, v)] = tuple(map(sum, zip(*(_DIST[entry.mask] for entry in entries))))
     return DistanceTable(pairs=pairs, columns=columns, empty_entries=tuple(flagged))
 
 

@@ -17,8 +17,7 @@ from __future__ import annotations
 import json
 from collections import deque
 from enum import Enum
-from math import prod
-from typing import Callable, Iterable, Iterator, Mapping, TypeVar
+from typing import Iterable, Iterator, Mapping
 
 __all__ = [
     "BaseRelation",
@@ -43,8 +42,6 @@ __all__ = [
     "qcn_from_json",
     "qcn_to_dot",
 ]
-
-T = TypeVar("T")
 
 
 class BaseRelation(Enum):
@@ -548,27 +545,6 @@ def _choose_pair(m: list[list[int]], n: int) -> tuple[int, int] | None:
     return best
 
 
-def _leaves(root: T, children: Callable[[T], Iterator[T] | None]) -> Iterator[T]:
-    """The leaves of the tree below `root`, depth first in child order.
-
-    `children(node)` is None at a leaf and otherwise an iterator over the
-    node's children; a node whose iterator is empty is a dead end.  The
-    open iterators sit on an explicit stack, so the depth of the tree is
-    bounded by memory, not by Python's recursion limit.
-    """
-    stack = [iter((root,))]
-    while stack:
-        node = next(stack[-1], None)
-        if node is None:
-            stack.pop()
-            continue
-        below = children(node)
-        if below is None:
-            yield node
-        else:
-            stack.append(below)
-
-
 def _refinements(n: QCN) -> Iterator[list[list[int]]]:
     """Every consistent atomic refinement of `n`, as a closed mask matrix.
 
@@ -576,18 +552,25 @@ def _refinements(n: QCN) -> Iterator[list[list[int]]]:
     (Renz & Nebel 2001): each node fixes the smallest open constraint to
     one of its base relations, then closes from that pair.  Path
     consistency decides atomic RCC-5 networks, so every leaf, a closed
-    network without an open pair, is consistent.
+    network without an open pair, is consistent.  The open child
+    iterators sit on an explicit stack, so the depth of the search is
+    bounded by memory, not by Python's recursion limit.
     """
     size = len(n.variables)
     root = [row[:] for row in n._matrix]
     if not _close(root, size):
-        return iter(())
-
-    def children(m: list[list[int]]) -> Iterator[list[list[int]]] | None:
+        return
+    stack = [iter((root,))]
+    while stack:
+        m = next(stack[-1], None)
+        if m is None:
+            stack.pop()
+            continue
         pair = _choose_pair(m, size)
-        return None if pair is None else _branches(m, size, *pair)
-
-    return _leaves(root, children)
+        if pair is None:
+            yield m
+        else:
+            stack.append(_branches(m, size, *pair))
 
 
 def _branches(m: list[list[int]], n: int, i: int, j: int) -> Iterator[list[list[int]]]:
@@ -615,50 +598,43 @@ def _atomic_refinements(n: QCN) -> tuple[list[tuple[int, int]], list[tuple[int, 
     return pair_list, solutions
 
 
+#: For each atomic label that can widen: (sibling label, merged label).
+#: Siblings differ at one pair only, and the merged box is their union.
+_SIBLINGS: dict[int, tuple[tuple[int, int], ...]] = {
+    PP.value: ((EQ.value, PP.value | EQ.value),),
+    PPi.value: ((EQ.value, PPi.value | EQ.value),),
+    EQ.value: ((PP.value, PP.value | EQ.value), (PPi.value, PPi.value | EQ.value)),
+}
+
+
 def enumerate_scenarios(n: QCN) -> list[Scenario]:
     """All maximal quasi-atomic scenarios of `n`, in a fixed order.
 
-    A candidate keeps a two-element label {PP,EQ} or {PPi,EQ} only when
-    both of its atomic refinements are consistent together with the rest
-    of the network; scenarios pointwise contained in another returned
-    scenario are dropped.  Output is sorted lexicographically by the
-    constraint labels in variable order.
+    A box (one scenario label per pair) is valid when every atomic
+    refinement inside it is consistent.  Validity is closed under
+    shrinking, so a valid box is maximal exactly when no single label
+    widens validly, and {PP,EQ} at a pair is valid exactly when both the
+    PP box and its EQ sibling are.  Level 0 is the consistent atomic
+    refinements; merging the sibling pairs of level k gives every valid
+    box with k+1 two-element labels, and a box without a sibling is
+    maximal (the prime implicants of McCluskey 1956).  Output is sorted
+    lexicographically by the constraint labels in variable order.
     """
     pair_list, atoms = _atomic_refinements(n)
-    if not atoms:
-        return []
-    quasi = (PP.value | EQ.value, PPi.value | EQ.value)
-    label_options = [
-        tuple(b.value for b in _MEMBERS[mask]) + tuple(q for q in quasi if mask & q == q)
-        for mask in (n._matrix[i][j] for i, j in pair_list)
-    ]
-
-    # A node holds the labels chosen for a prefix of the pair list and the
-    # atomic refinements inside them, among which every chosen base occurs.
-    def extend(node: tuple) -> Iterator[tuple]:
-        chosen, subset = node
-        pos = len(chosen)
-        for label in label_options[pos]:
-            narrowed = [a for a in subset if a[pos] & label]
-            if len({a[pos] for a in narrowed}) == label.bit_count():
-                yield chosen + (label,), narrowed
-
-    def children(node: tuple) -> Iterator[tuple] | None:
-        return None if len(node[0]) == len(pair_list) else extend(node)
-
-    boxes = [
-        chosen
-        for chosen, subset in _leaves(((), atoms), children)
-        if len(subset) == prod(label.bit_count() for label in chosen)
-    ]
-
-    maximal = [
-        box
-        for box in boxes
-        if not any(
-            other != box and all(b & ~o == 0 for b, o in zip(box, other)) for other in boxes
-        )
-    ]
+    maximal = []
+    level = set(atoms)
+    while level:
+        merged = set()
+        for box in level:
+            alone = True
+            for p, label in enumerate(box):
+                for sibling_label, wide in _SIBLINGS.get(label, ()):
+                    if box[:p] + (sibling_label,) + box[p + 1 :] in level:
+                        alone = False
+                        merged.add(box[:p] + (wide,) + box[p + 1 :])
+            if alone:
+                maximal.append(box)
+        level = merged
     maximal.sort(key=lambda box: tuple(Relation.from_mask(m).sort_key() for m in box))
 
     scenarios = []

@@ -11,7 +11,7 @@ lexicographic tie-break on its labels.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 from operator import attrgetter
 from typing import Callable, Mapping, Sequence
 
@@ -44,23 +44,27 @@ _COUNT_OF_LABEL: dict[int, Callable[["PairConflicts"], int]] = {
 
 @dataclass(frozen=True)
 class PairConflicts:
-    """Conflict counts of one source against one ordered concept pair."""
+    """Conflict counts of one source against one ordered concept pair.
 
-    subset_witnesses: frozenset[str]
-    superset_witnesses: frozenset[str]
-    common_witnesses: frozenset[str]
+    Holds the two concepts' instance sets as the closed ABox indexes them;
+    the counts come from one intersection, and the witness lists are
+    built only for the JSON report.
+    """
+
+    in_first: frozenset[str]
+    in_second: frozenset[str]
+    common_count: int = field(init=False)
+
+    def __post_init__(self) -> None:
+        object.__setattr__(self, "common_count", len(self.in_first & self.in_second))
 
     @property
     def subset_count(self) -> int:
-        return len(self.subset_witnesses)
+        return len(self.in_first) - self.common_count
 
     @property
     def superset_count(self) -> int:
-        return len(self.superset_witnesses)
-
-    @property
-    def common_count(self) -> int:
-        return len(self.common_witnesses)
+        return len(self.in_second) - self.common_count
 
     @property
     def overlap_count(self) -> int:
@@ -76,22 +80,16 @@ class PairConflicts:
 
     def to_json_dict(self) -> dict:
         return {
-            "subset_like": sorted(self.subset_witnesses),
-            "superset_like": sorted(self.superset_witnesses),
-            "disjoint": sorted(self.common_witnesses),
+            "subset_like": sorted(self.in_first - self.in_second),
+            "superset_like": sorted(self.in_second - self.in_first),
+            "disjoint": sorted(self.in_first & self.in_second),
             "overlap_count": self.overlap_count,
         }
 
 
 def pair_conflicts(closed: ClosedABox, first: str, second: str) -> PairConflicts:
-    """Witness sets of one closed ABox on the ordered pair (first, second)."""
-    in_first = closed.instances_of(first)
-    in_second = closed.instances_of(second)
-    return PairConflicts(
-        subset_witnesses=in_first - in_second,
-        superset_witnesses=in_second - in_first,
-        common_witnesses=in_first & in_second,
-    )
+    """Conflicts of one closed ABox on the ordered pair (first, second)."""
+    return PairConflicts(closed.instances_of(first), closed.instances_of(second))
 
 
 def nb_conflicts(closed: ClosedABox, pair: tuple[str, str], label: Relation) -> int:

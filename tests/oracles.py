@@ -6,11 +6,13 @@ pair sets) by brute-force enumeration, without touching the library's
 composition table, closure, classification or conflict counting.  numpy
 grids keep the exhaustive searches fast enough to run on every test run.
 
-Two slow references sit beside them: `reference_classify` and
+Three slow references sit beside them: `reference_classify` and
 `reference_closure` are the fixpoint-rescan versions of
 `ontology.classify` and `ontology.deductive_closure` that the indexed
-worklist saturation replaced, kept verbatim so the fast paths can be
-checked for agreement with them.
+worklist saturation replaced, and `reference_scenarios` is the box
+search plus pairwise maximality filter that the level-wise sibling merge
+of `rcc5.enumerate_scenarios` replaced.  They are kept so the fast paths
+can be checked for agreement with them.
 """
 
 from __future__ import annotations
@@ -37,7 +39,18 @@ from ontomerge.ontology import (
     _by_class,
     _names_by_namespace,
 )
-from ontomerge.rcc5 import DR, EQ, PO, PP, QCN, BaseRelation, PPi, Relation
+from ontomerge.rcc5 import (
+    DR,
+    EQ,
+    PO,
+    PP,
+    QCN,
+    BaseRelation,
+    PPi,
+    Relation,
+    Scenario,
+    _atomic_refinements,
+)
 
 # base-relation indices in canonical order DR, PO, PP, PPi, EQ
 _DR, _PO, _PP, _PPI, _EQ = range(5)
@@ -692,3 +705,57 @@ def reference_closure(o: Ontology, classification: Classification | None = None)
         roles=frozenset(assertions[RoleAssertion]),
         inconsistent_individuals=frozenset(inconsistent),
     )
+
+
+# --- slow reference for scenario enumeration ---------------------------------
+
+
+def reference_scenarios(n: QCN) -> list[Scenario]:
+    """Maximal quasi-atomic scenarios by box search and pairwise filtering.
+
+    A depth-first search over label prefixes narrows the consistent atomic
+    refinements at every node; a complete box is valid when it holds as
+    many refinements as its labels' product, and valid boxes contained in
+    another one are dropped.  Same order as `rcc5.enumerate_scenarios`.
+    """
+    pair_list, atoms = _atomic_refinements(n)
+    if not atoms:
+        return []
+    quasi = (PP.value | EQ.value, PPi.value | EQ.value)
+    label_options = []
+    for u, v in n.pairs():
+        mask = n.constraint(u, v).mask
+        label_options.append(
+            tuple(b.value for b in BaseRelation if b.value & mask)
+            + tuple(q for q in quasi if mask & q == q)
+        )
+
+    boxes = []
+
+    def walk(chosen: tuple[int, ...], subset: list[tuple[int, ...]]) -> None:
+        pos = len(chosen)
+        if pos == len(pair_list):
+            size = 1
+            for label in chosen:
+                size *= label.bit_count()
+            if len(subset) == size:
+                boxes.append(chosen)
+            return
+        for label in label_options[pos]:
+            narrowed = [a for a in subset if a[pos] & label]
+            if len({a[pos] for a in narrowed}) == label.bit_count():
+                walk(chosen + (label,), narrowed)
+
+    walk((), atoms)
+    maximal = [
+        box
+        for box in boxes
+        if not any(
+            other != box and all(b & ~o == 0 for b, o in zip(box, other)) for other in boxes
+        )
+    ]
+    maximal.sort(key=lambda box: tuple(Relation.from_mask(m).sort_key() for m in box))
+    return [
+        Scenario(n.variables, {pair: Relation.from_mask(m) for pair, m in zip(n.pairs(), box)})
+        for box in maximal
+    ]

@@ -117,6 +117,32 @@ class TestMergeCommand:
         assert "no input" in err
 
 
+class TestFileErrors:
+    @pytest.mark.parametrize(
+        "command, stage",
+        [
+            (["merge"], "parse"),
+            (["check"], "parse"),
+            (["classify"], "parse"),
+            (["translate", "backward"], "translate-backward"),
+            (["merge", "--profile"], "profile"),
+        ],
+    )
+    def test_non_utf8_input_is_input_error(self, command, stage, tmp_path, capsys):
+        path = tmp_path / "latin1.txt"
+        path.write_bytes("Caf\xe9 <= Shop\n".encode("latin-1"))
+        code, out, err = run_cli(*command, str(path), capsys=capsys)
+        assert (code, out) == (2, "")
+        assert err.startswith(f"error: {stage}: cannot read {path}: not UTF-8 text")
+
+    @pytest.mark.parametrize("flag", ["-o", "--trace", "--emit-qcn", "--emit-scenarios", "--dot"])
+    def test_unwritable_output_is_input_error(self, flag, profile_path, tmp_path, capsys):
+        target = tmp_path / "no-such-directory" / "out.txt"
+        code, out, err = run_cli("merge", "--profile", profile_path, flag, str(target), capsys=capsys)
+        assert (code, out) == (2, "")
+        assert err.startswith(f"error: output: cannot write {target}: ")
+
+
 class TestExplainCommand:
     def test_table_trace_and_scores(self, profile_path, capsys):
         code, out, _ = run_cli("explain", "--profile", profile_path, capsys=capsys)

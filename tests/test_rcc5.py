@@ -395,6 +395,40 @@ class TestEnumerateScenarios:
             }
             assert got == _oracle_scenarios(n), constraints
 
+    def test_single_pair_widens_towards_the_inverse(self):
+        n = QCN(["a", "b"], {("a", "b"): rel(PPi, EQ)})
+        assert [s.constraint("a", "b") for s in enumerate_scenarios(n)] == [rel(PPi, EQ)]
+
+    def test_equal_widens_both_ways(self):
+        n = QCN(["a", "b"], {("a", "b"): rel(PP, PPi, EQ)})
+        labels = [s.constraint("a", "b") for s in enumerate_scenarios(n)]
+        assert labels == [rel(PP, EQ), rel(PPi, EQ)]
+
+    def test_two_independent_pairs_merge_over_two_levels(self):
+        constraints = {pair: rel(DR) for pair in itertools.product("ab", "cd")}
+        constraints.update({("a", "b"): rel(PP, EQ), ("c", "d"): rel(PP, EQ)})
+        n = QCN(["a", "b", "c", "d"], constraints)
+        assert enumerate_scenarios(n) == [Scenario.from_qcn(n)]
+
+    def test_matches_reference_on_random_networks(self):
+        rng = random.Random(2718)
+        widest = 0
+        for size, count in ((4, 200), (5, 20)):
+            variables = "abcde"[:size]
+            for _ in range(count):
+                constraints = {
+                    pair: Relation.from_mask(rng.randrange(1, 32))
+                    for pair in itertools.combinations(variables, 2)
+                }
+                n = QCN(variables, constraints)
+                scenarios = enumerate_scenarios(n)
+                assert scenarios == oracles.reference_scenarios(n), constraints
+                for s in scenarios:
+                    wide = sum(len(r) == 2 for _, _, r in s.items(omit_full=False))
+                    widest = max(widest, wide)
+        # the sample reaches boxes that take two levels of merging
+        assert widest >= 2
+
     def test_deterministic_order(self):
         n = QCN(["a", "b", "c"], {("a", "b"): rel(PP, EQ)})
         first = [s.to_json_dict() for s in enumerate_scenarios(n)]
