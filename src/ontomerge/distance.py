@@ -80,17 +80,13 @@ def profile_distance(b: BaseRelation, entries: Sequence[Relation]) -> int:
     return sum(_DIST[phi.mask][b.index] for phi in entries)
 
 
-def _canonical(u: str, v: str) -> tuple[str, str]:
-    return (u, v) if u <= v else (v, u)
-
-
 @dataclass(frozen=True)
 class DistanceTable:
     """Per-pair distances from every base relation to the profile.
 
-    Columns are stored for the canonical orientation (lexicographically
-    smaller variable first); `column` transposes PP and PPi when asked
-    for the flipped orientation.
+    Columns are stored for the pairs in `QCN.canonical_items` order and
+    orientation; `column` transposes PP and PPi when asked for the other
+    orientation.
     """
 
     pairs: tuple[tuple[str, str], ...]
@@ -99,15 +95,13 @@ class DistanceTable:
 
     def column(self, u: str, v: str) -> dict[BaseRelation, int]:
         """Distances for the ordered pair (u, v)."""
-        key = _canonical(u, v)
-        try:
-            stored = self.columns[key]
-        except KeyError:
-            raise KeyError(f"no distance column for pair ({u!r}, {v!r})") from None
-        if (u, v) == key:
-            values = stored
-        else:
+        if (u, v) in self.columns:
+            values = self.columns[(u, v)]
+        elif (v, u) in self.columns:
+            stored = self.columns[(v, u)]
             values = (stored[0], stored[1], stored[3], stored[2], stored[4])
+        else:
+            raise KeyError(f"no distance column for pair ({u!r}, {v!r})")
         return {b: values[b.index] for b in BaseRelation}
 
     def minimal_bases(self, u: str, v: str) -> Relation:
@@ -133,17 +127,15 @@ def distance_table(profile: Sequence[QCN]) -> DistanceTable:
                 f"variable-set mismatch: source {k} has {sorted(qcn.variables)}, "
                 f"expected {sorted(varset)}"
             )
-    names = sorted(varset)
-    pairs = tuple((names[i], names[j]) for i in range(len(names)) for j in range(i + 1, len(names)))
     columns: dict[tuple[str, str], tuple[int, int, int, int, int]] = {}
     flagged: list[tuple[int, tuple[str, str]]] = []
-    for u, v in pairs:
-        entries = [qcn.constraint(u, v) for qcn in profile]
-        for k, entry in enumerate(entries):
+    for cells in zip(*(qcn.canonical_items() for qcn in profile)):
+        pair = cells[0][:2]
+        for k, (_, _, entry) in enumerate(cells):
             if entry.is_empty:
-                flagged.append((k, (u, v)))
-        columns[(u, v)] = tuple(map(sum, zip(*(_DIST[entry.mask] for entry in entries))))
-    return DistanceTable(pairs=pairs, columns=columns, empty_entries=tuple(flagged))
+                flagged.append((k, pair))
+        columns[pair] = tuple(map(sum, zip(*(_DIST[entry.mask] for _, _, entry in cells))))
+    return DistanceTable(pairs=tuple(columns), columns=columns, empty_entries=tuple(flagged))
 
 
 def _table_rows(table: DistanceTable) -> Iterator[tuple[str, ...]]:

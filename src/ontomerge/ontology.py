@@ -16,7 +16,7 @@ from collections import defaultdict
 from dataclasses import dataclass, field
 from itertools import chain
 from operator import attrgetter
-from typing import Callable, Iterable, Mapping, Union
+from typing import Callable, Iterable, Iterator, Mapping, Union
 
 __all__ = [
     "OntologyError",
@@ -276,33 +276,53 @@ class Ontology:
         roles: Iterable[str] = (),
         individuals: Iterable[str] = (),
     ) -> "Ontology":
-        order = {"concept": list(concepts), "role": list(roles), "individual": list(individuals)}
-        seen = {kind: set(names) for kind, names in order.items()}
-        tbox: set[Axiom] = set()
-        abox: set[Assertion] = set()
-        for stmt in statements:
-            for name, kind in _statement_names(stmt):
-                clash = next((k for k, names in seen.items() if k != kind and name in names), None)
-                if clash is not None:
-                    raise NameClashError(f"name {name!r} used as both {clash} and {kind}")
-                if name not in seen[kind]:
-                    seen[kind].add(name)
-                    order[kind].append(name)
-            if isinstance(stmt, (ConceptAssertion, RoleAssertion)):
-                abox.add(stmt)
-            else:
-                tbox.add(stmt)
-        return cls(
-            tbox=frozenset(tbox),
-            abox=frozenset(abox),
-            concepts=tuple(order["concept"]),
-            roles=tuple(order["role"]),
-            individuals=tuple(order["individual"]),
-        )
+        return _collect(((None, stmt) for stmt in statements), concepts, roles, individuals)
 
     def statements(self) -> list[Statement]:
         """All statements in canonical (kind, names) order."""
         return sorted_statements(chain(self.tbox, self.abox))
+
+
+def _collect(
+    numbered: Iterable[tuple[int | None, Statement]],
+    concepts: Iterable[str] = (),
+    roles: Iterable[str] = (),
+    individuals: Iterable[str] = (),
+) -> Ontology:
+    """An ontology of (line number, statement) pairs; the line may be None.
+
+    The signature is the given names of each namespace followed by the
+    names the statements use, in first-occurrence order.  A name used in
+    a second namespace is a NameClashError naming the statement's line.
+    """
+    order = {"concept": list(concepts), "role": list(roles), "individual": list(individuals)}
+    kind_of: dict[str, str] = {}
+    for kind, names in order.items():
+        for name in names:
+            kind_of.setdefault(name, kind)
+    tbox: set[Axiom] = set()
+    abox: set[Assertion] = set()
+    for line_no, stmt in numbered:
+        for name, kind in _statement_names(stmt):
+            previous = kind_of.get(name)
+            if previous is None:
+                kind_of[name] = kind
+                order[kind].append(name)
+            elif previous != kind:
+                raise NameClashError(
+                    f"name {name!r} already used as a {previous}, here as a {kind}", line_no
+                )
+        if isinstance(stmt, (ConceptAssertion, RoleAssertion)):
+            abox.add(stmt)
+        else:
+            tbox.add(stmt)
+    return Ontology(
+        tbox=frozenset(tbox),
+        abox=frozenset(abox),
+        concepts=tuple(order["concept"]),
+        roles=tuple(order["role"]),
+        individuals=tuple(order["individual"]),
+    )
 
 
 # --- text grammar -----------------------------------------------------------
@@ -404,35 +424,14 @@ def parse_ontology(text: str) -> Ontology:
     Raises OntologySyntaxError / NotNormalFormError / NameClashError with
     the offending line.
     """
-    order: dict[str, list[str]] = {"concept": [], "role": [], "individual": []}
-    kind_of: dict[str, str] = {}
-    tbox: set[Axiom] = set()
-    abox: set[Assertion] = set()
+    return _collect(_numbered_statements(text))
+
+
+def _numbered_statements(text: str) -> Iterator[tuple[int, Statement]]:
     for line_no, line in enumerate(text.splitlines(), start=1):
         tokens = _tokenize(line, line_no)
-        if not tokens:
-            continue
-        stmt = _match_statement(tokens, line_no, line)
-        for name, kind in _statement_names(stmt):
-            previous = kind_of.get(name)
-            if previous is None:
-                kind_of[name] = kind
-                order[kind].append(name)
-            elif previous != kind:
-                raise NameClashError(
-                    f"name {name!r} already used as a {previous}, here as a {kind}", line_no
-                )
-        if isinstance(stmt, (ConceptAssertion, RoleAssertion)):
-            abox.add(stmt)
-        else:
-            tbox.add(stmt)
-    return Ontology(
-        tbox=frozenset(tbox),
-        abox=frozenset(abox),
-        concepts=tuple(order["concept"]),
-        roles=tuple(order["role"]),
-        individuals=tuple(order["individual"]),
-    )
+        if tokens:
+            yield line_no, _match_statement(tokens, line_no, line)
 
 
 def format_statement(stmt: Statement) -> str:

@@ -66,14 +66,13 @@ class BaseRelation(Enum):
 
     @property
     def converse(self) -> "BaseRelation":
-        return _CONVERSE_BASE[self]
+        return BaseRelation(_CONV_MASK[self.value])
 
 
 DR, PO, PP, PPi, EQ = BaseRelation
 
 _BASES: tuple[BaseRelation, ...] = tuple(BaseRelation)
 _BASE_BY_NAME = {b.name: b for b in _BASES}
-_CONVERSE_BASE = {DR: DR, PO: PO, PP: PPi, PPi: PP, EQ: EQ}
 _FULL_MASK = 0b11111
 _SINGLETON_MASKS = (1, 2, 4, 8, 16)
 
@@ -250,21 +249,10 @@ _COMPOSITION_ENTRIES: dict[tuple[str, str], tuple[str, ...]] = {
     ("EQ", "EQ"): ("EQ",),
 }
 
-COMPOSITION: dict[tuple[BaseRelation, BaseRelation], Relation] = {
-    (_BASE_BY_NAME[a], _BASE_BY_NAME[b]): Relation.from_names(out)
-    for (a, b), out in _COMPOSITION_ENTRIES.items()
-}
-
-
-def compose(b1: BaseRelation, b2: BaseRelation) -> Relation:
-    """Weak composition of two base relations."""
-    return COMPOSITION[(b1, b2)]
-
-
 def _build_comp_masks() -> tuple[tuple[int, ...], ...]:
     base_comp = [[0] * 5 for _ in range(5)]
-    for (b1, b2), rel in COMPOSITION.items():
-        base_comp[b1.index][b2.index] = rel.mask
+    for (b1, b2), out in _COMPOSITION_ENTRIES.items():
+        base_comp[_BASE_BY_NAME[b1].index][_BASE_BY_NAME[b2].index] = Relation.from_names(out).mask
     table = []
     for m1 in range(32):
         row = []
@@ -281,6 +269,11 @@ def _build_comp_masks() -> tuple[tuple[int, ...], ...]:
 
 
 _COMP_MASK = _build_comp_masks()
+
+
+def compose(b1: BaseRelation, b2: BaseRelation) -> Relation:
+    """Weak composition of two base relations."""
+    return Relation.from_mask(_COMP_MASK[b1.value][b2.value])
 
 
 def compose_relations(r1: Relation, r2: Relation) -> Relation:
@@ -367,6 +360,19 @@ class QCN:
                 continue
             yield self._variables[i], self._variables[j], Relation.from_mask(mask)
 
+    def canonical_items(self) -> Iterator[tuple[str, str, Relation]]:
+        """The canonical pair order: every pair once as (u, v, constraint), u < v, sorted."""
+        names = self._variables
+        order = sorted(range(len(names)), key=names.__getitem__)
+        for p, i in enumerate(order):
+            row = self._matrix[i]
+            for j in order[p + 1 :]:
+                yield names[i], names[j], Relation.from_mask(row[j])
+
+    def sort_key(self) -> tuple[tuple[int, ...], ...]:
+        """The labels pair by pair in variable order, each as its member indices."""
+        return tuple(Relation.from_mask(mask).sort_key() for _, _, mask in self._upper())
+
     def updated(self, u: str, v: str, rel: Relation) -> "QCN":
         """A copy with the (u, v) constraint replaced by `rel`."""
         i, j = self._pair_indices(u, v)
@@ -403,12 +409,11 @@ class QCN:
         return f"QCN({list(self._variables)}; {parts or 'no constraints'})"
 
     def to_json_dict(self) -> dict:
-        constraints = []
-        for u, v, rel in self.items():
-            if u > v:
-                u, v, rel = v, u, rel.converse()
-            constraints.append({"from": u, "to": v, "rel": list(rel.names())})
-        constraints.sort(key=lambda c: (c["from"], c["to"]))
+        constraints = [
+            {"from": u, "to": v, "rel": list(rel.names())}
+            for u, v, rel in self.canonical_items()
+            if not rel.is_full
+        ]
         return {"variables": list(self._variables), "constraints": constraints}
 
     @classmethod
@@ -477,45 +482,42 @@ def _put(m: list[list[int]], i: int, j: int, mask: int) -> None:
 
 
 def _close(m: list[list[int]], n: int, queue: deque[tuple[int, int]] | None = None) -> bool:
-    """Propagate compositions to a fixpoint; False once a constraint empties."""
-    for i in range(n):
-        for j in range(i + 1, n):
-            if not m[i][j]:
-                return False
+    """Propagate compositions to a fixpoint; False once a constraint empties.
+
+    One update serves each queued pair (i, j) in both orientations (a, b):
+    r_ak <- r_ak & (r_ab o r_bk) for every third variable k, written with
+    its converse.  By the converse law, the (j, i) orientation narrows
+    r_kj by r_ki o r_ij.  A changed pair is queued again.
+
+    Without a queue every pair starts queued, and an empty constraint in
+    `m` is reported at once.  A queue is for a closed `m` in which only
+    the queued pairs were narrowed, none of them to empty.
+    """
     comp = _COMP_MASK
     conv = _CONV_MASK
     if queue is None:
+        if any(not m[i][j] for i in range(n) for j in range(i + 1, n)):
+            return False
         queue = deque((i, j) for i in range(n) for j in range(i + 1, n))
     pending = set(queue)
     while queue:
         i, j = queue.popleft()
         pending.discard((i, j))
-        rij = m[i][j]
-        for k in range(n):
-            if k == i or k == j:
-                continue
-            t = m[i][k] & comp[rij][m[j][k]]
-            if t != m[i][k]:
-                if not t:
-                    m[i][k] = m[k][i] = 0
-                    return False
-                m[i][k] = t
-                m[k][i] = conv[t]
-                pair = (i, k) if i < k else (k, i)
-                if pair not in pending:
-                    pending.add(pair)
-                    queue.append(pair)
-            t = m[k][j] & comp[m[k][i]][rij]
-            if t != m[k][j]:
-                if not t:
-                    m[k][j] = m[j][k] = 0
-                    return False
-                m[k][j] = t
-                m[j][k] = conv[t]
-                pair = (k, j) if k < j else (j, k)
-                if pair not in pending:
-                    pending.add(pair)
-                    queue.append(pair)
+        for a, b in ((i, j), (j, i)):
+            rab = m[a][b]
+            for k in range(n):
+                if k == a or k == b:
+                    continue
+                t = m[a][k] & comp[rab][m[b][k]]
+                if t != m[a][k]:
+                    m[a][k] = t
+                    m[k][a] = conv[t]
+                    if not t:
+                        return False
+                    pair = (a, k) if a < k else (k, a)
+                    if pair not in pending:
+                        pending.add(pair)
+                        queue.append(pair)
     return True
 
 
@@ -618,7 +620,7 @@ def enumerate_scenarios(n: QCN) -> list[Scenario]:
     refinements; merging the sibling pairs of level k gives every valid
     box with k+1 two-element labels, and a box without a sibling is
     maximal (the prime implicants of McCluskey 1956).  Output is sorted
-    lexicographically by the constraint labels in variable order.
+    by `QCN.sort_key`.
     """
     pair_list, atoms = _atomic_refinements(n)
     maximal = []
@@ -635,7 +637,6 @@ def enumerate_scenarios(n: QCN) -> list[Scenario]:
             if alone:
                 maximal.append(box)
         level = merged
-    maximal.sort(key=lambda box: tuple(Relation.from_mask(m).sort_key() for m in box))
 
     scenarios = []
     for box in maximal:
@@ -643,6 +644,7 @@ def enumerate_scenarios(n: QCN) -> list[Scenario]:
         for (i, j), mask in zip(pair_list, box):
             _put(m, i, j, mask)
         scenarios.append(Scenario._from_matrix(n.variables, m))
+    scenarios.sort(key=QCN.sort_key)
     return scenarios
 
 

@@ -97,8 +97,13 @@ def nb_conflicts(closed: ClosedABox, pair: tuple[str, str], label: Relation) -> 
     return pair_conflicts(closed, *pair).for_label(label)
 
 
-def _canonical_pairs(s: Scenario) -> list[tuple[str, str]]:
-    return sorted(tuple(sorted(pair)) for pair in s.pairs())
+def _check_signature(variables: Sequence[str], profile: Sequence[Ontology]) -> None:
+    """The sources' concepts must be exactly the scenario variables."""
+    union = set().union(*(o.concepts for o in profile))
+    if union != set(variables):
+        raise ValueError(
+            f"signature mismatch: scenarios have {sorted(variables)}, sources cover {sorted(union)}"
+        )
 
 
 def scenario_distance(
@@ -111,19 +116,11 @@ def scenario_distance(
     Every unordered pair counts once, in canonical (lexicographic)
     orientation; each source is closed against its own TBox.
     """
+    _check_signature(s.variables, profile)
     if closures is None:
         closures = [deductive_closure(o) for o in profile]
-    expected = set(s.variables)
-    union: set[str] = set()
-    for o in profile:
-        union.update(o.concepts)
-    if union != expected:
-        raise ValueError(
-            f"signature mismatch: scenario has {sorted(expected)}, sources cover {sorted(union)}"
-        )
     total = 0
-    for u, v in _canonical_pairs(s):
-        label = s.constraint(u, v)
+    for u, v, label in s.canonical_items():
         for closed in closures:
             total += nb_conflicts(closed, (u, v), label)
     return total
@@ -166,39 +163,28 @@ class ConflictReport:
         }
 
 
-def _scenario_sort_key(s: Scenario) -> tuple:
-    return tuple(s.constraint(u, v).sort_key() for u, v in s.pairs())
-
-
 def select_scenario(
     candidates: Sequence[Scenario], profile: Sequence[Ontology]
 ) -> tuple[Scenario, ConflictReport]:
     """The candidate with minimal distance to the profile.
 
-    Ties break by lexicographic comparison of the constraint labels in
-    pair order; the report lists every tied candidate.
+    Ties break by `QCN.sort_key`, the order `enumerate_scenarios` lists
+    scenarios in; the report lists every tied candidate.
     """
     if not candidates:
         raise ValueError("no candidate scenarios")
-    union: set[str] = set()
-    for o in profile:
-        union.update(o.concepts)
-    if union != set(candidates[0].variables):
-        raise ValueError(
-            f"signature mismatch: scenarios have {sorted(candidates[0].variables)}, "
-            f"sources cover {sorted(union)}"
-        )
+    _check_signature(candidates[0].variables, profile)
     closures = [deductive_closure(o) for o in profile]
 
     counts: dict[tuple[int, tuple[str, str]], PairConflicts] = {}
-    pairs = _canonical_pairs(candidates[0])
+    pairs = [(u, v) for u, v, _ in candidates[0].canonical_items()]
     for source_index, closed in enumerate(closures):
         for pair in pairs:
             counts[(source_index, pair)] = pair_conflicts(closed, *pair)
 
     scores = []
     for s in candidates:
-        labelled = [(pair, s.constraint(*pair)) for pair in _canonical_pairs(s)]
+        labelled = [((u, v), label) for u, v, label in s.canonical_items()]
         per_source = [
             sum(counts[(source_index, pair)].for_label(label) for pair, label in labelled)
             for source_index in range(len(closures))
@@ -209,7 +195,7 @@ def select_scenario(
 
     best = min(score.distance for score in scores)
     tied = tuple(i for i, score in enumerate(scores) if score.distance == best)
-    selected = min(tied, key=lambda i: _scenario_sort_key(candidates[i]))
+    selected = min(tied, key=lambda i: candidates[i].sort_key())
     report = ConflictReport(
         counts=counts,
         scores=tuple(scores),

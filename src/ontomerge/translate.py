@@ -36,7 +36,6 @@ from .rcc5 import (
     QCN,
     Relation,
     Scenario,
-    UNIVERSAL,
 )
 
 __all__ = [
@@ -75,29 +74,23 @@ def forward(o: Ontology, variables: Sequence[str] | None = None) -> ForwardTrans
         missing = set(o.concepts) - set(var_list)
         if missing:
             raise ValueError(f"variables must cover the signature; missing {sorted(missing)}")
-    masks: dict[tuple[str, str], Relation] = {}
+    constraints: list[tuple[tuple[str, str], Relation]] = []
     dropped: list[Axiom] = []
     degenerate: list[Axiom] = []
     for axiom in sorted_statements(o.tbox):
         if isinstance(axiom, Subsumption):
             if axiom.sub == axiom.sup:
                 continue
-            pair, label = (axiom.sub, axiom.sup), _SUBSUMPTION_LABEL
+            constraints.append(((axiom.sub, axiom.sup), _SUBSUMPTION_LABEL))
         elif isinstance(axiom, Disjointness):
             if axiom.first == axiom.second:
                 degenerate.append(axiom)
                 continue
-            pair, label = (axiom.first, axiom.second), _DISJOINTNESS_LABEL
+            constraints.append(((axiom.first, axiom.second), _DISJOINTNESS_LABEL))
         else:
             dropped.append(axiom)
-            continue
-        u, v = pair
-        if v < u:
-            u, v, label = v, u, label.converse()
-        key = (u, v)
-        masks[key] = masks.get(key, UNIVERSAL) & label
-    qcn = QCN(var_list, masks)
-    conflicts = tuple(sorted(pair for pair, rel in masks.items() if rel.is_empty))
+    qcn = QCN(var_list, constraints)
+    conflicts = tuple((u, v) for u, v, rel in qcn.canonical_items() if rel.is_empty)
     return ForwardTranslation(
         qcn=qcn,
         dropped_role_axioms=tuple(dropped),
@@ -207,8 +200,7 @@ def backward(s: Scenario, pool: FreshNamePool | None = None) -> Ontology:
     if pool is None:
         pool = FreshNamePool(reserved=s.variables)
     statements: list[Statement] = []
-    for u, v in sorted(tuple(sorted(pair)) for pair in s.pairs()):
-        label = s.constraint(u, v)
+    for u, v, label in s.canonical_items():
         if label == Relation([EQ]):
             statements += [Subsumption(u, v), Subsumption(v, u)]
         elif label == Relation([DR]):

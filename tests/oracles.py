@@ -6,18 +6,21 @@ pair sets) by brute-force enumeration, without touching the library's
 composition table, closure, classification or conflict counting.  numpy
 grids keep the exhaustive searches fast enough to run on every test run.
 
-Three slow references sit beside them: `reference_classify` and
+Four slow references sit beside them: `reference_classify` and
 `reference_closure` are the fixpoint-rescan versions of
 `ontology.classify` and `ontology.deductive_closure` that the indexed
-worklist saturation replaced, and `reference_scenarios` is the box
-search plus pairwise maximality filter that the level-wise sibling merge
-of `rcc5.enumerate_scenarios` replaced.  They are kept so the fast paths
-can be checked for agreement with them.
+worklist saturation replaced, `reference_scenarios` is the box search
+plus pairwise maximality filter that the level-wise sibling merge of
+`rcc5.enumerate_scenarios` replaced, and `reference_close` is the
+algebraic closure with two mirrored updates that the single update of
+`rcc5._close` replaced.  They are kept so the fast paths and the
+shorter paths can be checked for agreement with them.
 """
 
 from __future__ import annotations
 
 import itertools
+from collections import deque
 from dataclasses import dataclass
 from typing import Iterable, Iterator, Mapping, Sequence
 
@@ -50,6 +53,8 @@ from ontomerge.rcc5 import (
     Relation,
     Scenario,
     _atomic_refinements,
+    _COMP_MASK,
+    _CONV_MASK,
 )
 
 # base-relation indices in canonical order DR, PO, PP, PPi, EQ
@@ -759,3 +764,56 @@ def reference_scenarios(n: QCN) -> list[Scenario]:
         Scenario(n.variables, {pair: Relation.from_mask(m) for pair, m in zip(n.pairs(), box)})
         for box in maximal
     ]
+
+
+# --- slow reference for algebraic closure ------------------------------------
+
+
+def reference_close(m: list[list[int]], n: int, queue: deque[tuple[int, int]] | None = None) -> bool:
+    """Algebraic closure of a mask matrix with two mirrored updates.
+
+    For a popped pair (i, j) and each third variable k it narrows r_ik by
+    r_ij o r_jk and r_kj by r_ki o r_ij, each written with its converse,
+    and it scans every pair for an empty constraint before propagating,
+    also when it closes from a single queued pair.  Same contract as
+    `rcc5._close`: False once a constraint empties.
+    """
+    for i in range(n):
+        for j in range(i + 1, n):
+            if not m[i][j]:
+                return False
+    comp = _COMP_MASK
+    conv = _CONV_MASK
+    if queue is None:
+        queue = deque((i, j) for i in range(n) for j in range(i + 1, n))
+    pending = set(queue)
+    while queue:
+        i, j = queue.popleft()
+        pending.discard((i, j))
+        rij = m[i][j]
+        for k in range(n):
+            if k == i or k == j:
+                continue
+            t = m[i][k] & comp[rij][m[j][k]]
+            if t != m[i][k]:
+                if not t:
+                    m[i][k] = m[k][i] = 0
+                    return False
+                m[i][k] = t
+                m[k][i] = conv[t]
+                pair = (i, k) if i < k else (k, i)
+                if pair not in pending:
+                    pending.add(pair)
+                    queue.append(pair)
+            t = m[k][j] & comp[m[k][i]][rij]
+            if t != m[k][j]:
+                if not t:
+                    m[k][j] = m[j][k] = 0
+                    return False
+                m[k][j] = t
+                m[j][k] = conv[t]
+                pair = (k, j) if k < j else (j, k)
+                if pair not in pending:
+                    pending.add(pair)
+                    queue.append(pair)
+    return True

@@ -116,6 +116,13 @@ class TestMergeCommand:
         assert code == 2
         assert "no input" in err
 
+    def test_sources_without_concepts_are_input_error(self, tmp_path, capsys):
+        roles_only = tmp_path / "roles.txt"
+        roles_only.write_text("r(a,b)\n")
+        code, out, err = run_cli("merge", str(roles_only), capsys=capsys)
+        assert (code, out) == (2, "")
+        assert err == "error: translate-forward: the sources declare no concepts\n"
+
 
 class TestFileErrors:
     @pytest.mark.parametrize(
@@ -158,6 +165,33 @@ class TestExplainCommand:
         code, out, _ = run_cli("explain", "--profile", profile_path, "--csv", capsys=capsys)
         assert code == 0
         assert "relation,B-D,B-P,B-T,D-P,D-T,P-T" in out
+
+    def test_tie_is_reported(self, tmp_path, capsys):
+        # no ABox, so DR, PO and PP, the three nearest relations, all score 0
+        first, second = tmp_path / "sub.txt", tmp_path / "disjoint.txt"
+        first.write_text("A <= B\n")
+        second.write_text("A & B <= bot\n")
+        code, out, _ = run_cli("explain", str(first), str(second), capsys=capsys)
+        assert code == 0
+        assert out.endswith(
+            "Scenarios:\n"
+            "  scenario 1: distance 0 (0+0) (selected)\n"
+            "    A-B: {DR}\n"
+            "  scenario 2: distance 0 (0+0)\n"
+            "    A-B: {PO}\n"
+            "  scenario 3: distance 0 (0+0)\n"
+            "    A-B: {PP}\n"
+            "  tie between scenarios 1, 2, 3; lexicographically smallest selected\n"
+        )
+
+    def test_empty_source_constraint_is_warned(self, tmp_path, capsys):
+        conflicted, plain = tmp_path / "conflict.txt", tmp_path / "plain.txt"
+        conflicted.write_text("A <= B\nA & B <= bot\n")
+        plain.write_text("A <= B\n")
+        code, out, _ = run_cli("explain", str(conflicted), str(plain), capsys=capsys)
+        assert code == 0
+        assert "warning: source 1 has an empty constraint on ('A', 'B')\n" in out
+        assert "initial: A-B: {PP,EQ}\n" in out
 
 
 class TestCheckCommand:
@@ -205,6 +239,17 @@ class TestClassifyCommand:
         data = json.loads(out)
         assert ["D", "T"] in data["subsumptions"]
         assert data["unsatisfiable"] == []
+
+    def test_disjointness_and_unsatisfiable_lines(self, tmp_path, capsys):
+        source = tmp_path / "clash.txt"
+        source.write_text("A & B <= bot\nC <= A\nC <= B\n")
+        code, out, _ = run_cli("classify", str(source), capsys=capsys)
+        assert code == 0
+        assert out == (
+            "A <= A\nB <= B\nC <= A\nC <= B\nC <= C\n"
+            "A & B <= bot\nA & C <= bot\nB & C <= bot\n"
+            "# unsatisfiable: C\n"
+        )
 
 
 class TestTranslateCommand:

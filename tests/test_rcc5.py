@@ -1,5 +1,6 @@
 import itertools
 import random
+from collections import deque
 
 import pytest
 from hypothesis import given, settings
@@ -7,6 +8,8 @@ from hypothesis import strategies as st
 
 from ontomerge.rcc5 import (
     _atomic_refinements,
+    _close,
+    _put,
     EMPTY,
     EQ,
     PO,
@@ -214,6 +217,42 @@ class TestAlgebraicClosure:
             realizable = oracles.realizable_bases_3var(n, universe_size=7)
             for pair, bases in realizable.items():
                 assert bases <= closed.constraint(*pair), (constraints, pair)
+
+    def test_close_matches_reference_on_random_networks(self):
+        # full closes, and closes from one pair after fixing it to one atom
+        # as every search node does; matrices are compared when consistent
+        rng = random.Random(1187)
+        verdicts = {"full": set(), "single": set()}
+
+        def agree(kind, m, size, pair=None):
+            mine, theirs = [row[:] for row in m], [row[:] for row in m]
+            got = _close(mine, size, None if pair is None else deque([pair]))
+            want = oracles.reference_close(theirs, size, None if pair is None else deque([pair]))
+            assert got == want, (kind, m, pair)
+            if got:
+                assert mine == theirs, (kind, m, pair)
+            verdicts[kind].add(got)
+            return theirs if got else None
+
+        for _ in range(300):
+            size = rng.randint(2, 8)
+            universal = rng.random()
+            m = [[EQ.value if i == j else UNIVERSAL.mask for j in range(size)] for i in range(size)]
+            for i, j in itertools.combinations(range(size), 2):
+                if rng.random() >= universal:
+                    _put(m, i, j, rng.randrange(1, 32))
+            if rng.random() < 0.1:
+                _put(m, *rng.sample(range(size), 2), 0)
+            closed = agree("full", m, size)
+            if closed is None:
+                continue
+            for i, j in itertools.combinations(range(size), 2):
+                if closed[i][j].bit_count() > 1:
+                    for b in Relation.from_mask(closed[i][j]):
+                        child = [row[:] for row in closed]
+                        _put(child, i, j, b.value)
+                        agree("single", child, size, (i, j))
+        assert verdicts == {"full": {True, False}, "single": {True, False}}
 
 
 class TestConsistency:
