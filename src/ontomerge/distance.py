@@ -93,22 +93,24 @@ class DistanceTable:
     columns: Mapping[tuple[str, str], tuple[int, int, int, int, int]]
     empty_entries: tuple[tuple[int, tuple[str, str]], ...]
 
-    def column(self, u: str, v: str) -> dict[BaseRelation, int]:
-        """Distances for the ordered pair (u, v)."""
+    def distances(self, u: str, v: str) -> tuple[int, int, int, int, int]:
+        """Distances for the ordered pair (u, v), indexed by `BaseRelation.index`."""
         if (u, v) in self.columns:
-            values = self.columns[(u, v)]
-        elif (v, u) in self.columns:
+            return self.columns[(u, v)]
+        if (v, u) in self.columns:
             stored = self.columns[(v, u)]
-            values = (stored[0], stored[1], stored[3], stored[2], stored[4])
-        else:
-            raise KeyError(f"no distance column for pair ({u!r}, {v!r})")
-        return {b: values[b.index] for b in BaseRelation}
+            return (stored[0], stored[1], stored[3], stored[2], stored[4])
+        raise KeyError(f"no distance column for pair ({u!r}, {v!r})")
+
+    def column(self, u: str, v: str) -> dict[BaseRelation, int]:
+        """Distances for the ordered pair (u, v), keyed by base relation."""
+        return dict(zip(BaseRelation, self.distances(u, v)))
 
     def minimal_bases(self, u: str, v: str) -> Relation:
         """The base relations at minimal distance to the pair's profile."""
-        col = self.column(u, v)
-        best = min(col.values())
-        return Relation(b for b in BaseRelation if col[b] == best)
+        dist = self.distances(u, v)
+        best = min(dist)
+        return Relation.from_mask(sum(1 << i for i, d in enumerate(dist) if d == best))
 
 
 def distance_table(profile: Sequence[QCN]) -> DistanceTable:

@@ -13,27 +13,27 @@ from dataclasses import dataclass, field
 from typing import Sequence
 
 from .distance import DistanceTable, distance_table
-from .rcc5 import QCN, BaseRelation, Relation, is_consistent
+from .rcc5 import QCN, Relation, is_consistent
 
 __all__ = ["relax", "val", "MergeIteration", "MergeTrace", "merge"]
 
 
 def relax(phi: Relation, pair: tuple[str, str], table: DistanceTable) -> Relation:
     """Add every missing base relation of minimal distance for the pair."""
-    column = table.column(*pair)
-    missing = [b for b in BaseRelation if b not in phi]
+    dist = table.distances(*pair)
+    missing = [i for i in range(5) if not phi.mask >> i & 1]
     if not missing:
         return phi
-    best = min(column[b] for b in missing)
-    return phi | Relation(b for b in missing if column[b] == best)
+    best = min(dist[i] for i in missing)
+    return Relation.from_mask(phi.mask | sum(1 << i for i in missing if dist[i] == best))
 
 
 def val(phi: Relation, pair: tuple[str, str], table: DistanceTable) -> int:
     """How contested a constraint is: the largest member distance."""
     if phi.is_empty:
         raise ValueError("val of an empty constraint is undefined")
-    column = table.column(*pair)
-    return max(column[b] for b in phi)
+    dist = table.distances(*pair)
+    return max(dist[i] for i in range(5) if phi.mask >> i & 1)
 
 
 @dataclass(frozen=True)
@@ -82,16 +82,20 @@ def merge(profile: Sequence[QCN]) -> tuple[QCN, MergeTrace]:
 
     iterations: list[MergeIteration] = []
     bound = 4 * len(table.pairs) + 1
+    # relaxing a pair changes its value only, and deleting a full pair keeps
+    # the order of the rest, so the selected pairs come in table order
+    values = {pair: val(label, pair, table) for pair, label in labels.items() if not label.is_full}
     while not is_consistent(current):
-        values = {
-            pair: val(label, pair, table) for pair, label in labels.items() if not label.is_full
-        }
         if not values:
             raise RuntimeError("relaxation ran out of pairs, yet the all-full network is consistent")
         highest = max(values.values())
         selected = tuple(pair for pair, value in values.items() if value == highest)
         for pair in selected:
-            labels[pair] = relax(labels[pair], pair, table)
+            label = labels[pair] = relax(labels[pair], pair, table)
+            if label.is_full:
+                del values[pair]
+            else:
+                values[pair] = val(label, pair, table)
         current = QCN(variables, labels)
         iterations.append(
             MergeIteration(

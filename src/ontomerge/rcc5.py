@@ -8,8 +8,9 @@ qualitative constraint network (QCN) assigns a constraint to every pair of
 variables, keeping the two orientations of a pair converse-coherent.
 
 Reasoning services: weak composition, algebraic closure (path
-consistency), consistency by backtracking over atomic refinements, and
-enumeration of maximal quasi-atomic scenarios.
+consistency), consistency by backtracking until every open label contains
+PO, and enumeration of maximal quasi-atomic scenarios from the consistent
+atomic refinements.
 """
 
 from __future__ import annotations
@@ -533,30 +534,48 @@ def algebraic_closure(n: QCN) -> QCN:
     return QCN._from_matrix(n.variables, m)
 
 
-def _choose_pair(m: list[list[int]], n: int) -> tuple[int, int] | None:
+def _choose_pair(m: list[list[int]], n: int, split: tuple[bool, ...]) -> tuple[int, int] | None:
+    """The first pair with a smallest label that `split` marks, if any."""
     best = None
     best_size = 6
     for i in range(n):
         for j in range(i + 1, n):
-            size = m[i][j].bit_count()
-            if 1 < size < best_size:
+            mask = m[i][j]
+            if split[mask] and mask.bit_count() < best_size:
                 best = (i, j)
-                best_size = size
-                if size == 2:
+                best_size = mask.bit_count()
+                if best_size == 2:
                     return best
     return best
 
 
-def _refinements(n: QCN) -> Iterator[list[list[int]]]:
-    """Every consistent atomic refinement of `n`, as a closed mask matrix.
+#: Labels the atomic search splits: every non-atomic one.
+_SPLIT_ATOMIC = tuple(m.bit_count() > 1 for m in range(32))
+#: Labels the consistency search splits: the non-atomic ones without PO.
+_SPLIT_NO_PO = tuple(split and not m & PO.value for m, split in enumerate(_SPLIT_ATOMIC))
 
-    Backtracking over atomic refinements with closure as forward checking
-    (Renz & Nebel 2001): each node fixes the smallest open constraint to
-    one of its base relations, then closes from that pair.  Path
-    consistency decides atomic RCC-5 networks, so every leaf, a closed
-    network without an open pair, is consistent.  The open child
-    iterators sit on an explicit stack, so the depth of the search is
-    bounded by memory, not by Python's recursion limit.
+
+def _refinements(n: QCN, split: tuple[bool, ...]) -> Iterator[list[list[int]]]:
+    """Every closed refinement of `n` in which no label is marked by `split`.
+
+    Backtracking with closure as forward checking (Renz & Nebel 2001):
+    each node fixes the smallest marked label to one of its base
+    relations, then closes from that pair.  Leaves are closed, non-empty
+    mask matrices.  With `_SPLIT_ATOMIC` they are the consistent atomic
+    refinements, since path consistency decides atomic RCC-5 networks.
+    With `_SPLIT_NO_PO` every open label of a leaf contains PO, and the
+    leaf is consistent: fixing those labels to PO leaves it closed, as
+    each triangle shows.
+
+    - No fixed edge: the triangle was closed already.
+    - Three fixed edges: PO o PO is universal.
+    - Two fixed edges, third label X: PO is in PO o X and in X o PO.
+    - One fixed edge (a, b), atoms X on (b, k) and Y on (a, k): closure
+      left PO in Y o X^-1, and the cycle law of the composition table
+      turns that into the other two conditions.
+
+    The open child iterators sit on an explicit stack, so the depth of
+    the search is bounded by memory, not by Python's recursion limit.
     """
     size = len(n.variables)
     root = [row[:] for row in n._matrix]
@@ -568,7 +587,7 @@ def _refinements(n: QCN) -> Iterator[list[list[int]]]:
         if m is None:
             stack.pop()
             continue
-        pair = _choose_pair(m, size)
+        pair = _choose_pair(m, size, split)
         if pair is None:
             yield m
         else:
@@ -588,15 +607,18 @@ def _branches(m: list[list[int]], n: int, i: int, j: int) -> Iterator[list[list[
 
 
 def is_consistent(n: QCN) -> bool:
-    """Whether some atomic refinement survives closure without emptying."""
-    return next(_refinements(n), None) is not None
+    """Whether some atomic refinement of `n` is consistent.
+
+    The search splits only labels without PO (see `_refinements`).
+    """
+    return next(_refinements(n, _SPLIT_NO_PO), None) is not None
 
 
 def _atomic_refinements(n: QCN) -> tuple[list[tuple[int, int]], list[tuple[int, ...]]]:
     """All consistent atomic refinements, as mask tuples over the pair list."""
     size = len(n.variables)
     pair_list = [(i, j) for i in range(size) for j in range(i + 1, size)]
-    solutions = [tuple(m[i][j] for i, j in pair_list) for m in _refinements(n)]
+    solutions = [tuple(m[i][j] for i, j in pair_list) for m in _refinements(n, _SPLIT_ATOMIC)]
     return pair_list, solutions
 
 

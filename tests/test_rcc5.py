@@ -1,11 +1,13 @@
 import itertools
 import random
+import sys
 from collections import deque
 
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from ontomerge import rcc5
 from ontomerge.rcc5 import (
     _atomic_refinements,
     _close,
@@ -276,8 +278,23 @@ class TestConsistency:
             assert is_consistent(n) == oracles.satisfiable_3var(n), constraints
 
     def test_depth_is_not_bounded_by_the_recursion_limit(self):
-        # the search fixes one open pair per level: 1,770 levels here
         assert is_consistent(QCN([f"v{i}" for i in range(60)]))
+
+    def test_deep_search_runs_under_a_low_recursion_limit(self):
+        # closure never narrows {DR,EQ}, which lacks PO, so the search fixes
+        # one pair per level: 1,770 levels, against 200 frames of headroom
+        names = [f"v{i}" for i in range(60)]
+        n = QCN(names, {pair: rel(DR, EQ) for pair in itertools.combinations(names, 2)})
+        depth = 0
+        frame = sys._getframe()
+        while frame is not None:
+            depth, frame = depth + 1, frame.f_back
+        limit = sys.getrecursionlimit()
+        sys.setrecursionlimit(depth + 200)
+        try:
+            assert is_consistent(n)
+        finally:
+            sys.setrecursionlimit(limit)
 
     def test_atomic_refinements_match_closure_of_each_candidate(self):
         # path consistency decides atomic RCC-5 networks, so closing every
@@ -304,6 +321,72 @@ class TestConsistency:
             assert len(solutions) == len(set(solutions)), masks
             assert set(solutions) == expected, masks
             assert is_consistent(n) == bool(expected), masks
+
+
+class TestConsistencyWithOpenPOLabels:
+    """A closed, non-empty network whose open labels all contain PO is consistent."""
+
+    def test_po_composes_to_every_relation(self):
+        assert compose(PO, PO) == UNIVERSAL
+
+    def test_po_is_in_every_composition_with_po(self):
+        for b in BaseRelation:
+            assert PO in compose(PO, b)
+            assert PO in compose(b, PO)
+
+    def test_cycle_law(self):
+        for b1, b2, b3 in itertools.product(BaseRelation, repeat=3):
+            forward = b3 in compose(b1, b2)
+            assert forward == (b1 in compose(b3, b2.converse)), (b1, b2, b3)
+            assert forward == (b2 in compose(b1.converse, b3)), (b1, b2, b3)
+
+    def test_closed_network_can_still_be_inconsistent(self):
+        labels = {
+            "ab": (DR, PPi, EQ), "ac": (PP, PPi), "ad": (DR, EQ), "ae": (PP, PPi),
+            "bc": (DR, PPi), "bd": (PO, PP, PPi, EQ), "be": (DR, PO, PPi, EQ),
+            "cd": (PP, PPi), "ce": (DR, PP, EQ), "de": (DR, PP),
+        }
+        n = QCN("abcde", {(u, v): rel(*bases) for (u, v), bases in labels.items()})
+        assert algebraic_closure(n) == n
+        assert not n.has_empty_constraint
+        assert is_consistent(n) is False
+        assert _atomic_refinements(n)[1] == []
+
+    def test_agrees_with_the_atomic_search(self):
+        rng = random.Random(2001)
+        verdicts = set()
+        split_needed = 0
+        for _ in range(200):
+            names = [f"v{i}" for i in range(rng.randint(4, 7))]
+            pairs = itertools.combinations(names, 2)
+            n = QCN(names, {pair: Relation.from_mask(rng.randrange(1, 32)) for pair in pairs})
+            verdict = is_consistent(n)
+            assert verdict == bool(_atomic_refinements(n)[1]), n
+            verdicts.add(verdict)
+            closed = algebraic_closure(n)
+            if not closed.has_empty_constraint and any(
+                len(label) > 1 and PO not in label for _, _, label in closed.items()
+            ):
+                split_needed += 1
+        assert verdicts == {True, False}
+        assert split_needed > 0
+
+    def test_open_po_labels_need_no_branch(self, monkeypatch):
+        calls = []
+        branches = rcc5._branches
+
+        def counting(*args):
+            calls.append(args[2:])
+            return branches(*args)
+
+        monkeypatch.setattr(rcc5, "_branches", counting)
+        rng = random.Random(40)
+        with_po = [mask for mask in range(32) if mask & PO.value]
+        names = [f"v{i}" for i in range(40)]
+        pairs = itertools.combinations(names, 2)
+        n = QCN(names, {pair: Relation.from_mask(rng.choice(with_po)) for pair in pairs})
+        assert is_consistent(n)
+        assert calls == []
 
 
 class TestFindSetModel:
