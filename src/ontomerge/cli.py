@@ -288,7 +288,6 @@ def build_parser() -> argparse.ArgumentParser:
         "--emit-scenarios", metavar="FILE", help="write scenario scores as JSON"
     )
     p_merge.add_argument("--dot", metavar="FILE", help="write the merged network as Graphviz")
-    p_merge.add_argument("--seed", type=int, default=0, help="reserved; the pipeline is exact")
     p_merge.set_defaults(handler=cmd_merge)
 
     p_explain = sub.add_parser(

@@ -76,9 +76,8 @@ def merge(profile: Sequence[QCN]) -> tuple[QCN, MergeTrace]:
     of relaxations (pairs are reported in canonical orientation).
     """
     table = distance_table(profile)
-    variables = profile[0].variables
     labels = {pair: table.minimal_bases(*pair) for pair in table.pairs}
-    current = initial = QCN(variables, labels)
+    current = initial = QCN(profile[0].variables, labels)
 
     iterations: list[MergeIteration] = []
     bound = 4 * len(table.pairs) + 1
@@ -96,7 +95,7 @@ def merge(profile: Sequence[QCN]) -> tuple[QCN, MergeTrace]:
                 del values[pair]
             else:
                 values[pair] = val(label, pair, table)
-        current = QCN(variables, labels)
+        current = current.updated({pair: labels[pair] for pair in selected})
         iterations.append(
             MergeIteration(
                 index=len(iterations) + 1,

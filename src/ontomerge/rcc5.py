@@ -9,8 +9,8 @@ variables, keeping the two orientations of a pair converse-coherent.
 
 Reasoning services: weak composition, algebraic closure (path
 consistency), consistency by backtracking until every open label contains
-PO, and enumeration of maximal quasi-atomic scenarios from the consistent
-atomic refinements.
+PO, and enumeration of maximal quasi-atomic scenarios by one box search
+checked triangle by triangle.
 """
 
 from __future__ import annotations
@@ -89,6 +89,7 @@ def _converse_mask(mask: int) -> int:
 
 _CONV_MASK = tuple(_converse_mask(m) for m in range(32))
 _MEMBERS = tuple(tuple(b for b in _BASES if b.value & m) for m in range(32))
+_SORT_KEYS = tuple(tuple(b.index for b in members) for members in _MEMBERS)
 
 
 class Relation:
@@ -151,7 +152,7 @@ class Relation:
         return Relation.from_mask(_CONV_MASK[self._mask])
 
     def sort_key(self) -> tuple[int, ...]:
-        return tuple(b.index for b in self.members)
+        return _SORT_KEYS[self._mask]
 
     def __contains__(self, b: BaseRelation) -> bool:
         return bool(b.value & self._mask)
@@ -372,18 +373,18 @@ class QCN:
 
     def sort_key(self) -> tuple[tuple[int, ...], ...]:
         """The labels pair by pair in variable order, each as its member indices."""
-        return tuple(Relation.from_mask(mask).sort_key() for _, _, mask in self._upper())
+        return tuple(_SORT_KEYS[mask] for _, _, mask in self._upper())
 
-    def updated(self, u: str, v: str, rel: Relation) -> "QCN":
-        """A copy with the (u, v) constraint replaced by `rel`."""
-        i, j = self._pair_indices(u, v)
+    def updated(self, changes: Mapping[tuple[str, str], Relation]) -> "QCN":
+        """A copy with the constraint on each (u, v) of `changes` replaced."""
         m = [row[:] for row in self._matrix]
-        _put(m, i, j, rel.mask)
+        for (u, v), rel in changes.items():
+            _put(m, *self._pair_indices(u, v), rel.mask)
         return self._from_matrix(self._variables, m)
 
     def refined(self, u: str, v: str, rel: Relation) -> "QCN":
         """A copy with the (u, v) constraint intersected with `rel`."""
-        return self.updated(u, v, self.constraint(u, v) & rel)
+        return self.updated({(u, v): self.constraint(u, v) & rel})
 
     def expanded(self, variables: Iterable[str]) -> "QCN":
         """Embed into a larger variable set; new pairs are unconstrained."""
@@ -534,64 +535,8 @@ def algebraic_closure(n: QCN) -> QCN:
     return QCN._from_matrix(n.variables, m)
 
 
-def _choose_pair(m: list[list[int]], n: int, split: tuple[bool, ...]) -> tuple[int, int] | None:
-    """The first pair with a smallest label that `split` marks, if any."""
-    best = None
-    best_size = 6
-    for i in range(n):
-        for j in range(i + 1, n):
-            mask = m[i][j]
-            if split[mask] and mask.bit_count() < best_size:
-                best = (i, j)
-                best_size = mask.bit_count()
-                if best_size == 2:
-                    return best
-    return best
-
-
-#: Labels the atomic search splits: every non-atomic one.
-_SPLIT_ATOMIC = tuple(m.bit_count() > 1 for m in range(32))
 #: Labels the consistency search splits: the non-atomic ones without PO.
-_SPLIT_NO_PO = tuple(split and not m & PO.value for m, split in enumerate(_SPLIT_ATOMIC))
-
-
-def _refinements(n: QCN, split: tuple[bool, ...]) -> Iterator[list[list[int]]]:
-    """Every closed refinement of `n` in which no label is marked by `split`.
-
-    Backtracking with closure as forward checking (Renz & Nebel 2001):
-    each node fixes the smallest marked label to one of its base
-    relations, then closes from that pair.  Leaves are closed, non-empty
-    mask matrices.  With `_SPLIT_ATOMIC` they are the consistent atomic
-    refinements, since path consistency decides atomic RCC-5 networks.
-    With `_SPLIT_NO_PO` every open label of a leaf contains PO, and the
-    leaf is consistent: fixing those labels to PO leaves it closed, as
-    each triangle shows.
-
-    - No fixed edge: the triangle was closed already.
-    - Three fixed edges: PO o PO is universal.
-    - Two fixed edges, third label X: PO is in PO o X and in X o PO.
-    - One fixed edge (a, b), atoms X on (b, k) and Y on (a, k): closure
-      left PO in Y o X^-1, and the cycle law of the composition table
-      turns that into the other two conditions.
-
-    The open child iterators sit on an explicit stack, so the depth of
-    the search is bounded by memory, not by Python's recursion limit.
-    """
-    size = len(n.variables)
-    root = [row[:] for row in n._matrix]
-    if not _close(root, size):
-        return
-    stack = [iter((root,))]
-    while stack:
-        m = next(stack[-1], None)
-        if m is None:
-            stack.pop()
-            continue
-        pair = _choose_pair(m, size, split)
-        if pair is None:
-            yield m
-        else:
-            stack.append(_branches(m, size, *pair))
+_SPLIT = tuple(m.bit_count() > 1 and not m & PO.value for m in range(32))
 
 
 def _branches(m: list[list[int]], n: int, i: int, j: int) -> Iterator[list[list[int]]]:
@@ -609,63 +554,114 @@ def _branches(m: list[list[int]], n: int, i: int, j: int) -> Iterator[list[list[
 def is_consistent(n: QCN) -> bool:
     """Whether some atomic refinement of `n` is consistent.
 
-    The search splits only labels without PO (see `_refinements`).
+    Backtracking with closure as forward checking (Renz & Nebel 2001):
+    each node fixes the smallest non-atomic label without PO to one of
+    its base relations, then closes from that pair.  A leaf is a closed,
+    non-empty mask matrix whose open labels all contain PO, and it is
+    consistent: fixing those labels to PO leaves it closed, as each
+    triangle shows.
+
+    - No fixed edge: the triangle was closed already.
+    - Three fixed edges: PO o PO is universal.
+    - Two fixed edges, third label X: PO is in PO o X and in X o PO.
+    - One fixed edge (a, b), atoms X on (b, k) and Y on (a, k): closure
+      left PO in Y o X^-1, and the cycle law of the composition table
+      turns that into the other two conditions.
+
+    The open child iterators sit on an explicit stack, so the depth of
+    the search is bounded by memory, not by Python's recursion limit.
     """
-    return next(_refinements(n, _SPLIT_NO_PO), None) is not None
-
-
-def _atomic_refinements(n: QCN) -> tuple[list[tuple[int, int]], list[tuple[int, ...]]]:
-    """All consistent atomic refinements, as mask tuples over the pair list."""
     size = len(n.variables)
-    pair_list = [(i, j) for i in range(size) for j in range(i + 1, size)]
-    solutions = [tuple(m[i][j] for i, j in pair_list) for m in _refinements(n, _SPLIT_ATOMIC)]
-    return pair_list, solutions
+    root = [row[:] for row in n._matrix]
+    if not _close(root, size):
+        return False
+    stack = [iter((root,))]
+    while stack:
+        m = next(stack[-1], None)
+        if m is None:
+            stack.pop()
+            continue
+        # split the first of the smallest labels without PO
+        candidates = [
+            (m[i][j].bit_count(), i, j) for i in range(size) for j in range(i + 1, size) if _SPLIT[m[i][j]]
+        ]
+        if not candidates:
+            return True
+        stack.append(_branches(m, size, *min(candidates)[1:]))
+    return False
 
 
-#: For each atomic label that can widen: (sibling label, merged label).
-#: Siblings differ at one pair only, and the merged box is their union.
-_SIBLINGS: dict[int, tuple[tuple[int, int], ...]] = {
-    PP.value: ((EQ.value, PP.value | EQ.value),),
-    PPi.value: ((EQ.value, PPi.value | EQ.value),),
-    EQ.value: ((PP.value, PP.value | EQ.value), (PPi.value, PPi.value | EQ.value)),
-}
+# A set of scenario labels is an int with bit m set for label mask m.
+#: The scenario labels inside each constraint.
+_FITS = tuple(sum(1 << s for s in _SCENARIO_MASKS if s & ~m == 0) for m in range(32))
+#: The two-element scenario labels each atomic label widens to.
+_WIDER = tuple(tuple(w for w in _SCENARIO_MASKS if w != m and w & m == m) for m in range(32))
+
+
+def _triangle_labels(a: int, b: int) -> int:
+    """The scenario labels c on (i, j) that compose with a on (k, i) and b on (k, j).
+
+    That is, z lies in x^-1 o y for every x in a, y in b and z in c.
+    """
+    common = _FULL_MASK
+    for x in _MEMBERS[a]:
+        for y in _MEMBERS[b]:
+            common &= _COMP_MASK[_CONV_MASK[x.value]][y.value]
+    return _FITS[common]
+
+
+_ALLOWED = tuple(
+    tuple(_triangle_labels(a, b) if a in _SCENARIO_MASKS and b in _SCENARIO_MASKS else 0 for b in range(32))
+    for a in range(32)
+)
 
 
 def enumerate_scenarios(n: QCN) -> list[Scenario]:
-    """All maximal quasi-atomic scenarios of `n`, in a fixed order.
+    """All maximal quasi-atomic scenarios of `n`, sorted by `QCN.sort_key`.
 
-    A box (one scenario label per pair) is valid when every atomic
-    refinement inside it is consistent.  Validity is closed under
-    shrinking, so a valid box is maximal exactly when no single label
-    widens validly, and {PP,EQ} at a pair is valid exactly when both the
-    PP box and its EQ sibling are.  Level 0 is the consistent atomic
-    refinements; merging the sibling pairs of level k gives every valid
-    box with k+1 two-element labels, and a box without a sibling is
-    maximal (the prime implicants of McCluskey 1956).  Output is sorted
-    by `QCN.sort_key`.
+    A box gives each pair a scenario label.  Path consistency decides
+    atomic networks, so a box is valid (every atomic refinement inside
+    it is consistent) when its labels lie in the closed constraints and
+    `_ALLOWED` passes every triangle.  A depth-first search fixes the
+    pairs column by column, and fixing (i, j) completes the triangles
+    (k, i, j) with k < i.  Validity is closed under shrinking, so a
+    valid box is maximal when no single label widens validly (PP or EQ
+    to {PP,EQ}, PPi or EQ to {PPi,EQ}).
     """
-    pair_list, atoms = _atomic_refinements(n)
-    maximal = []
-    level = set(atoms)
-    while level:
-        merged = set()
-        for box in level:
-            alone = True
-            for p, label in enumerate(box):
-                for sibling_label, wide in _SIBLINGS.get(label, ()):
-                    if box[:p] + (sibling_label,) + box[p + 1 :] in level:
-                        alone = False
-                        merged.add(box[:p] + (wide,) + box[p + 1 :])
-            if alone:
-                maximal.append(box)
-        level = merged
-
+    size = len(n.variables)
+    labels = [row[:] for row in n._matrix]
+    if not _close(labels, size):
+        return []
+    fits = [[_FITS[mask] for mask in row] for row in labels]
+    pairs = [(i, j) for j in range(size) for i in range(j)]
+    options: list[int | None] = [None] * len(pairs)  # labels left to try, per depth
     scenarios = []
-    for box in maximal:
-        m = [row[:] for row in n._matrix]
-        for (i, j), mask in zip(pair_list, box):
-            _put(m, i, j, mask)
-        scenarios.append(Scenario._from_matrix(n.variables, m))
+    depth = 0
+    while depth >= 0:
+        if depth == len(pairs):
+            # labels holds both orientations, so any third k can be the apex
+            if not any(
+                fits[i][j] >> w & 1
+                and all(_ALLOWED[labels[k][i]][labels[k][j]] >> w & 1 or k in (i, j) for k in range(size))
+                for i, j in pairs
+                for w in _WIDER[labels[i][j]]
+            ):
+                scenarios.append(Scenario._from_matrix(n.variables, [row[:] for row in labels]))
+            depth -= 1
+            continue
+        i, j = pairs[depth]
+        left = options[depth]
+        if left is None:
+            left = fits[i][j]
+            for k in range(i):
+                left &= _ALLOWED[labels[k][i]][labels[k][j]]
+        if not left:
+            options[depth] = None
+            depth -= 1
+            continue
+        options[depth] = left & (left - 1)
+        _put(labels, i, j, (left & -left).bit_length() - 1)
+        depth += 1
     scenarios.sort(key=QCN.sort_key)
     return scenarios
 

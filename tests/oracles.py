@@ -6,15 +6,18 @@ pair sets) by brute-force enumeration, without touching the library's
 composition table, closure, classification or conflict counting.  numpy
 grids keep the exhaustive searches fast enough to run on every test run.
 
-Four slow references sit beside them: `reference_classify` and
+Slow references sit beside them: `reference_classify` and
 `reference_closure` are the fixpoint-rescan versions of
 `ontology.classify` and `ontology.deductive_closure` that the indexed
-worklist saturation replaced, `reference_scenarios` is the box search
-plus pairwise maximality filter that the level-wise sibling merge of
-`rcc5.enumerate_scenarios` replaced, and `reference_close` is the
-algebraic closure with two mirrored updates that the single update of
-`rcc5._close` replaced.  They are kept so the fast paths and the
-shorter paths can be checked for agreement with them.
+worklist saturation replaced, and `reference_close` is the algebraic
+closure with two mirrored updates that the single update of
+`rcc5._close` replaced.  Two references check `rcc5.enumerate_scenarios`,
+which decides boxes triangle by triangle: `levelwise_scenarios` merges
+sibling boxes level by level, starting from the consistent atomic
+refinements that `_atomic_refinements` lists, and `reference_scenarios`
+filters those refinements into boxes and drops every box contained in
+another.  They are kept so the fast paths and the shorter paths can be
+checked for agreement with them.
 """
 
 from __future__ import annotations
@@ -52,9 +55,11 @@ from ontomerge.rcc5 import (
     PPi,
     Relation,
     Scenario,
-    _atomic_refinements,
+    _branches,
+    _close,
     _COMP_MASK,
     _CONV_MASK,
+    _put,
 )
 
 # base-relation indices in canonical order DR, PO, PP, PPi, EQ
@@ -712,7 +717,78 @@ def reference_closure(o: Ontology, classification: Classification | None = None)
     )
 
 
-# --- slow reference for scenario enumeration ---------------------------------
+# --- slow references for scenario enumeration --------------------------------
+
+
+def _atomic_refinements(n: QCN) -> tuple[list[tuple[int, int]], list[tuple[int, ...]]]:
+    """All consistent atomic refinements, as mask tuples over the pair list.
+
+    The consistency search of `rcc5.is_consistent`, splitting every
+    non-atomic label (the smallest first) and listing every leaf.  Since
+    path consistency decides atomic RCC-5 networks, the leaves are the
+    consistent atomic refinements.
+    """
+    size = len(n.variables)
+    pair_list = [(i, j) for i in range(size) for j in range(i + 1, size)]
+    solutions: list[tuple[int, ...]] = []
+    root = [row[:] for row in n._matrix]
+    if not _close(root, size):
+        return pair_list, solutions
+    stack = [iter((root,))]
+    while stack:
+        m = next(stack[-1], None)
+        if m is None:
+            stack.pop()
+            continue
+        open_pairs = [(m[i][j].bit_count(), (i, j)) for i, j in pair_list if m[i][j].bit_count() > 1]
+        if open_pairs:
+            stack.append(_branches(m, size, *min(open_pairs)[1]))
+        else:
+            solutions.append(tuple(m[i][j] for i, j in pair_list))
+    return pair_list, solutions
+
+
+#: For each atomic label that can widen: (sibling label, merged label).
+#: Siblings differ at one pair only, and the merged box is their union.
+_SIBLINGS: dict[int, tuple[tuple[int, int], ...]] = {
+    PP.value: ((EQ.value, PP.value | EQ.value),),
+    PPi.value: ((EQ.value, PPi.value | EQ.value),),
+    EQ.value: ((PP.value, PP.value | EQ.value), (PPi.value, PPi.value | EQ.value)),
+}
+
+
+def levelwise_scenarios(n: QCN) -> list[Scenario]:
+    """Maximal quasi-atomic scenarios by merging sibling boxes level by level.
+
+    Level 0 is the consistent atomic refinements; merging the sibling
+    pairs of level k gives every valid box with k+1 two-element labels,
+    and a box without a sibling is maximal (the prime implicants of
+    McCluskey 1956).  Same order as `rcc5.enumerate_scenarios`.
+    """
+    pair_list, atoms = _atomic_refinements(n)
+    maximal = []
+    level = set(atoms)
+    while level:
+        merged = set()
+        for box in level:
+            alone = True
+            for p, label in enumerate(box):
+                for sibling_label, wide in _SIBLINGS.get(label, ()):
+                    if box[:p] + (sibling_label,) + box[p + 1 :] in level:
+                        alone = False
+                        merged.add(box[:p] + (wide,) + box[p + 1 :])
+            if alone:
+                maximal.append(box)
+        level = merged
+
+    scenarios = []
+    for box in maximal:
+        m = [row[:] for row in n._matrix]
+        for (i, j), mask in zip(pair_list, box):
+            _put(m, i, j, mask)
+        scenarios.append(Scenario._from_matrix(n.variables, m))
+    scenarios.sort(key=QCN.sort_key)
+    return scenarios
 
 
 def reference_scenarios(n: QCN) -> list[Scenario]:

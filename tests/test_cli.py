@@ -79,13 +79,6 @@ class TestMergeCommand:
         data = json.loads(out)
         assert len(data["tbox"]) == 12
 
-    def test_seed_flag_is_accepted_and_inert(self, profile_path, capsys):
-        code, default, _ = run_cli("merge", "--profile", profile_path, capsys=capsys)
-        assert code == 0
-        code, seeded, _ = run_cli("merge", "--profile", profile_path, "--seed", "7", capsys=capsys)
-        assert code == 0
-        assert seeded == default
-
     def test_single_consistent_input_keeps_its_consequences(self, tmp_path, capsys):
         # every concept pair is pinned by an axiom, so nothing is invented
         source = tmp_path / "single.txt"

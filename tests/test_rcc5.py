@@ -9,7 +9,6 @@ from hypothesis import strategies as st
 
 from ontomerge import rcc5
 from ontomerge.rcc5 import (
-    _atomic_refinements,
     _close,
     _put,
     EMPTY,
@@ -18,6 +17,7 @@ from ontomerge.rcc5 import (
     PP,
     DR,
     PPi,
+    SCENARIO_LABELS,
     UNIVERSAL,
     BaseRelation,
     QCN,
@@ -35,7 +35,12 @@ from ontomerge.rcc5 import (
 )
 
 import oracles
-from oracles import SetInterpretation, find_set_model, generate_composition_table
+from oracles import (
+    SetInterpretation,
+    _atomic_refinements,
+    find_set_model,
+    generate_composition_table,
+)
 
 relations = st.builds(Relation.from_mask, st.integers(min_value=0, max_value=31))
 
@@ -129,7 +134,7 @@ class TestQCN:
 
     def test_updated_replaces(self):
         n = QCN(["a", "b"], {("a", "b"): rel(DR)})
-        assert n.updated("a", "b", UNIVERSAL).constraint("a", "b") == UNIVERSAL
+        assert n.updated({("a", "b"): UNIVERSAL}).constraint("a", "b") == UNIVERSAL
 
     def test_expanded_keeps_constraints(self):
         n = QCN(["a", "b"], {("a", "b"): rel(DR)})
@@ -517,6 +522,19 @@ class TestEnumerateScenarios:
             }
             assert got == _oracle_scenarios(n), constraints
 
+    def test_triangle_table_matches_closure_of_each_atomic_triangle(self):
+        # label a on (x, y), b on (x, z), c on (y, z), over all 7^3 label triples
+        sides = [("x", "y"), ("x", "z"), ("y", "z")]
+        verdicts = set()
+        for a, b, c in itertools.product(SCENARIO_LABELS, repeat=3):
+            expected = all(
+                not algebraic_closure(QCN("xyz", zip(sides, map(rel, atoms)))).has_empty_constraint
+                for atoms in itertools.product(a, b, c)
+            )
+            assert bool(rcc5._ALLOWED[a.mask][b.mask] >> c.mask & 1) == expected, (a, b, c)
+            verdicts.add(expected)
+        assert verdicts == {True, False}
+
     def test_single_pair_widens_towards_the_inverse(self):
         n = QCN(["a", "b"], {("a", "b"): rel(PPi, EQ)})
         assert [s.constraint("a", "b") for s in enumerate_scenarios(n)] == [rel(PPi, EQ)]
@@ -534,7 +552,7 @@ class TestEnumerateScenarios:
 
     def test_matches_reference_on_random_networks(self):
         rng = random.Random(2718)
-        widest = 0
+        networks = [QCN("abcd")]
         for size, count in ((4, 200), (5, 20)):
             variables = "abcde"[:size]
             for _ in range(count):
@@ -542,13 +560,16 @@ class TestEnumerateScenarios:
                     pair: Relation.from_mask(rng.randrange(1, 32))
                     for pair in itertools.combinations(variables, 2)
                 }
-                n = QCN(variables, constraints)
-                scenarios = enumerate_scenarios(n)
-                assert scenarios == oracles.reference_scenarios(n), constraints
-                for s in scenarios:
-                    wide = sum(len(r) == 2 for _, _, r in s.items(omit_full=False))
-                    widest = max(widest, wide)
-        # the sample reaches boxes that take two levels of merging
+                networks.append(QCN(variables, constraints))
+        widest = 0
+        for n in networks:
+            scenarios = enumerate_scenarios(n)
+            assert scenarios == oracles.reference_scenarios(n), n
+            assert scenarios == oracles.levelwise_scenarios(n), n
+            for s in scenarios:
+                wide = sum(len(r) == 2 for _, _, r in s.items(omit_full=False))
+                widest = max(widest, wide)
+        # the sample reaches boxes with two wide labels
         assert widest >= 2
 
     def test_deterministic_order(self):
