@@ -33,7 +33,6 @@ from .ontology import (
     OntologySyntaxError,
     RoleAssertion,
     Subsumption,
-    UnsatisfiableConceptError,
     classify,
     closed_abox_to_json,
     deductive_closure,

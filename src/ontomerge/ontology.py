@@ -4,8 +4,10 @@ An ontology is a TBox of axioms drawn from exactly four shapes --
 ``A <= B``, ``A & B <= bot``, ``A <= some r.B``, ``some r.A <= B`` with
 atomic names -- plus an ABox of concept and role assertions.  This module
 provides the data model, a line-oriented text parser, JSON export,
-classification (saturation of atomic subsumptions and disjointness),
-and deductive closure of the ABox.
+classification (entailed atomic subsumptions and disjointness) and the
+deductive closure of the ABox.  Both run one saturation over named
+nodes; the closure adds each individual as a node, reading ``C(i)`` as
+``i <= C`` and ``r(i, j)`` as ``i <= some r.j`` (nominals, as in EL++).
 """
 
 from __future__ import annotations
@@ -16,14 +18,13 @@ from collections import defaultdict
 from dataclasses import dataclass, field
 from itertools import chain
 from operator import attrgetter
-from typing import Callable, Iterable, Iterator, Mapping, Union
+from typing import Callable, Collection, Iterable, Iterator, Mapping, Union
 
 __all__ = [
     "OntologyError",
     "OntologySyntaxError",
     "NotNormalFormError",
     "NameClashError",
-    "UnsatisfiableConceptError",
     "Subsumption",
     "Disjointness",
     "ExistsRight",
@@ -71,14 +72,6 @@ class NameClashError(OntologyError):
     def __init__(self, message: str, line: int | None = None) -> None:
         super().__init__(f"line {line}: {message}" if line is not None else message)
         self.line = line
-
-
-class UnsatisfiableConceptError(OntologyError):
-    """Classification derived that a concept must be empty."""
-
-    def __init__(self, concept: str) -> None:
-        super().__init__(f"concept {concept!r} is unsatisfiable")
-        self.concept = concept
 
 
 @dataclass(frozen=True)
@@ -517,42 +510,35 @@ class Classification:
         }
 
 
-def classify(
-    tbox: Iterable[Axiom],
-    concepts: Iterable[str] = (),
-    strict: bool = False,
-) -> Classification:
-    """Saturate a strict-normal-form TBox into its atomic consequences.
+def _saturate(
+    nodes: Iterable[str], axioms: Mapping[type, list[Statement]]
+) -> tuple[dict[str, set[str]], dict[str, list[tuple[str, str]]]]:
+    """EL completion over named nodes: each node's supers and successor edges.
 
-    Rules: reflexivity, transitive subsumption, propagation through
-    existential axioms (A <= some r.B, B <= B', some r.B' <= C entail
-    A <= C, also along entailed chains), downward propagation of
-    disjointness, and detection of unsatisfiable concepts, including
-    through existential successors.  With strict=True an unsatisfiable
-    concept raises UnsatisfiableConceptError; otherwise it is reported in
-    the result and the caller decides.
-
-    This is EL completion (Baader, Brandt & Lutz, IJCAI 2005): the axioms
-    are indexed by their left-hand side, and each newly derived
-    ``(concept, super)`` fact or successor edge fires only the axioms
-    that mention it, so each fact is processed once.
+    `axioms` groups the axioms by class and may use only names in
+    `nodes`; each node starts as its own super.  The rules are
+    transitive subsumption and propagation through existential axioms
+    (A <= some r.B, B <= B', some r.B' <= C entail A <= C, also along
+    entailed chains).  The axioms are indexed by their left-hand side,
+    and each newly derived ``(node, super)`` fact or successor edge fires
+    only the axioms that mention it, so each fact is processed once
+    (Baader, Brandt & Lutz, IJCAI 2005).  Returns the supers of every
+    node and, for each node B, the (A, r) of every edge A -r-> B.
     """
-    by_class = _by_class(tbox)
-    names = sorted(_names_by_namespace(by_class)["concept"].union(concepts))
     told: dict[str, list[str]] = {}  # A <= B, by A
-    for axiom in by_class[Subsumption]:
+    for axiom in axioms[Subsumption]:
         told.setdefault(axiom.sub, []).append(axiom.sup)
     exists_right: dict[str, list[tuple[str, str]]] = {}  # A <= some r.B, by A
-    for axiom in by_class[ExistsRight]:
+    for axiom in axioms[ExistsRight]:
         exists_right.setdefault(axiom.sub, []).append((axiom.role, axiom.filler))
     exists_left: dict[tuple[str, str], list[str]] = {}  # some r.B <= C, by (r, B)
-    for axiom in by_class[ExistsLeft]:
+    for axiom in axioms[ExistsLeft]:
         exists_left.setdefault((axiom.role, axiom.filler), []).append(axiom.sup)
 
-    supers: dict[str, set[str]] = {a: {a} for a in names}
+    supers: dict[str, set[str]] = {a: {a} for a in nodes}
     successors: set[tuple[str, str, str]] = set()
     predecessors: dict[str, list[tuple[str, str]]] = {}  # B -> (A, r) per edge A -r-> B
-    queue = [(a, a) for a in names]
+    queue = [(a, a) for a in supers]
 
     def derive(a: str, x: str) -> None:
         if x not in supers[a]:
@@ -574,11 +560,56 @@ def classify(
             for z in list(supers[filler]):
                 for y in exists_left.get((role, z), ()):
                     derive(a, y)
+    return supers, predecessors
 
-    # a and b are disjoint when x is a super of a and y one of b for an
-    # asserted x & y <= bot; a == b makes a unsatisfiable.
+
+def _unsatisfiable(
+    supers: Mapping[str, Collection[str]],
+    predecessors: Mapping[str, list[tuple[str, str]]],
+    disjointness: Iterable[Disjointness],
+) -> set[str]:
+    """The nodes that must be empty.
+
+    A node is unsatisfiable when its supers hold both sides of an
+    asserted ``x & y <= bot``.  Every node below an unsatisfiable one has
+    its supers, so only successor edges spread unsatisfiability further:
+    back from B to the A of every edge A -r-> B.
+    """
+    against: dict[str, list[str]] = {}
+    for d in disjointness:
+        against.setdefault(d.first, []).append(d.second)
+    if not against:
+        return set()
+    unsatisfiable = {
+        a
+        for a, found in supers.items()
+        if any(y in found for x in found for y in against.get(x, ()))
+    }
+    blocked = list(unsatisfiable)
+    while blocked:
+        for a, _ in predecessors.get(blocked.pop(), ()):
+            if a not in unsatisfiable:
+                unsatisfiable.add(a)
+                blocked.append(a)
+    return unsatisfiable
+
+
+def classify(tbox: Iterable[Axiom], concepts: Iterable[str] = ()) -> Classification:
+    """Saturate a strict-normal-form TBox into its atomic consequences.
+
+    `_saturate` gives the reflexive and transitive subsumptions, also
+    those entailed through existential axioms; `_unsatisfiable` the
+    concepts that must be empty, also through existential successors.
+    Disjointness propagates downward: a and b are disjoint when x is a
+    super of a and y one of b for an asserted x & y <= bot, and a != b
+    (self-disjointness is reported through `unsatisfiable`).
+    Unsatisfiable concepts are reported, not raised; the caller decides.
+    """
+    by_class = _by_class(tbox)
+    names = sorted(_names_by_namespace(by_class)["concept"].union(concepts))
+    supers, predecessors = _saturate(names, by_class)
+
     disjoint: set[tuple[str, str]] = set()
-    unsatisfiable: set[str] = set()
     if by_class[Disjointness]:
         subs: dict[str, list[str]] = {}
         for a in names:
@@ -587,26 +618,13 @@ def classify(
         for d in by_class[Disjointness]:
             for a in subs[d.first]:
                 for b in subs[d.second]:
-                    if a == b:
-                        unsatisfiable.add(a)
-                    else:
+                    if a != b:
                         disjoint.add((a, b) if a < b else (b, a))
-        # Every concept below an unsatisfiable one has its supers, so it is
-        # caught above; only successor edges spread unsatisfiability further.
-        blocked = list(unsatisfiable)
-        while blocked:
-            for a, _ in predecessors.get(blocked.pop(), ()):
-                if a not in unsatisfiable:
-                    unsatisfiable.add(a)
-                    blocked.append(a)
-
-    if strict and unsatisfiable:
-        raise UnsatisfiableConceptError(min(unsatisfiable))
 
     return Classification(
         subsumptions=frozenset(Subsumption(a, b) for a in names for b in supers[a]),
         disjointness=frozenset(Disjointness(a, b) for a, b in disjoint),
-        unsatisfiable=frozenset(unsatisfiable),
+        unsatisfiable=frozenset(_unsatisfiable(supers, predecessors, by_class[Disjointness])),
         supers={a: frozenset(sa) for a, sa in supers.items()},
     )
 
@@ -618,13 +636,13 @@ def classify(
 class ClosedABox:
     """The ABox saturated against its TBox.
 
-    `facts` is the least fixpoint of the instance rules (asserted facts,
-    subsumption propagation, existential-left firing on asserted role
-    edges); `roles` are the asserted role assertions, never derived.
-    Individuals asserted into provably disjoint concepts are recorded,
-    not raised: conflicting sources are expected input.  `by_concept`
-    and `by_individual` index `facts` both ways; they are built from
-    `facts` when not given and take no part in equality.
+    `facts` holds every entailed membership ``C(i)``: the concepts among
+    the supers of the nominal ``i`` when the TBox is saturated with the
+    ABox read as axioms (see `deductive_closure`).  `roles` are the
+    asserted role assertions, never derived.  Inconsistent individuals
+    are recorded, not raised: conflicting sources are expected input.
+    `by_concept` and `by_individual` index `facts` both ways; they are
+    built from `facts` when not given and take no part in equality.
     """
 
     facts: frozenset[ConceptAssertion]
@@ -669,61 +687,41 @@ def closed_abox_to_json(closed: ClosedABox) -> str:
     return json.dumps(closed.to_json_dict(), indent=2, sort_keys=True) + "\n"
 
 
-def deductive_closure(o: Ontology, classification: Classification | None = None) -> ClosedABox:
+def deductive_closure(o: Ontology) -> ClosedABox:
     """All entailed concept memberships of the named individuals.
 
-    Worklist saturation: a derived membership C(i) brings in all of C's
-    entailed supers at once, and each new membership in a filler C fires
-    every ``some r.C <= D`` on the subjects of the r-edges into i.  A
-    given `classification` must be `classify`'s result for the TBox, whose
-    subsumptions are reflexive and transitive.
+    The ABox is read through nominals (EL++): each individual i is one
+    more node of `_saturate`, ``C(i)`` becomes ``i <= C`` and ``r(i, j)``
+    becomes ``i <= some r.j``.  The memberships of i are then its supers
+    minus i itself.  An individual is inconsistent when its memberships
+    meet an unsatisfiable concept or hold both sides of an asserted
+    ``x & y <= bot``; memberships are closed upward, so this is the same
+    as meeting a derived disjointness.  Unsatisfiability also spreads
+    back along role assertions, so `r(a, b)` with b inconsistent makes
+    the node a unsatisfiable, but not the individual a inconsistent.
     """
-    cls = classification if classification is not None else classify(o.tbox, concepts=o.concepts)
-    exists_left: dict[str, list[tuple[str, str]]] = {}  # some r.C <= D, by C
-    for axiom in _by_class(o.tbox)[ExistsLeft]:
-        exists_left.setdefault(axiom.filler, []).append((axiom.role, axiom.sup))
     assertions = _by_class(o.abox)
-    subjects: dict[tuple[str, str], list[str]] = {}  # (r, object) -> subjects of r-edges
-    for r in assertions[RoleAssertion]:
-        subjects.setdefault((r.role, r.object), []).append(r.subject)
-
-    members: dict[str, set[str]] = {}  # concept -> individuals, closed under supers
-    firing: list[tuple[str, str]] = []  # new memberships in a filler of some r.C <= D
-
-    def derive(concept: str, individual: str) -> None:
-        if individual in members.get(concept, ()):
-            return
-        for sup in chain((concept,), cls.supers_of(concept)):
-            found = members.setdefault(sup, set())
-            if individual not in found:
-                found.add(individual)
-                if sup in exists_left:
-                    firing.append((sup, individual))
-
-    for fact in assertions[ConceptAssertion]:
-        derive(fact.concept, fact.individual)
-    while firing:
-        concept, individual = firing.pop()
-        for role, sup in exists_left[concept]:
-            for subject in subjects.get((role, individual), ()):
-                derive(sup, subject)
-
-    by_individual = _index((i, c) for c, found in members.items() for i in found)
-    partners: dict[str, set[str]] = {}
-    for d in cls.disjointness:
-        partners.setdefault(d.first, set()).add(d.second)
-        partners.setdefault(d.second, set()).add(d.first)
+    axioms = _by_class(
+        chain(
+            o.tbox,
+            (Subsumption(f.individual, f.concept) for f in assertions[ConceptAssertion]),
+            (ExistsRight(r.subject, r.role, r.object) for r in assertions[RoleAssertion]),
+        )
+    )
+    supers, predecessors = _saturate(chain(o.concepts, o.individuals), axioms)
+    unsatisfiable = _unsatisfiable(supers, predecessors, axioms[Disjointness])
+    by_individual = {i: frozenset(supers[i] - {i}) for i in o.individuals if len(supers[i]) > 1}
+    # no edges: only the individuals whose own memberships hold an asserted pair
+    clashing = _unsatisfiable(by_individual, {}, axioms[Disjointness])
     inconsistent = {
-        individual
-        for individual, concepts in by_individual.items()
-        if not concepts.isdisjoint(cls.unsatisfiable)
-        or any(not concepts.isdisjoint(partners.get(c, ())) for c in concepts)
+        i
+        for i, concepts in by_individual.items()
+        if i in clashing or not concepts.isdisjoint(unsatisfiable)
     }
 
     return ClosedABox(
-        facts=frozenset(ConceptAssertion(c, i) for c, found in members.items() for i in found),
+        facts=frozenset(ConceptAssertion(c, i) for i, concepts in by_individual.items() for c in concepts),
         roles=frozenset(assertions[RoleAssertion]),
         inconsistent_individuals=frozenset(inconsistent),
-        by_concept={c: frozenset(found) for c, found in members.items()},
         by_individual=by_individual,
     )

@@ -317,10 +317,11 @@ class QCN:
             _put(m, i, j, m[i][j] & Relation(rel).mask)
 
     @classmethod
-    def _from_matrix(cls, variables: tuple[str, ...], m: list[list[int]]) -> "QCN":
+    def _from_matrix(cls, source: "QCN", m: list[list[int]]) -> "QCN":
+        """A network over `source`'s variables with matrix `m`; it shares their index."""
         obj = object.__new__(cls)
-        obj._variables = variables
-        obj._index = {v: i for i, v in enumerate(variables)}
+        obj._variables = source._variables
+        obj._index = source._index
         obj._matrix = m
         if cls is Scenario:
             obj._validate_quasi_atomic()
@@ -356,9 +357,10 @@ class QCN:
         """All unordered pairs, oriented by variable-list order."""
         return ((self._variables[i], self._variables[j]) for i, j, _ in self._upper())
 
-    def items(self, omit_full: bool = True) -> Iterator[tuple[str, str, Relation]]:
+    def items(self) -> Iterator[tuple[str, str, Relation]]:
+        """(u, v, constraint) for every constrained pair, oriented by variable-list order."""
         for i, j, mask in self._upper():
-            if omit_full and mask == _FULL_MASK:
+            if mask == _FULL_MASK:
                 continue
             yield self._variables[i], self._variables[j], Relation.from_mask(mask)
 
@@ -380,7 +382,7 @@ class QCN:
         m = [row[:] for row in self._matrix]
         for (u, v), rel in changes.items():
             _put(m, *self._pair_indices(u, v), rel.mask)
-        return self._from_matrix(self._variables, m)
+        return self._from_matrix(self, m)
 
     def refined(self, u: str, v: str, rel: Relation) -> "QCN":
         """A copy with the (u, v) constraint intersected with `rel`."""
@@ -474,7 +476,7 @@ class Scenario(QCN):
 
     @classmethod
     def from_qcn(cls, qcn: QCN) -> "Scenario":
-        return cls._from_matrix(qcn.variables, qcn._matrix)
+        return cls._from_matrix(qcn, qcn._matrix)
 
 
 def _put(m: list[list[int]], i: int, j: int, mask: int) -> None:
@@ -532,7 +534,7 @@ def algebraic_closure(n: QCN) -> QCN:
     """
     m = [row[:] for row in n._matrix]
     _close(m, len(n.variables))
-    return QCN._from_matrix(n.variables, m)
+    return QCN._from_matrix(n, m)
 
 
 #: Labels the consistency search splits: the non-atomic ones without PO.
@@ -646,7 +648,7 @@ def enumerate_scenarios(n: QCN) -> list[Scenario]:
                 for i, j in pairs
                 for w in _WIDER[labels[i][j]]
             ):
-                scenarios.append(Scenario._from_matrix(n.variables, [row[:] for row in labels]))
+                scenarios.append(Scenario._from_matrix(n, [row[:] for row in labels]))
             depth -= 1
             continue
         i, j = pairs[depth]

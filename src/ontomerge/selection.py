@@ -106,19 +106,14 @@ def _check_signature(variables: Sequence[str], profile: Sequence[Ontology]) -> N
         )
 
 
-def scenario_distance(
-    s: Scenario,
-    profile: Sequence[Ontology],
-    closures: Sequence[ClosedABox] | None = None,
-) -> int:
+def scenario_distance(s: Scenario, profile: Sequence[Ontology]) -> int:
     """Total conflicts of all sources against all scenario constraints.
 
     Every unordered pair counts once, in canonical (lexicographic)
     orientation; each source is closed against its own TBox.
     """
     _check_signature(s.variables, profile)
-    if closures is None:
-        closures = [deductive_closure(o) for o in profile]
+    closures = [deductive_closure(o) for o in profile]
     total = 0
     for u, v, label in s.canonical_items():
         for closed in closures:

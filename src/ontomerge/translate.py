@@ -187,7 +187,7 @@ def _overlap_block(u: str, v: str, pool: FreshNamePool) -> tuple[list[Axiom], li
     return axioms, assertions
 
 
-def backward(s: Scenario, pool: FreshNamePool | None = None) -> Ontology:
+def backward(s: Scenario) -> Ontology:
     """Translate a scenario back into a strict-normal-form ontology.
 
     Pairs are visited in lexicographic order; the emitted ontology is the
@@ -197,8 +197,7 @@ def backward(s: Scenario, pool: FreshNamePool | None = None) -> Ontology:
     for var in s.variables:
         if not is_name(var):
             raise ValueError(f"variable {var!r} is not a name the ontology grammar can read")
-    if pool is None:
-        pool = FreshNamePool(reserved=s.variables)
+    pool = FreshNamePool(reserved=s.variables)
     statements: list[Statement] = []
     for u, v, label in s.canonical_items():
         if label == Relation([EQ]):

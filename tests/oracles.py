@@ -41,7 +41,6 @@ from ontomerge.ontology import (
     RoleAssertion,
     Statement,
     Subsumption,
-    UnsatisfiableConceptError,
     _by_class,
     _names_by_namespace,
 )
@@ -569,20 +568,15 @@ def equivalent_modulo_renaming(left: Ontology, right: Ontology, fixed: Iterable[
 # --- slow references for classification and closure -------------------------
 
 
-def reference_classify(
-    tbox: Iterable[Axiom],
-    concepts: Iterable[str] = (),
-    strict: bool = False,
-) -> Classification:
+def reference_classify(tbox: Iterable[Axiom], concepts: Iterable[str] = ()) -> Classification:
     """Saturate a strict-normal-form TBox into its atomic consequences.
 
     Rules: reflexivity, transitive subsumption, propagation through
     existential axioms (A <= some r.B, B <= B', some r.B' <= C entail
     A <= C, also along entailed chains), downward propagation of
     disjointness, and detection of unsatisfiable concepts, including
-    through existential successors.  With strict=True an unsatisfiable
-    concept raises UnsatisfiableConceptError; otherwise it is reported in
-    the result and the caller decides.
+    through existential successors.  Unsatisfiable concepts are reported
+    in the result, not raised.
     """
     by_class = _by_class(tbox)
     names = sorted(_names_by_namespace(by_class)["concept"].union(concepts))
@@ -650,9 +644,6 @@ def reference_classify(
                 unsatisfiable.add(a)
                 changed = True
 
-    if strict and unsatisfiable:
-        raise UnsatisfiableConceptError(min(unsatisfiable))
-
     return Classification(
         subsumptions=frozenset(
             Subsumption(a, b) for a in names for b in supers[a]
@@ -664,9 +655,9 @@ def reference_classify(
     )
 
 
-def reference_closure(o: Ontology, classification: Classification | None = None) -> ClosedABox:
+def reference_closure(o: Ontology) -> ClosedABox:
     """All entailed concept memberships of the named individuals."""
-    cls = classification if classification is not None else reference_classify(o.tbox, concepts=o.concepts)
+    cls = reference_classify(o.tbox, concepts=o.concepts)
     sup_map: dict[str, list[str]] = {}
     for s in cls.subsumptions:
         sup_map.setdefault(s.sub, []).append(s.sup)
@@ -786,7 +777,7 @@ def levelwise_scenarios(n: QCN) -> list[Scenario]:
         m = [row[:] for row in n._matrix]
         for (i, j), mask in zip(pair_list, box):
             _put(m, i, j, mask)
-        scenarios.append(Scenario._from_matrix(n.variables, m))
+        scenarios.append(Scenario._from_matrix(n, m))
     scenarios.sort(key=QCN.sort_key)
     return scenarios
 

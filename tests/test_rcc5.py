@@ -567,7 +567,7 @@ class TestEnumerateScenarios:
             assert scenarios == oracles.reference_scenarios(n), n
             assert scenarios == oracles.levelwise_scenarios(n), n
             for s in scenarios:
-                wide = sum(len(r) == 2 for _, _, r in s.items(omit_full=False))
+                wide = sum(len(r) == 2 for _, _, r in s.items())
                 widest = max(widest, wide)
         # the sample reaches boxes with two wide labels
         assert widest >= 2
