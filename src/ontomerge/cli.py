@@ -19,7 +19,6 @@ from typing import Callable, Sequence
 from .distance import DistanceTable, render_distance_table
 from .merging import MergeTrace, merge
 from .ontology import (
-    Classification,
     Ontology,
     OntologyError,
     classify,
@@ -37,7 +36,7 @@ from .rcc5 import (
     qcn_to_json,
 )
 from .selection import ConflictReport, select_scenario
-from .translate import ForwardTranslation, backward, forward
+from .translate import backward, forward
 
 __all__ = ["main", "build_parser", "PipelineError", "run_pipeline"]
 
@@ -91,8 +90,6 @@ def _input_paths(args: argparse.Namespace) -> list[str]:
 
 @dataclass(frozen=True)
 class PipelineResult:
-    sources: tuple[Ontology, ...]
-    translations: tuple[ForwardTranslation, ...]
     table: DistanceTable
     merged: QCN
     trace: MergeTrace
@@ -122,8 +119,6 @@ def run_pipeline(sources: Sequence[Ontology]) -> PipelineResult:
     selected, report = select_scenario(scenarios, list(sources))
     result = backward(selected)
     return PipelineResult(
-        sources=tuple(sources),
-        translations=translations,
         table=trace.table,
         merged=merged,
         trace=trace,
@@ -227,17 +222,13 @@ def cmd_check(args: argparse.Namespace) -> int:
 
 def cmd_classify(args: argparse.Namespace) -> int:
     o = _load_ontology(args.input)
-    classification: Classification = classify(o.tbox, concepts=o.concepts)
+    facts = classify(o.tbox, concepts=o.concepts).to_json_dict()
     if args.json:
-        _write_output(_dump_json(classification.to_json_dict()), args.output)
+        _write_output(_dump_json(facts), args.output)
         return EXIT_OK
-    lines = []
-    for sub in sorted([s.sub, s.sup] for s in classification.subsumptions):
-        lines.append(f"{sub[0]} <= {sub[1]}")
-    for pair in sorted([d.first, d.second] for d in classification.disjointness):
-        lines.append(f"{pair[0]} & {pair[1]} <= bot")
-    for concept in sorted(classification.unsatisfiable):
-        lines.append(f"# unsatisfiable: {concept}")
+    lines = [f"{sub} <= {sup}" for sub, sup in facts["subsumptions"]]
+    lines += [f"{a} & {b} <= bot" for a, b in facts["disjointness"]]
+    lines += [f"# unsatisfiable: {concept}" for concept in facts["unsatisfiable"]]
     _write_output("\n".join(lines) + "\n", args.output)
     return EXIT_OK
 
@@ -253,7 +244,7 @@ def cmd_translate(args: argparse.Namespace) -> int:
         qcn = qcn_from_json(text)
         scenario = Scenario.from_qcn(qcn)
         result = backward(scenario)
-    except (ValueError, json.JSONDecodeError) as exc:
+    except (ValueError, RecursionError) as exc:  # JSONDecodeError is a ValueError
         raise PipelineError("translate-backward", f"{args.input}: {exc}") from exc
     payload = ontology_to_json(result) if args.json else format_ontology(result)
     _write_output(payload, args.output)

@@ -106,12 +106,6 @@ class DistanceTable:
         """Distances for the ordered pair (u, v), keyed by base relation."""
         return dict(zip(BaseRelation, self.distances(u, v)))
 
-    def minimal_bases(self, u: str, v: str) -> Relation:
-        """The base relations at minimal distance to the pair's profile."""
-        dist = self.distances(u, v)
-        best = min(dist)
-        return Relation.from_mask(sum(1 << i for i, d in enumerate(dist) if d == best))
-
 
 def distance_table(profile: Sequence[QCN]) -> DistanceTable:
     """The full distance table for a profile of networks.

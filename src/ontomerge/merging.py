@@ -1,10 +1,11 @@
 """Distance-guided merging of a profile of constraint networks.
 
 The merged network starts from the minimal-distance base relations on
-every pair.  While it is inconsistent, the constraints with the highest
-value (the largest distance over their members) are all relaxed at once
-by adding the nearest missing base relations.  The all-full network is
-consistent, so the loop terminates; the trace records each step.
+every pair, which is the empty constraint relaxed once.  While it is
+inconsistent, the constraints with the highest value (the largest
+distance over their members) are all relaxed at once by adding the
+nearest missing base relations.  The all-full network is consistent, so
+the loop terminates; the trace records each step.
 """
 
 from __future__ import annotations
@@ -13,19 +14,23 @@ from dataclasses import dataclass, field
 from typing import Sequence
 
 from .distance import DistanceTable, distance_table
-from .rcc5 import QCN, Relation, is_consistent
+from .rcc5 import EMPTY, QCN, Relation, is_consistent
 
 __all__ = ["relax", "val", "MergeIteration", "MergeTrace", "merge"]
 
 
+#: The indices of the base relations missing from each relation mask.
+_MISSING = tuple(tuple(i for i in range(5) if not mask >> i & 1) for mask in range(32))
+
+
 def relax(phi: Relation, pair: tuple[str, str], table: DistanceTable) -> Relation:
     """Add every missing base relation of minimal distance for the pair."""
-    dist = table.distances(*pair)
-    missing = [i for i in range(5) if not phi.mask >> i & 1]
+    missing = _MISSING[phi.mask]
     if not missing:
         return phi
-    best = min(dist[i] for i in missing)
-    return Relation.from_mask(phi.mask | sum(1 << i for i in missing if dist[i] == best))
+    dist = table.distances(*pair)
+    best = min([dist[i] for i in missing])
+    return Relation.from_mask(phi.mask | sum([1 << i for i in missing if dist[i] == best]))
 
 
 def val(phi: Relation, pair: tuple[str, str], table: DistanceTable) -> int:
@@ -76,7 +81,7 @@ def merge(profile: Sequence[QCN]) -> tuple[QCN, MergeTrace]:
     of relaxations (pairs are reported in canonical orientation).
     """
     table = distance_table(profile)
-    labels = {pair: table.minimal_bases(*pair) for pair in table.pairs}
+    labels = {pair: relax(EMPTY, pair, table) for pair in table.pairs}
     current = initial = QCN(profile[0].variables, labels)
 
     iterations: list[MergeIteration] = []

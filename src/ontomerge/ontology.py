@@ -18,6 +18,7 @@ from collections import defaultdict
 from dataclasses import dataclass, field
 from itertools import chain
 from operator import attrgetter
+from os.path import commonprefix
 from typing import Callable, Collection, Iterable, Iterator, Mapping, Union
 
 __all__ = [
@@ -41,7 +42,6 @@ __all__ = [
     "format_statement",
     "format_ontology",
     "ontology_to_json",
-    "closed_abox_to_json",
     "classify",
     "deductive_closure",
 ]
@@ -140,55 +140,59 @@ Statement = Union[Subsumption, Disjointness, ExistsRight, ExistsLeft, ConceptAss
 class _Kind:
     """How one statement class is written, read, named and exported."""
 
-    pattern: tuple[str, ...]
+    pattern: str
     fields: tuple[tuple[str, str], ...]
     template: str
     tag: str
     values: Callable[[Statement], tuple[str, ...]] = field(init=False)
-    getters: tuple[tuple[Callable[[Statement], str], str], ...] = field(init=False)
+    namespaces: tuple[str, ...] = field(init=False)
 
     def __post_init__(self) -> None:
         object.__setattr__(self, "values", attrgetter(*(name for name, _ in self.fields)))
-        object.__setattr__(self, "getters", tuple((attrgetter(f), ns) for f, ns in self.fields))
+        object.__setattr__(self, "namespaces", tuple(ns for _, ns in self.fields))
+
+    def names(self, stmt: Statement) -> Iterator[tuple[str, str]]:
+        """(name, namespace) of each field of `stmt`, in written order."""
+        return zip(self.values(stmt), self.namespaces)
 
 
 #: One row per statement class, in canonical order: token pattern, fields
-#: with their namespaces, text template and JSON tag.  The NAME tokens of
-#: each pattern carry the fields in declaration order, so ``cls(*names)``
-#: builds the statement, and the fields in that order are its sort key.
+#: with their namespaces, text template and JSON tag.  The name tokens
+#: (``n``, see `_tokenize`) of each pattern carry the fields in declaration
+#: order, so ``cls(*names)`` builds the statement, and they sort it.
 _KINDS: dict[type, _Kind] = {
     Subsumption: _Kind(
-        ("NAME", "LE", "NAME"),
+        "n<n",
         (("sub", "concept"), ("sup", "concept")),
         "{} <= {}",
         "subsumption",
     ),
     Disjointness: _Kind(
-        ("NAME", "AMP", "NAME", "LE", "BOT"),
+        "n&n<b",
         (("first", "concept"), ("second", "concept")),
         "{} & {} <= bot",
         "disjointness",
     ),
     ExistsRight: _Kind(
-        ("NAME", "LE", "SOME", "NAME", "DOT", "NAME"),
+        "n<sn.n",
         (("sub", "concept"), ("role", "role"), ("filler", "concept")),
         "{} <= some {}.{}",
         "exists_right",
     ),
     ExistsLeft: _Kind(
-        ("SOME", "NAME", "DOT", "NAME", "LE", "NAME"),
+        "sn.n<n",
         (("role", "role"), ("filler", "concept"), ("sup", "concept")),
         "some {}.{} <= {}",
         "exists_left",
     ),
     ConceptAssertion: _Kind(
-        ("NAME", "LPAR", "NAME", "RPAR"),
+        "n(n)",
         (("concept", "concept"), ("individual", "individual")),
         "{}({})",
         "concept",
     ),
     RoleAssertion: _Kind(
-        ("NAME", "LPAR", "NAME", "COMMA", "NAME", "RPAR"),
+        "n(n,n)",
         (("role", "role"), ("subject", "individual"), ("object", "individual")),
         "{}({},{})",
         "role",
@@ -217,8 +221,8 @@ def _by_class(statements: Iterable[Statement]) -> defaultdict[type, list[Stateme
 def _names_by_namespace(groups: Mapping[type, list[Statement]]) -> dict[str, set[str]]:
     names: dict[str, set[str]] = {"concept": set(), "role": set(), "individual": set()}
     for cls, group in groups.items():
-        for get, namespace in _KINDS[cls].getters:
-            names[namespace].update(map(get, group))
+        for name, namespace in chain.from_iterable(map(_KINDS[cls].names, group)):
+            names[namespace].add(name)
     return names
 
 
@@ -229,11 +233,6 @@ def sorted_statements(statements: Iterable[Statement]) -> list[Statement]:
     for cls, kind in _KINDS.items():
         out += sorted(groups.get(cls, ()), key=kind.values)
     return out
-
-
-def _statement_names(stmt: Statement) -> list[tuple[str, str]]:
-    """(name, namespace) occurrences of a statement, in written order."""
-    return [(get(stmt), namespace) for get, namespace in _kind(stmt).getters]
 
 
 @dataclass(frozen=True)
@@ -296,7 +295,7 @@ def _collect(
     tbox: set[Axiom] = set()
     abox: set[Assertion] = set()
     for line_no, stmt in numbered:
-        for name, kind in _statement_names(stmt):
+        for name, kind in _kind(stmt).names(stmt):
             previous = kind_of.get(name)
             if previous is None:
                 kind_of[name] = kind
@@ -321,8 +320,12 @@ def _collect(
 # --- text grammar -----------------------------------------------------------
 
 _NAME_RE = re.compile(r"[A-Za-z0-9_]+")
-_RESERVED = {"some": "SOME", "bot": "BOT"}
-_PUNCT = {"&": "AMP", "(": "LPAR", ")": "RPAR", ",": "COMMA", ".": "DOT"}
+#: Token kinds are one character: ``n`` a name, ``s`` some, ``b`` bot,
+#: ``<`` for ``<=``, and each punctuation mark stands for itself.
+_RESERVED = {"some": "s", "bot": "b"}
+_PUNCT = "&(),."
+#: A conjunction of names, ``bot`` and existentials, of any arity and depth.
+_LOOSE_SIDE = re.compile(r"(sn\.)*[nb](&(sn\.)*[nb])*")
 
 
 def is_name(word: str) -> bool:
@@ -341,70 +344,34 @@ def _tokenize(line: str, line_no: int) -> list[tuple[str, str, int]]:
         if ch == "#":
             break
         if line.startswith("<=", pos):
-            tokens.append(("LE", "<=", pos + 1))
+            tokens.append(("<", "<=", pos + 1))
             pos += 2
             continue
         if ch in _PUNCT:
-            tokens.append((_PUNCT[ch], ch, pos + 1))
+            tokens.append((ch, ch, pos + 1))
             pos += 1
             continue
         match = _NAME_RE.match(line, pos)
         if match:
             word = match.group()
-            tokens.append((_RESERVED.get(word, "NAME"), word, pos + 1))
+            tokens.append((_RESERVED.get(word, "n"), word, pos + 1))
             pos = match.end()
             continue
         raise OntologySyntaxError(f"unexpected character {ch!r}", line_no, pos + 1)
     return tokens
 
 
-def _loose_expression(kinds: tuple[str, ...]) -> bool:
-    """Whether tokens form a conjunction of atoms/existentials (any arity).
-
-    Used only to distinguish "axiom outside the four normal forms" from
-    plain syntax garbage.
-    """
-    pos = 0
-
-    def term() -> bool:
-        nonlocal pos
-        while pos < len(kinds) and kinds[pos] == "SOME":
-            if pos + 2 >= len(kinds) or kinds[pos + 1] != "NAME" or kinds[pos + 2] != "DOT":
-                return False
-            pos += 3
-        if pos < len(kinds) and kinds[pos] in ("NAME", "BOT"):
-            pos += 1
-            return True
-        return False
-
-    if not term():
-        return False
-    while pos < len(kinds):
-        if kinds[pos] != "AMP":
-            return False
-        pos += 1
-        if not term():
-            return False
-    return True
-
-
 def _match_statement(tokens: list[tuple[str, str, int]], line_no: int, line: str) -> Statement:
-    kinds = tuple(kind for kind, _, _ in tokens)
+    kinds = "".join(kind for kind, _, _ in tokens)
     cls = _CLASS_OF_PATTERN.get(kinds)
     if cls is not None:
-        return cls(*(text for kind, text, _ in tokens if kind == "NAME"))
-    if kinds.count("LE") == 1:
-        split = kinds.index("LE")
-        if _loose_expression(kinds[:split]) and _loose_expression(kinds[split + 1 :]):
-            raise NotNormalFormError(
-                f"axiom is not in strict normal form: {line.strip()!r}", line_no
-            )
-    best = 0
-    for pattern in _CLASS_OF_PATTERN:
-        k = 0
-        while k < len(kinds) and k < len(pattern) and kinds[k] == pattern[k]:
-            k += 1
-        best = max(best, k)
+        return cls(*(text for kind, text, _ in tokens if kind == "n"))
+    # a well-formed axiom outside the normal forms, not syntax garbage
+    if kinds.count("<") == 1 and all(map(_LOOSE_SIDE.fullmatch, kinds.split("<"))):
+        raise NotNormalFormError(
+            f"axiom is not in strict normal form: {line.strip()!r}", line_no
+        )
+    best = max(len(commonprefix((kinds, pattern))) for pattern in _CLASS_OF_PATTERN)
     if best < len(tokens):
         _, text, column = tokens[best]
         raise OntologySyntaxError(f"unexpected token {text!r}", line_no, column)
@@ -674,17 +641,6 @@ class ClosedABox:
             out.add(r.subject)
             out.add(r.object)
         return frozenset(out)
-
-    def to_json_dict(self) -> dict:
-        return {
-            "facts": [_statement_json(f) for f in sorted_statements(self.facts)],
-            "roles": [_statement_json(r) for r in sorted_statements(self.roles)],
-            "inconsistent_individuals": sorted(self.inconsistent_individuals),
-        }
-
-
-def closed_abox_to_json(closed: ClosedABox) -> str:
-    return json.dumps(closed.to_json_dict(), indent=2, sort_keys=True) + "\n"
 
 
 def deductive_closure(o: Ontology) -> ClosedABox:

@@ -96,8 +96,9 @@ class Relation:
     """An immutable set of base relations; the constraint label type.
 
     The full set means "no information"; the empty set is an unsatisfiable
-    constraint.  All 32 values are interned, so identity comparison works,
-    but ``==`` and ``hash`` are defined on content anyway.
+    constraint.  All 32 values are interned -- by ``__new__``,
+    `from_mask` and ``__reduce__`` (copies and pickles) -- so equality
+    and hashing are those of identity.
     """
 
     __slots__ = ("_mask",)
@@ -180,12 +181,6 @@ class Relation:
 
     def __lt__(self, other: "Relation") -> bool:
         return self <= other and self._mask != other._mask
-
-    def __eq__(self, other: object) -> bool:
-        return isinstance(other, Relation) and self._mask == other._mask
-
-    def __hash__(self) -> int:
-        return hash(("Relation", self._mask))
 
     def __reduce__(self):
         return (Relation.from_mask, (self._mask,))
@@ -318,13 +313,11 @@ class QCN:
 
     @classmethod
     def _from_matrix(cls, source: "QCN", m: list[list[int]]) -> "QCN":
-        """A network over `source`'s variables with matrix `m`; it shares their index."""
+        """A network over `source`'s variables with matrix `m`, unchecked; it shares their index."""
         obj = object.__new__(cls)
         obj._variables = source._variables
         obj._index = source._index
         obj._matrix = m
-        if cls is Scenario:
-            obj._validate_quasi_atomic()
         return obj
 
     def _pair_indices(self, u: str, v: str) -> tuple[int, int]:
@@ -378,11 +371,14 @@ class QCN:
         return tuple(_SORT_KEYS[mask] for _, _, mask in self._upper())
 
     def updated(self, changes: Mapping[tuple[str, str], Relation]) -> "QCN":
-        """A copy with the constraint on each (u, v) of `changes` replaced."""
+        """A copy with the constraint on each (u, v) of `changes` replaced.
+
+        The copy is a plain `QCN`: a new label may leave the quasi-atomic class.
+        """
         m = [row[:] for row in self._matrix]
         for (u, v), rel in changes.items():
             _put(m, *self._pair_indices(u, v), rel.mask)
-        return self._from_matrix(self, m)
+        return QCN._from_matrix(self, m)
 
     def refined(self, u: str, v: str, rel: Relation) -> "QCN":
         """A copy with the (u, v) constraint intersected with `rel`."""
@@ -460,7 +456,10 @@ def _is_list_of(value: object, item_type: type) -> bool:
 
 
 class Scenario(QCN):
-    """A quasi-atomic QCN: every label is a singleton, {PP,EQ} or {PPi,EQ}."""
+    """A quasi-atomic QCN: every label is a singleton, {PP,EQ} or {PPi,EQ}.
+
+    Only the constructor and `from_qcn`, the input boundary, check this.
+    """
 
     def __init__(self, variables, constraints=()) -> None:
         super().__init__(variables, constraints)
@@ -476,7 +475,9 @@ class Scenario(QCN):
 
     @classmethod
     def from_qcn(cls, qcn: QCN) -> "Scenario":
-        return cls._from_matrix(qcn, qcn._matrix)
+        scenario = cls._from_matrix(qcn, qcn._matrix)
+        scenario._validate_quasi_atomic()
+        return scenario
 
 
 def _put(m: list[list[int]], i: int, j: int, mask: int) -> None:

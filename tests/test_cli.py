@@ -324,6 +324,55 @@ class TestTranslateCommand:
         code, _, err = run_cli("translate", "backward", str(network), capsys=capsys)
         assert code == 2
 
+    def test_deeply_nested_json_is_input_error(self, tmp_path, capsys):
+        network = tmp_path / "deep.json"
+        network.write_text("[" * 100000 + "]" * 100000)
+        code, out, err = run_cli("translate", "backward", str(network), capsys=capsys)
+        assert (code, out) == (2, "")
+        assert err.startswith(f"error: translate-backward: {network}: ")
+
+
+REPO_ROOT = Path(__file__).resolve().parents[1]
+PROFILE = "data/running_example/profile.txt"
+SOURCES = [f"data/running_example/source{i}.txt" for i in (1, 2, 3, 4)]
+SELECTED = "tests/golden/selected_scenario.json"
+
+#: golden stdout file, arguments, and {flag: golden file} for the files a run writes
+GOLDEN_RUNS = [
+    ("explain.txt", ["explain", "--profile", PROFILE], {}),
+    ("explain_csv.txt", ["explain", "--csv", "--profile", PROFILE], {}),
+    ("check.txt", ["check", "--profile", PROFILE], {}),
+    ("check.json", ["check", "--json", "--profile", PROFILE], {}),
+    *((f"classify_source{i}.txt", ["classify", path], {}) for i, path in enumerate(SOURCES, 1)),
+    *((f"classify_source{i}.json", ["classify", "--json", path], {}) for i, path in enumerate(SOURCES, 1)),
+    *((f"forward_source{i}.json", ["translate", "forward", path], {}) for i, path in enumerate(SOURCES, 1)),
+    (
+        "merge.json",
+        ["merge", "--json", "--profile", PROFILE],
+        {
+            "--trace": "merge_trace.json",
+            "--emit-qcn": "merge_qcn.json",
+            "--emit-scenarios": "merge_scenarios.json",
+            "--dot": "merge.dot",
+        },
+    ),
+    ("backward.txt", ["translate", "backward", SELECTED], {}),
+    ("backward.json", ["translate", "backward", "--json", SELECTED], {}),
+]
+
+
+@pytest.mark.parametrize("golden, argv, artifacts", GOLDEN_RUNS, ids=[run[0] for run in GOLDEN_RUNS])
+def test_running_example_matches_golden(golden, argv, artifacts, tmp_path, monkeypatch, capsys):
+    # relative paths, as the golden check output names its inputs
+    monkeypatch.chdir(REPO_ROOT)
+    written = [arg for flag, name in artifacts.items() for arg in (flag, str(tmp_path / name))]
+    code, out, err = run_cli(*argv, *written, capsys=capsys)
+    assert (code, err) == (0, "")
+    goldens = REPO_ROOT / "tests" / "golden"
+    assert out == (goldens / golden).read_text(encoding="utf-8")
+    for name in artifacts.values():
+        assert (tmp_path / name).read_text(encoding="utf-8") == (goldens / name).read_text(encoding="utf-8")
+
 
 def test_no_assert_in_the_package():
     # assert statements vanish under python -O, so no control flow may rest on them

@@ -130,10 +130,6 @@ class TestDistanceTable:
         # the flagged source contributes nothing to the column
         assert table.column("A", "C")[EQ] == constraint_distance(EQ, UNIVERSAL)
 
-    def test_minimal_bases(self):
-        table = distance_table(_profile_qcns())
-        assert table.minimal_bases("A", "B") == rel(DR, PO, PP)
-
     def test_unknown_pair(self):
         table = distance_table(_profile_qcns())
         with pytest.raises(KeyError):

@@ -33,6 +33,12 @@ class TestRelax:
     def test_from_empty_picks_minimal_bases(self, running_table):
         assert relax(EMPTY, ("B", "D"), running_table) == rel(PP, EQ)
 
+    def test_from_empty_keeps_every_tied_base(self):
+        # source 1 gives {PP,EQ}, source 2 gives {DR}: DR, PO and PP are 2 away
+        a = QCN(["A", "B"], {("A", "B"): rel(PP, EQ)})
+        b = QCN(["A", "B"], {("A", "B"): rel(DR)})
+        assert relax(EMPTY, ("A", "B"), distance_table([a, b])) == rel(DR, PO, PP)
+
     def test_adds_next_closest_layer(self, running_table):
         assert relax(rel(PP, EQ), ("B", "D"), running_table) == rel(PO, PP, PPi, EQ)
 
@@ -138,7 +144,9 @@ class TestMergeProperties:
             assert is_consistent(merged)
             table = distance_table(profile)
             for pair in table.pairs:
-                assert table.minimal_bases(*pair) <= merged.constraint(*pair)
+                column = table.column(*pair)
+                best = min(column.values())
+                assert rel(*(b for b, d in column.items() if d == best)) <= merged.constraint(*pair)
             assert len(trace.iterations) <= 4 * len(table.pairs)
 
     def test_conflicting_sources_relax_until_consistent(self):

@@ -14,11 +14,11 @@ from ontomerge.ontology import (
     NameClashError,
     NotNormalFormError,
     Ontology,
+    OntologyError,
     OntologySyntaxError,
     RoleAssertion,
     Subsumption,
     classify,
-    closed_abox_to_json,
     deductive_closure,
     format_ontology,
     ontology_to_json,
@@ -92,6 +92,33 @@ class TestParser:
     def test_reserved_words_are_not_names(self):
         with pytest.raises(OntologySyntaxError):
             parse_ontology("some <= B")
+
+    @pytest.mark.parametrize(
+        "line, error, column, message",
+        [
+            ("A <= B & C", NotNormalFormError, None, "axiom is not in strict normal form: 'A <= B & C'"),
+            ("A <= bot", NotNormalFormError, None, "axiom is not in strict normal form: 'A <= bot'"),
+            ("some r.A & B <= C", NotNormalFormError, None, "axiom is not in strict normal form: 'some r.A & B <= C'"),
+            ("A & B & C <= bot", NotNormalFormError, None, "axiom is not in strict normal form: 'A & B & C <= bot'"),
+            ("A <= some r.some s.B", NotNormalFormError, None, "axiom is not in strict normal form: 'A <= some r.some s.B'"),
+            ("A <= some r.", OntologySyntaxError, 13, "incomplete statement"),
+            ("A <= B <= C", OntologySyntaxError, 8, "unexpected token '<='"),
+            ("A &", OntologySyntaxError, 4, "incomplete statement"),
+            ("A & <= B", OntologySyntaxError, 5, "unexpected token '<='"),
+            ("A <= some r.B C", OntologySyntaxError, 15, "unexpected token 'C'"),
+            ("some <= B", OntologySyntaxError, 6, "unexpected token '<='"),
+            ("A ~ B", OntologySyntaxError, 3, "unexpected character '~'"),
+        ],
+    )
+    def test_rejected_shapes(self, line, error, column, message):
+        # a valid first line, so the error must name line 2
+        with pytest.raises(OntologyError) as err:
+            parse_ontology(f"P <= T\n{line}\n")
+        assert type(err.value) is error
+        assert err.value.line == 2
+        assert getattr(err.value, "column", None) == column
+        where = "line 2" if column is None else f"line 2, column {column}"
+        assert str(err.value) == f"{where}: {message}"
 
 
 class TestFormatting:
@@ -292,12 +319,6 @@ class TestDeductiveClosure:
                         o, ConceptAssertion(c, i), universe_sizes=(2,), fulfilling=True
                     )
                     assert closed.holds(c, i) == entailed, (tbox, abox, c, i)
-
-    def test_json_export(self):
-        o = parse_ontology("P <= T\nP(x)\nr(x,y)\n")
-        payload = json.loads(closed_abox_to_json(deductive_closure(o)))
-        assert {"facts", "roles", "inconsistent_individuals"} <= set(payload)
-        assert {"concept": "T", "individual": "x", "type": "concept"} in payload["facts"]
 
 
 def _random_ontology(rng: random.Random) -> Ontology:

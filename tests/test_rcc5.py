@@ -1,4 +1,6 @@
+import copy
 import itertools
+import pickle
 import random
 import sys
 from collections import deque
@@ -63,6 +65,10 @@ class TestRelation:
     def test_interning_and_equality(self):
         assert Relation([PP, EQ]) is Relation([EQ, PP])
         assert Relation([]) is EMPTY
+        # equality is identity, so copies and pickles must come back interned
+        for r in (EMPTY, rel(PP, EQ), UNIVERSAL):
+            assert copy.copy(r) is r and copy.deepcopy(r) is r
+            assert pickle.loads(pickle.dumps(r)) is r
 
     def test_from_names_rejects_unknown(self):
         with pytest.raises(ValueError):
@@ -177,6 +183,16 @@ class TestScenarioType:
             Scenario(["a", "b"], {("a", "b"): rel(DR, PO)})
         with pytest.raises(ValueError):
             Scenario(["a", "b", "c"])  # full constraints are not quasi-atomic
+        with pytest.raises(ValueError, match="not quasi-atomic"):
+            Scenario.from_qcn(QCN(["a", "b"], {("a", "b"): rel(DR, PO)}))
+
+    def test_updated_returns_a_plain_network(self):
+        # an update may leave the quasi-atomic class, so it is no Scenario
+        s = Scenario(["a", "b"], {("a", "b"): rel(DR)})
+        wider = s.updated({("a", "b"): rel(DR, PO)})
+        assert type(wider) is QCN
+        assert wider.constraint("a", "b") == rel(DR, PO)
+        assert type(s.refined("a", "b", rel(DR))) is QCN
 
 
 class TestAlgebraicClosure:
