@@ -368,7 +368,7 @@ class QCN:
 
     def sort_key(self) -> tuple[tuple[int, ...], ...]:
         """The labels pair by pair in variable order, each as its member indices."""
-        return tuple(_SORT_KEYS[mask] for _, _, mask in self._upper())
+        return tuple(_SORT_KEYS[mask] for i, row in enumerate(self._matrix) for mask in row[i + 1 :])
 
     def updated(self, changes: Mapping[tuple[str, str], Relation]) -> "QCN":
         """A copy with the constraint on each (u, v) of `changes` replaced.
@@ -598,7 +598,7 @@ def is_consistent(n: QCN) -> bool:
 #: The scenario labels inside each constraint.
 _FITS = tuple(sum(1 << s for s in _SCENARIO_MASKS if s & ~m == 0) for m in range(32))
 #: The two-element scenario labels each atomic label widens to.
-_WIDER = tuple(tuple(w for w in _SCENARIO_MASKS if w != m and w & m == m) for m in range(32))
+_WIDEN = tuple(sum(1 << w for w in _SCENARIO_MASKS if w != m and w & m == m) for m in range(32))
 
 
 def _triangle_labels(a: int, b: int) -> int:
@@ -629,7 +629,9 @@ def enumerate_scenarios(n: QCN) -> list[Scenario]:
     pairs column by column, and fixing (i, j) completes the triangles
     (k, i, j) with k < i.  Validity is closed under shrinking, so a
     valid box is maximal when no single label widens validly (PP or EQ
-    to {PP,EQ}, PPi or EQ to {PPi,EQ}).
+    to {PP,EQ}, PPi or EQ to {PPi,EQ}): at a leaf, each pair's widenings
+    inside its closed constraint are one label set, narrowed by
+    `_ALLOWED` over the pair's triangles until it empties.
     """
     size = len(n.variables)
     labels = [row[:] for row in n._matrix]
@@ -637,18 +639,23 @@ def enumerate_scenarios(n: QCN) -> list[Scenario]:
         return []
     fits = [[_FITS[mask] for mask in row] for row in labels]
     pairs = [(i, j) for j in range(size) for i in range(j)]
+    # the rows of the thirds of each pair; labels holds both orientations,
+    # so any third k can be the apex of the triangle (k, i, j)
+    thirds = [[labels[k] for k in range(size) if k != i and k != j] for i, j in pairs]
     options: list[int | None] = [None] * len(pairs)  # labels left to try, per depth
     scenarios = []
     depth = 0
     while depth >= 0:
         if depth == len(pairs):
-            # labels holds both orientations, so any third k can be the apex
-            if not any(
-                fits[i][j] >> w & 1
-                and all(_ALLOWED[labels[k][i]][labels[k][j]] >> w & 1 or k in (i, j) for k in range(size))
-                for i, j in pairs
-                for w in _WIDER[labels[i][j]]
-            ):
+            for (i, j), rows in zip(pairs, thirds):
+                wider = fits[i][j] & _WIDEN[labels[i][j]]
+                for row in rows:
+                    if not wider:
+                        break
+                    wider &= _ALLOWED[row[i]][row[j]]
+                if wider:
+                    break
+            else:
                 scenarios.append(Scenario._from_matrix(n, [row[:] for row in labels]))
             depth -= 1
             continue

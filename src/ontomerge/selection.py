@@ -12,8 +12,9 @@ lexicographic tie-break on its labels.
 from __future__ import annotations
 
 from dataclasses import dataclass, field
-from operator import attrgetter
-from typing import Callable, Mapping, Sequence
+from functools import cached_property
+from operator import add
+from typing import Iterator, Mapping, Sequence
 
 from .ontology import ClosedABox, Ontology, deductive_closure
 from .rcc5 import EQ, PO, PP, DR, PPi, Relation, Scenario
@@ -28,18 +29,43 @@ __all__ = [
     "select_scenario",
 ]
 
-#: The count each scenario label is charged, by label mask: the non-empty
+#: The count each scenario label mask is charged, as an index into the
+#: four counts (subset, superset, common, overlap) of a pair: the non-empty
 #: subsets of {PP,EQ} the subset count, the other non-empty subsets of
-#: {PPi,EQ} the superset count, {DR} the common count, {PO} the overlap.
-_COUNT_OF_LABEL: dict[int, Callable[["PairConflicts"], int]] = {
-    PP.value: attrgetter("subset_count"),
-    EQ.value: attrgetter("subset_count"),
-    PP.value | EQ.value: attrgetter("subset_count"),
-    PPi.value: attrgetter("superset_count"),
-    PPi.value | EQ.value: attrgetter("superset_count"),
-    DR.value: attrgetter("common_count"),
-    PO.value: attrgetter("overlap_count"),
-}
+#: {PPi,EQ} the superset count, {DR} the common count, {PO} the overlap;
+#: None for a mask that is not a scenario label.
+_COUNT_INDEX: tuple[int | None, ...] = tuple(
+    map(
+        {
+            PP.value: 0,
+            EQ.value: 0,
+            PP.value | EQ.value: 0,
+            PPi.value: 1,
+            PPi.value | EQ.value: 1,
+            DR.value: 2,
+            PO.value: 3,
+        }.get,
+        range(32),
+    )
+)
+
+
+def _count_index(label: Relation) -> int:
+    index = _COUNT_INDEX[label.mask]
+    if index is None:
+        raise ValueError(f"not a scenario label: {label!r}")
+    return index
+
+
+def _four_counts(in_first: frozenset[str], in_second: frozenset[str]) -> tuple[int, int, int, int]:
+    """The subset, superset, common and overlap counts of one ordered pair.
+
+    Members of the first set missing from the second, the mirror image,
+    the members of both, and how unbalanced those three figures are.
+    """
+    common = len(in_first & in_second)
+    three = (len(in_first) - common, len(in_second) - common, common)
+    return (*three, max(three) - min(three))
 
 
 @dataclass(frozen=True)
@@ -53,30 +79,29 @@ class PairConflicts:
 
     in_first: frozenset[str]
     in_second: frozenset[str]
-    common_count: int = field(init=False)
+    counts: tuple[int, int, int, int] = field(init=False)
 
     def __post_init__(self) -> None:
-        object.__setattr__(self, "common_count", len(self.in_first & self.in_second))
+        object.__setattr__(self, "counts", _four_counts(self.in_first, self.in_second))
 
     @property
     def subset_count(self) -> int:
-        return len(self.in_first) - self.common_count
+        return self.counts[0]
 
     @property
     def superset_count(self) -> int:
-        return len(self.in_second) - self.common_count
+        return self.counts[1]
+
+    @property
+    def common_count(self) -> int:
+        return self.counts[2]
 
     @property
     def overlap_count(self) -> int:
-        counts = (self.subset_count, self.superset_count, self.common_count)
-        return max(counts) - min(counts)
+        return self.counts[3]
 
     def for_label(self, label: Relation) -> int:
-        try:
-            count = _COUNT_OF_LABEL[label.mask]
-        except KeyError:
-            raise ValueError(f"not a scenario label: {label!r}") from None
-        return count(self)
+        return self.counts[_count_index(label)]
 
     def to_json_dict(self) -> dict:
         return {
@@ -135,6 +160,31 @@ class ScenarioScore:
         }
 
 
+class _PairCounts(Mapping[tuple[int, tuple[str, str]], PairConflicts]):
+    """The `PairConflicts` of every (source index, canonical pair), built when first read."""
+
+    def __init__(self, closures: Sequence[ClosedABox], pairs: Sequence[tuple[str, str]]) -> None:
+        self._closures = closures
+        self._pairs = pairs
+
+    @cached_property
+    def _built(self) -> dict[tuple[int, tuple[str, str]], PairConflicts]:
+        return {
+            (source_index, pair): pair_conflicts(closed, *pair)
+            for source_index, closed in enumerate(self._closures)
+            for pair in self._pairs
+        }
+
+    def __getitem__(self, key: tuple[int, tuple[str, str]]) -> PairConflicts:
+        return self._built[key]
+
+    def __iter__(self) -> Iterator[tuple[int, tuple[str, str]]]:
+        return iter(self._built)
+
+    def __len__(self) -> int:
+        return len(self._built)
+
+
 @dataclass(frozen=True)
 class ConflictReport:
     """Scores for every candidate plus the per-(source, pair) counts."""
@@ -163,36 +213,48 @@ def select_scenario(
 ) -> tuple[Scenario, ConflictReport]:
     """The candidate with minimal distance to the profile.
 
-    Ties break by `QCN.sort_key`, the order `enumerate_scenarios` lists
-    scenarios in; the report lists every tied candidate.
+    Each source's counts sit in one flat table, the four of each
+    canonical pair in `_COUNT_INDEX` order.  A candidate's labels, read
+    once from its mask matrix, become one list of table positions, and
+    its score against a source is the sum of the table at those
+    positions.  Ties break by `QCN.sort_key`, the order
+    `enumerate_scenarios` lists scenarios in; the report lists every
+    tied candidate and builds its per-(source, pair) counts only when
+    they are read.
     """
     if not candidates:
         raise ValueError("no candidate scenarios")
-    _check_signature(candidates[0].variables, profile)
+    # the matrix cell of each canonical pair, per variable order
+    cells: dict[tuple[str, ...], list[tuple[int, int]]] = {}
+    for s in candidates:
+        if s.variables not in cells:
+            _check_signature(s.variables, profile)
+            position = {v: i for i, v in enumerate(s.variables)}
+            cells[s.variables] = [(position[u], position[v]) for u, v, _ in s.canonical_items()]
     closures = [deductive_closure(o) for o in profile]
-
-    counts: dict[tuple[int, tuple[str, str]], PairConflicts] = {}
     pairs = [(u, v) for u, v, _ in candidates[0].canonical_items()]
-    for source_index, closed in enumerate(closures):
-        for pair in pairs:
-            counts[(source_index, pair)] = pair_conflicts(closed, *pair)
+    tables = []
+    for closed in closures:
+        members = {u: closed.instances_of(u) for u in candidates[0].variables}
+        tables.append([c for u, v in pairs for c in _four_counts(members[u], members[v])])
 
+    starts = range(0, 4 * len(pairs), 4)
     scores = []
     for s in candidates:
-        labelled = [((u, v), label) for u, v, label in s.canonical_items()]
-        per_source = [
-            sum(counts[(source_index, pair)].for_label(label) for pair, label in labelled)
-            for source_index in range(len(closures))
-        ]
-        scores.append(
-            ScenarioScore(scenario=s, distance=sum(per_source), per_source=tuple(per_source))
-        )
+        m = s._matrix
+        codes = [_COUNT_INDEX[m[i][j]] for i, j in cells[s.variables]]
+        if None in codes:  # raise for the first label that is not a scenario label
+            for _, _, label in s.canonical_items():
+                _count_index(label)
+        index = list(map(add, starts, codes))
+        per_source = tuple(sum(map(table.__getitem__, index)) for table in tables)
+        scores.append(ScenarioScore(scenario=s, distance=sum(per_source), per_source=per_source))
 
     best = min(score.distance for score in scores)
     tied = tuple(i for i, score in enumerate(scores) if score.distance == best)
     selected = min(tied, key=lambda i: candidates[i].sort_key())
     report = ConflictReport(
-        counts=counts,
+        counts=_PairCounts(closures, pairs),
         scores=tuple(scores),
         selected_index=selected,
         tied_indices=tied if len(tied) > 1 else (),

@@ -43,6 +43,7 @@ from ontomerge.ontology import (
     Subsumption,
     _by_class,
     _names_by_namespace,
+    deductive_closure,
 )
 from ontomerge.rcc5 import (
     DR,
@@ -60,6 +61,7 @@ from ontomerge.rcc5 import (
     _CONV_MASK,
     _put,
 )
+from ontomerge.selection import ConflictReport, ScenarioScore, _check_signature, pair_conflicts
 
 # base-relation indices in canonical order DR, PO, PP, PPi, EQ
 _DR, _PO, _PP, _PPI, _EQ = range(5)
@@ -831,6 +833,52 @@ def reference_scenarios(n: QCN) -> list[Scenario]:
         Scenario(n.variables, {pair: Relation.from_mask(m) for pair, m in zip(n.pairs(), box)})
         for box in maximal
     ]
+
+
+# --- slow reference for scenario selection ------------------------------------
+
+
+def reference_select(
+    candidates: Sequence[Scenario], profile: Sequence[Ontology]
+) -> tuple[Scenario, ConflictReport]:
+    """Scenario selection with every (source, pair) count built up front.
+
+    Each candidate's score sums `PairConflicts.for_label` pair by pair,
+    the loop that the flat count tables of `selection.select_scenario`
+    replaced.  Same contract: minimal distance, ties broken by
+    `QCN.sort_key`.
+    """
+    if not candidates:
+        raise ValueError("no candidate scenarios")
+    for s in candidates:
+        _check_signature(s.variables, profile)
+    closures = [deductive_closure(o) for o in profile]
+
+    counts = {}
+    pairs = [(u, v) for u, v, _ in candidates[0].canonical_items()]
+    for source_index, closed in enumerate(closures):
+        for pair in pairs:
+            counts[(source_index, pair)] = pair_conflicts(closed, *pair)
+
+    scores = []
+    for s in candidates:
+        labelled = [((u, v), label) for u, v, label in s.canonical_items()]
+        per_source = tuple(
+            sum(counts[(source_index, pair)].for_label(label) for pair, label in labelled)
+            for source_index in range(len(closures))
+        )
+        scores.append(ScenarioScore(scenario=s, distance=sum(per_source), per_source=per_source))
+
+    best = min(score.distance for score in scores)
+    tied = tuple(i for i, score in enumerate(scores) if score.distance == best)
+    selected = min(tied, key=lambda i: candidates[i].sort_key())
+    report = ConflictReport(
+        counts=counts,
+        scores=tuple(scores),
+        selected_index=selected,
+        tied_indices=tied if len(tied) > 1 else (),
+    )
+    return candidates[selected], report
 
 
 # --- slow reference for algebraic closure ------------------------------------

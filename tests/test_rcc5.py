@@ -588,6 +588,10 @@ class TestEnumerateScenarios:
         # the sample reaches boxes with two wide labels
         assert widest >= 2
 
+    @pytest.mark.parametrize("size, count", [(3, 48), (4, 1005), (5, 43630)])
+    def test_universal_network_counts(self, size, count):
+        assert len(enumerate_scenarios(QCN("abcde"[:size]))) == count
+
     def test_deterministic_order(self):
         n = QCN(["a", "b", "c"], {("a", "b"): rel(PP, EQ)})
         first = [s.to_json_dict() for s in enumerate_scenarios(n)]

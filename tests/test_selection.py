@@ -1,16 +1,17 @@
+import itertools
 import random
 
 import pytest
 
+import oracles
 from ontomerge.ontology import deductive_closure, parse_ontology
-from ontomerge.rcc5 import EQ, PO, PP, DR, PPi, Relation, Scenario
+from ontomerge.rcc5 import EQ, PO, PP, DR, PPi, QCN, Relation, Scenario, enumerate_scenarios
 from ontomerge.selection import (
     nb_conflicts,
     pair_conflicts,
     scenario_distance,
     select_scenario,
 )
-
 
 
 def rel(*bases):
@@ -147,3 +148,86 @@ class TestSelectScenario:
         assert data["selected"] in [s["index"] for s in data["scenarios"]]
         assert all("per_source" in s for s in data["scenarios"])
         assert data["pair_counts"]
+
+    def test_every_variable_set_is_checked(self):
+        candidates = [
+            Scenario(["A", "B"], {("A", "B"): rel(PP)}),
+            Scenario(["A", "C"], {("A", "C"): rel(PP)}),
+        ]
+        with pytest.raises(ValueError, match="signature mismatch"):
+            select_scenario(candidates, [parse_ontology("A <= B\nA(x)\n")])
+
+    def test_other_variable_order_scores_by_canonical_pair(self):
+        # closed source 1: x1 in A and B; closed source 2: y1 in A, y2 and y3 in B.
+        # On (A, B): PP charges 0+1, PPi 0+2, DR 1+0.
+        sources = [parse_ontology("A <= B\nA(x1)\n"), parse_ontology("A(y1)\nB(y2)\nB(y3)\n")]
+        candidates = [
+            Scenario(["B", "A"], {("B", "A"): rel(PP)}),
+            Scenario(["A", "B"], {("A", "B"): rel(PP)}),
+            Scenario(["B", "A"], {("B", "A"): rel(DR)}),
+        ]
+        selected, report = select_scenario(candidates, sources)
+        assert [score.per_source for score in report.scores] == [(0, 2), (0, 1), (1, 0)]
+        assert report.tied_indices == (1, 2)
+        assert selected is candidates[2]
+
+    def test_non_scenario_label_rejected(self):
+        network = QCN(["A", "B"], {("A", "B"): rel(PP, PO)})
+        with pytest.raises(ValueError, match="not a scenario label"):
+            select_scenario([network], [parse_ontology("A(x)\nB(y)\n")])
+
+
+def _random_profile(rng, concepts):
+    """1-4 sources over `concepts`, some with self-contradictory pairs."""
+    sources = []
+    for _ in range(rng.randint(1, 4)):
+        lines = []
+        for a, b in itertools.combinations(concepts, 2):
+            draw = rng.random()
+            if draw < 0.2:
+                lines.append(f"{a} <= {b}")
+            elif draw < 0.35:
+                lines.append(f"{a} & {b} <= bot")
+            elif draw < 0.45:
+                lines += [f"{a} <= {b}", f"{a} & {b} <= bot"]
+        lines += [f"{c}({x})" for x in "uvwxy" for c in concepts if rng.random() < 0.3]
+        sources.append(lines)
+    # every concept in the signature
+    for c in concepts:
+        rng.choice(sources).append(f"{c}(z)")
+    return [parse_ontology("\n".join(lines)) for lines in sources]
+
+
+def test_select_matches_reference_on_random_profiles():
+    rng = random.Random(8128)
+    checked = inconsistent = 0
+    for _ in range(40):
+        concepts = list("ABCDE"[: rng.randint(3, 5)])
+        sources = _random_profile(rng, concepts)
+        variables = concepts[:]
+        rng.shuffle(variables)
+        network = QCN(
+            variables,
+            {pair: Relation.from_mask(rng.randrange(1, 32)) for pair in itertools.combinations(variables, 2)},
+        )
+        candidates = enumerate_scenarios(network)
+        if not candidates:
+            continue
+        # a few candidates again over another variable order
+        for s in rng.sample(candidates, min(3, len(candidates))):
+            order = variables[:]
+            rng.shuffle(order)
+            candidates.append(Scenario(order, {(u, v): r for u, v, r in s.items()}))
+        selected, report = select_scenario(candidates, sources)
+        ref_selected, ref = oracles.reference_select(candidates, sources)
+        assert selected is ref_selected
+        assert report.scores == ref.scores
+        assert (report.selected_index, report.tied_indices) == (ref.selected_index, ref.tied_indices)
+        assert report.to_json_dict() == ref.to_json_dict()
+        assert report == ref
+        for score in report.scores:
+            assert score.distance == scenario_distance(score.scenario, sources)
+        checked += 1
+        inconsistent += any(deductive_closure(o).inconsistent_individuals for o in sources)
+    # the sample holds candidates to score and individuals the closure finds inconsistent
+    assert checked >= 20 and inconsistent >= 5
