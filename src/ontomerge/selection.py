@@ -160,7 +160,7 @@ class ScenarioScore:
         }
 
 
-class _PairCounts(Mapping[tuple[int, tuple[str, str]], PairConflicts]):
+class _PairCounts(Mapping):
     """The `PairConflicts` of every (source index, canonical pair), built when first read."""
 
     def __init__(self, closures: Sequence[ClosedABox], pairs: Sequence[tuple[str, str]]) -> None:
