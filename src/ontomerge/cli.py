@@ -16,7 +16,7 @@ from dataclasses import dataclass
 from pathlib import Path
 from typing import Callable, Sequence
 
-from .distance import DistanceTable, render_distance_table
+from .distance import render_distance_table
 from .merging import MergeTrace, merge
 from .ontology import (
     Ontology,
@@ -90,7 +90,6 @@ def _input_paths(args: argparse.Namespace) -> list[str]:
 
 @dataclass(frozen=True)
 class PipelineResult:
-    table: DistanceTable
     merged: QCN
     trace: MergeTrace
     scenarios: tuple[Scenario, ...]
@@ -119,7 +118,6 @@ def run_pipeline(sources: Sequence[Ontology]) -> PipelineResult:
     selected, report = select_scenario(scenarios, list(sources))
     result = backward(selected)
     return PipelineResult(
-        table=trace.table,
         merged=merged,
         trace=trace,
         scenarios=scenarios,
@@ -164,8 +162,8 @@ def cmd_explain(args: argparse.Namespace) -> int:
     result = run_pipeline(sources)
     lines: list[str] = []
     lines.append("Distance table (relations x pairs):")
-    lines.append(render_distance_table(result.table, fmt="csv" if args.csv else "text").rstrip("\n"))
-    for source_index, pair in result.table.empty_entries:
+    lines.append(render_distance_table(result.trace.table, fmt="csv" if args.csv else "text").rstrip("\n"))
+    for source_index, pair in result.trace.table.empty_entries:
         lines.append(f"warning: source {source_index + 1} has an empty constraint on {pair}")
     lines.append("")
     lines.append("Relaxation trace:")

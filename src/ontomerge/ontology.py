@@ -456,10 +456,6 @@ class Classification:
         if self.supers is None:
             object.__setattr__(self, "supers", _index((s.sub, s.sup) for s in self.subsumptions))
 
-    @property
-    def axioms(self) -> frozenset[Axiom]:
-        return self.subsumptions | self.disjointness
-
     def supers_of(self, concept: str) -> frozenset[str]:
         return self.supers.get(concept, _NOTHING)
 
@@ -608,39 +604,21 @@ class ClosedABox:
     ABox read as axioms (see `deductive_closure`).  `roles` are the
     asserted role assertions, never derived.  Inconsistent individuals
     are recorded, not raised: conflicting sources are expected input.
-    `by_concept` and `by_individual` index `facts` both ways; they are
-    built from `facts` when not given and take no part in equality.
+    `by_concept` indexes `facts` by concept; it is built from `facts`
+    when not given and takes no part in equality.
     """
 
     facts: frozenset[ConceptAssertion]
     roles: frozenset[RoleAssertion]
     inconsistent_individuals: frozenset[str]
     by_concept: Mapping[str, frozenset[str]] = field(default=None, compare=False, repr=False)
-    by_individual: Mapping[str, frozenset[str]] = field(default=None, compare=False, repr=False)
 
     def __post_init__(self) -> None:
         if self.by_concept is None:
             object.__setattr__(self, "by_concept", _index((f.concept, f.individual) for f in self.facts))
-        if self.by_individual is None:
-            object.__setattr__(
-                self, "by_individual", _index((f.individual, f.concept) for f in self.facts)
-            )
-
-    def holds(self, concept: str, individual: str) -> bool:
-        return ConceptAssertion(concept, individual) in self.facts
 
     def instances_of(self, concept: str) -> frozenset[str]:
         return self.by_concept.get(concept, _NOTHING)
-
-    def concepts_of(self, individual: str) -> frozenset[str]:
-        return self.by_individual.get(individual, _NOTHING)
-
-    def individuals(self) -> frozenset[str]:
-        out = set(self.by_individual)
-        for r in self.roles:
-            out.add(r.subject)
-            out.add(r.object)
-        return frozenset(out)
 
 
 def deductive_closure(o: Ontology) -> ClosedABox:
@@ -679,5 +657,4 @@ def deductive_closure(o: Ontology) -> ClosedABox:
         facts=frozenset(ConceptAssertion(c, i) for i, concepts in by_individual.items() for c in concepts),
         roles=frozenset(assertions[RoleAssertion]),
         inconsistent_individuals=frozenset(inconsistent),
-        by_individual=by_individual,
     )

@@ -346,10 +346,6 @@ class QCN:
         i, j = self._pair_indices(u, v)
         return Relation.from_mask(self._matrix[i][j])
 
-    def pairs(self) -> Iterator[tuple[str, str]]:
-        """All unordered pairs, oriented by variable-list order."""
-        return ((self._variables[i], self._variables[j]) for i, j, _ in self._upper())
-
     def items(self) -> Iterator[tuple[str, str, Relation]]:
         """(u, v, constraint) for every constrained pair, oriented by variable-list order."""
         for i, j, mask in self._upper():
@@ -383,14 +379,6 @@ class QCN:
     def refined(self, u: str, v: str, rel: Relation) -> "QCN":
         """A copy with the (u, v) constraint intersected with `rel`."""
         return self.updated({(u, v): self.constraint(u, v) & rel})
-
-    def expanded(self, variables: Iterable[str]) -> "QCN":
-        """Embed into a larger variable set; new pairs are unconstrained."""
-        vars_t = tuple(variables)
-        missing = set(self._variables) - set(vars_t)
-        if missing:
-            raise ValueError(f"expanded variable set drops {sorted(missing)}")
-        return QCN(vars_t, (((u, v), rel) for u, v, rel in self.items()))
 
     @property
     def has_empty_constraint(self) -> bool:

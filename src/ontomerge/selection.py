@@ -12,16 +12,13 @@ lexicographic tie-break on its labels.
 from __future__ import annotations
 
 from dataclasses import dataclass, field
-from functools import cached_property
 from operator import add
-from typing import Iterator, Mapping, Sequence
+from typing import Iterator, Sequence
 
 from .ontology import ClosedABox, Ontology, deductive_closure
 from .rcc5 import EQ, PO, PP, DR, PPi, Relation, Scenario
 
 __all__ = [
-    "PairConflicts",
-    "pair_conflicts",
     "nb_conflicts",
     "scenario_distance",
     "ScenarioScore",
@@ -68,58 +65,10 @@ def _four_counts(in_first: frozenset[str], in_second: frozenset[str]) -> tuple[i
     return (*three, max(three) - min(three))
 
 
-@dataclass(frozen=True)
-class PairConflicts:
-    """Conflict counts of one source against one ordered concept pair.
-
-    Holds the two concepts' instance sets as the closed ABox indexes them;
-    the counts come from one intersection, and the witness lists are
-    built only for the JSON report.
-    """
-
-    in_first: frozenset[str]
-    in_second: frozenset[str]
-    counts: tuple[int, int, int, int] = field(init=False)
-
-    def __post_init__(self) -> None:
-        object.__setattr__(self, "counts", _four_counts(self.in_first, self.in_second))
-
-    @property
-    def subset_count(self) -> int:
-        return self.counts[0]
-
-    @property
-    def superset_count(self) -> int:
-        return self.counts[1]
-
-    @property
-    def common_count(self) -> int:
-        return self.counts[2]
-
-    @property
-    def overlap_count(self) -> int:
-        return self.counts[3]
-
-    def for_label(self, label: Relation) -> int:
-        return self.counts[_count_index(label)]
-
-    def to_json_dict(self) -> dict:
-        return {
-            "subset_like": sorted(self.in_first - self.in_second),
-            "superset_like": sorted(self.in_second - self.in_first),
-            "disjoint": sorted(self.in_first & self.in_second),
-            "overlap_count": self.overlap_count,
-        }
-
-
-def pair_conflicts(closed: ClosedABox, first: str, second: str) -> PairConflicts:
-    """Conflicts of one closed ABox on the ordered pair (first, second)."""
-    return PairConflicts(closed.instances_of(first), closed.instances_of(second))
-
-
 def nb_conflicts(closed: ClosedABox, pair: tuple[str, str], label: Relation) -> int:
     """Individuals of one source conflicting with a scenario label."""
-    return pair_conflicts(closed, *pair).for_label(label)
+    u, v = pair
+    return _four_counts(closed.instances_of(u), closed.instances_of(v))[_count_index(label)]
 
 
 def _check_signature(variables: Sequence[str], profile: Sequence[Ontology]) -> None:
@@ -160,39 +109,32 @@ class ScenarioScore:
         }
 
 
-class _PairCounts(Mapping):
-    """The `PairConflicts` of every (source index, canonical pair), built when first read."""
-
-    def __init__(self, closures: Sequence[ClosedABox], pairs: Sequence[tuple[str, str]]) -> None:
-        self._closures = closures
-        self._pairs = pairs
-
-    @cached_property
-    def _built(self) -> dict[tuple[int, tuple[str, str]], PairConflicts]:
-        return {
-            (source_index, pair): pair_conflicts(closed, *pair)
-            for source_index, closed in enumerate(self._closures)
-            for pair in self._pairs
-        }
-
-    def __getitem__(self, key: tuple[int, tuple[str, str]]) -> PairConflicts:
-        return self._built[key]
-
-    def __iter__(self) -> Iterator[tuple[int, tuple[str, str]]]:
-        return iter(self._built)
-
-    def __len__(self) -> int:
-        return len(self._built)
-
-
 @dataclass(frozen=True)
 class ConflictReport:
-    """Scores for every candidate plus the per-(source, pair) counts."""
+    """Scores for every candidate, plus what the per-(source, pair) counts come from.
 
-    counts: Mapping[tuple[int, tuple[str, str]], PairConflicts]
+    `closures` are the sources' closed ABoxes and `pairs` the canonical
+    pairs; `to_json_dict` renders each pair's witness lists from them.
+    """
+
     scores: tuple[ScenarioScore, ...]
     selected_index: int
     tied_indices: tuple[int, ...]
+    closures: tuple[ClosedABox, ...] = field(compare=False, repr=False)
+    pairs: tuple[tuple[str, str], ...] = field(compare=False, repr=False)
+
+    def _pair_counts(self) -> Iterator[dict]:
+        for source, closed in enumerate(self.closures):
+            for u, v in self.pairs:
+                in_first, in_second = closed.instances_of(u), closed.instances_of(v)
+                yield {
+                    "source": source + 1,
+                    "pair": [u, v],
+                    "subset_like": sorted(in_first - in_second),
+                    "superset_like": sorted(in_second - in_first),
+                    "disjoint": sorted(in_first & in_second),
+                    "overlap_count": _four_counts(in_first, in_second)[3],
+                }
 
     def to_json_dict(self) -> dict:
         return {
@@ -201,10 +143,7 @@ class ConflictReport:
             ],
             "selected": self.selected_index + 1,
             "tied": [i + 1 for i in self.tied_indices],
-            "pair_counts": [
-                {"source": source + 1, "pair": list(pair), **pc.to_json_dict()}
-                for (source, pair), pc in sorted(self.counts.items())
-            ],
+            "pair_counts": list(self._pair_counts()),
         }
 
 
@@ -219,8 +158,8 @@ def select_scenario(
     its score against a source is the sum of the table at those
     positions.  Ties break by `QCN.sort_key`, the order
     `enumerate_scenarios` lists scenarios in; the report lists every
-    tied candidate and builds its per-(source, pair) counts only when
-    they are read.
+    tied candidate and renders its per-(source, pair) counts only when
+    it is serialized.
     """
     if not candidates:
         raise ValueError("no candidate scenarios")
@@ -254,9 +193,10 @@ def select_scenario(
     tied = tuple(i for i, score in enumerate(scores) if score.distance == best)
     selected = min(tied, key=lambda i: candidates[i].sort_key())
     report = ConflictReport(
-        counts=_PairCounts(closures, pairs),
         scores=tuple(scores),
         selected_index=selected,
         tied_indices=tied if len(tied) > 1 else (),
+        closures=tuple(closures),
+        pairs=tuple(pairs),
     )
     return candidates[selected], report

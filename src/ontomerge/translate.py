@@ -14,10 +14,9 @@ concepts and individuals drawn from a deterministic pool.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Iterable, Sequence
+from typing import Callable, Iterable, Sequence
 
 from .ontology import (
-    Assertion,
     Axiom,
     ConceptAssertion,
     Disjointness,
@@ -138,28 +137,23 @@ class FreshNamePool:
                 return name
 
 
-def _proper_part_block(
-    part: str, whole: str, pool: FreshNamePool
-) -> tuple[list[Axiom], list[Assertion]]:
+def _proper_part_block(part: str, whole: str, pool: FreshNamePool) -> list[Statement]:
     """part is strictly inside whole: subsumption plus a witness of strictness."""
     outside = pool.sub_concept(whole)
     d = pool.individual()
     c = pool.individual()
-    axioms: list[Axiom] = [
+    return [
         Subsumption(part, whole),
         Subsumption(outside, whole),
         Disjointness(part, outside),
-    ]
-    assertions: list[Assertion] = [
         ConceptAssertion(outside, d),
         ConceptAssertion(part, c),
         ConceptAssertion(whole, d),
         ConceptAssertion(whole, c),
     ]
-    return axioms, assertions
 
 
-def _overlap_block(u: str, v: str, pool: FreshNamePool) -> tuple[list[Axiom], list[Assertion]]:
+def _overlap_block(u: str, v: str, pool: FreshNamePool) -> list[Statement]:
     """u and v overlap partially: witnesses for the middle and both sides."""
     middle = pool.overlap_concept(u, v)
     u_only = pool.sub_concept(u)
@@ -167,15 +161,13 @@ def _overlap_block(u: str, v: str, pool: FreshNamePool) -> tuple[list[Axiom], li
     a = pool.individual()
     c = pool.individual()
     d = pool.individual()
-    axioms: list[Axiom] = [
+    return [
         Subsumption(middle, u),
         Subsumption(middle, v),
         Subsumption(u_only, u),
         Disjointness(u_only, v),
         Subsumption(v_only, v),
         Disjointness(v_only, u),
-    ]
-    assertions: list[Assertion] = [
         ConceptAssertion(middle, a),
         ConceptAssertion(u, c),
         ConceptAssertion(u, a),
@@ -184,7 +176,19 @@ def _overlap_block(u: str, v: str, pool: FreshNamePool) -> tuple[list[Axiom], li
         ConceptAssertion(u_only, c),
         ConceptAssertion(v_only, d),
     ]
-    return axioms, assertions
+
+
+#: The statement block of each scenario label mask on a canonical pair (u, v):
+#: axioms first, then assertions.
+_BLOCKS: dict[int, Callable[[str, str, FreshNamePool], list[Statement]]] = {
+    EQ.value: lambda u, v, pool: [Subsumption(u, v), Subsumption(v, u)],
+    DR.value: lambda u, v, pool: [Disjointness(u, v)],
+    PP.value | EQ.value: lambda u, v, pool: [Subsumption(u, v)],
+    PPi.value | EQ.value: lambda u, v, pool: [Subsumption(v, u)],
+    PP.value: _proper_part_block,
+    PPi.value: lambda u, v, pool: _proper_part_block(v, u, pool),
+    PO.value: _overlap_block,
+}
 
 
 def backward(s: Scenario) -> Ontology:
@@ -200,24 +204,9 @@ def backward(s: Scenario) -> Ontology:
     pool = FreshNamePool(reserved=s.variables)
     statements: list[Statement] = []
     for u, v, label in s.canonical_items():
-        if label == Relation([EQ]):
-            statements += [Subsumption(u, v), Subsumption(v, u)]
-        elif label == Relation([DR]):
-            statements.append(Disjointness(u, v))
-        elif label == Relation([PP, EQ]):
-            statements.append(Subsumption(u, v))
-        elif label == Relation([PPi, EQ]):
-            statements.append(Subsumption(v, u))
-        elif label == Relation([PP]):
-            axioms, assertions = _proper_part_block(u, v, pool)
-            statements += axioms + assertions
-        elif label == Relation([PPi]):
-            axioms, assertions = _proper_part_block(v, u, pool)
-            statements += axioms + assertions
-        elif label == Relation([PO]):
-            axioms, assertions = _overlap_block(u, v, pool)
-            statements += axioms + assertions
-        else:  # unreachable: Scenario validates its labels
+        block = _BLOCKS.get(label.mask)
+        if block is None:  # a plain QCN may carry any label
             raise ValueError(f"not a scenario label: {label!r}")
+        statements += block(u, v, pool)
     return Ontology.from_statements(statements, concepts=s.variables)
 

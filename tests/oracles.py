@@ -16,8 +16,9 @@ which decides boxes triangle by triangle: `levelwise_scenarios` merges
 sibling boxes level by level, starting from the consistent atomic
 refinements that `_atomic_refinements` lists, and `reference_scenarios`
 filters those refinements into boxes and drops every box contained in
-another.  They are kept so the fast paths and the shorter paths can be
-checked for agreement with them.
+another.  `reference_select` scores scenarios from witness lists read
+straight off the closed ABox's facts.  They are kept so the fast paths
+and the shorter paths can be checked for agreement with them.
 """
 
 from __future__ import annotations
@@ -61,7 +62,7 @@ from ontomerge.rcc5 import (
     _CONV_MASK,
     _put,
 )
-from ontomerge.selection import ConflictReport, ScenarioScore, _check_signature, pair_conflicts
+from ontomerge.selection import ConflictReport, ScenarioScore, _check_signature
 
 # base-relation indices in canonical order DR, PO, PP, PPi, EQ
 _DR, _PO, _PP, _PPI, _EQ = range(5)
@@ -797,7 +798,7 @@ def reference_scenarios(n: QCN) -> list[Scenario]:
         return []
     quasi = (PP.value | EQ.value, PPi.value | EQ.value)
     label_options = []
-    for u, v in n.pairs():
+    for u, v in itertools.combinations(n.variables, 2):
         mask = n.constraint(u, v).mask
         label_options.append(
             tuple(b.value for b in BaseRelation if b.value & mask)
@@ -830,7 +831,10 @@ def reference_scenarios(n: QCN) -> list[Scenario]:
     ]
     maximal.sort(key=lambda box: tuple(Relation.from_mask(m).sort_key() for m in box))
     return [
-        Scenario(n.variables, {pair: Relation.from_mask(m) for pair, m in zip(n.pairs(), box)})
+        Scenario(
+            n.variables,
+            {pair: Relation.from_mask(m) for pair, m in zip(itertools.combinations(n.variables, 2), box)},
+        )
         for box in maximal
     ]
 
@@ -838,15 +842,31 @@ def reference_scenarios(n: QCN) -> list[Scenario]:
 # --- slow reference for scenario selection ------------------------------------
 
 
+def _reference_charge(label: Relation, entry: Mapping) -> int:
+    """The conflicts one scenario label is charged from a pair's witness lists."""
+    if label in (Relation([PP]), Relation([EQ]), Relation([PP, EQ])):
+        return len(entry["subset_like"])
+    if label in (Relation([PPi]), Relation([PPi, EQ])):
+        return len(entry["superset_like"])
+    if label == Relation([DR]):
+        return len(entry["disjoint"])
+    if label == Relation([PO]):
+        return entry["overlap_count"]
+    raise ValueError(f"not a scenario label: {label!r}")
+
+
 def reference_select(
     candidates: Sequence[Scenario], profile: Sequence[Ontology]
-) -> tuple[Scenario, ConflictReport]:
-    """Scenario selection with every (source, pair) count built up front.
+) -> tuple[Scenario, ConflictReport, list[dict]]:
+    """Scenario selection from witness lists built up front.
 
-    Each candidate's score sums `PairConflicts.for_label` pair by pair,
-    the loop that the flat count tables of `selection.select_scenario`
-    replaced.  Same contract: minimal distance, ties broken by
-    `QCN.sort_key`.
+    Each source's members per concept are read straight from
+    `closed.facts`; each canonical pair gets its three witness lists and
+    overlap count, and a candidate's score sums, pair by pair, what its
+    label is charged from them.  Same contract as
+    `selection.select_scenario`: minimal distance, ties broken by
+    `QCN.sort_key`.  The report holds no closures; the third value is the
+    `pair_counts` list of the report JSON, built here from the facts.
     """
     if not candidates:
         raise ValueError("no candidate scenarios")
@@ -854,17 +874,30 @@ def reference_select(
         _check_signature(s.variables, profile)
     closures = [deductive_closure(o) for o in profile]
 
-    counts = {}
     pairs = [(u, v) for u, v, _ in candidates[0].canonical_items()]
+    entries = {}
     for source_index, closed in enumerate(closures):
-        for pair in pairs:
-            counts[(source_index, pair)] = pair_conflicts(closed, *pair)
+        members: dict[str, set[str]] = {}
+        for fact in closed.facts:
+            members.setdefault(fact.concept, set()).add(fact.individual)
+        for u, v in pairs:
+            in_u, in_v = members.get(u, set()), members.get(v, set())
+            witnesses = (sorted(in_u - in_v), sorted(in_v - in_u), sorted(in_u & in_v))
+            sizes = [len(w) for w in witnesses]
+            entries[(source_index, (u, v))] = {
+                "source": source_index + 1,
+                "pair": [u, v],
+                "subset_like": witnesses[0],
+                "superset_like": witnesses[1],
+                "disjoint": witnesses[2],
+                "overlap_count": max(sizes) - min(sizes),
+            }
 
     scores = []
     for s in candidates:
         labelled = [((u, v), label) for u, v, label in s.canonical_items()]
         per_source = tuple(
-            sum(counts[(source_index, pair)].for_label(label) for pair, label in labelled)
+            sum(_reference_charge(label, entries[(source_index, pair)]) for pair, label in labelled)
             for source_index in range(len(closures))
         )
         scores.append(ScenarioScore(scenario=s, distance=sum(per_source), per_source=per_source))
@@ -873,12 +906,13 @@ def reference_select(
     tied = tuple(i for i, score in enumerate(scores) if score.distance == best)
     selected = min(tied, key=lambda i: candidates[i].sort_key())
     report = ConflictReport(
-        counts=counts,
         scores=tuple(scores),
         selected_index=selected,
         tied_indices=tied if len(tied) > 1 else (),
+        closures=(),
+        pairs=(),
     )
-    return candidates[selected], report
+    return candidates[selected], report, list(entries.values())
 
 
 # --- slow reference for algebraic closure ------------------------------------

@@ -160,13 +160,13 @@ class TestRendering:
 
 class TestRunningExampleTable:
     def test_contested_pair_between_text_and_paper(self, pipeline):
-        column = pipeline.table.column("T", "P")
+        column = pipeline.trace.table.column("T", "P")
         assert [column[b] for b in BaseRelation] == [8, 4, 4, 0, 0]
 
     def test_book_document_column(self, pipeline):
-        column = pipeline.table.column("B", "D")
+        column = pipeline.trace.table.column("B", "D")
         assert [column[b] for b in BaseRelation] == [6, 4, 3, 4, 3]
 
     def test_paper_book_column(self, pipeline):
-        column = pipeline.table.column("P", "B")
+        column = pipeline.trace.table.column("P", "B")
         assert [column[b] for b in BaseRelation] == [2, 1, 0, 1, 0]

@@ -1,3 +1,4 @@
+import itertools
 import random
 
 import pytest
@@ -26,7 +27,7 @@ def rel(*bases):
 
 @pytest.fixture(scope="module")
 def running_table(pipeline):
-    return pipeline.table
+    return pipeline.trace.table
 
 
 class TestRelax:
@@ -96,7 +97,7 @@ class TestMergeRunningExample:
         assert is_consistent(trace.final)
         networks = [trace.initial] + [it.snapshot for it in trace.iterations]
         for before, after in zip(networks, networks[1:]):
-            for u, v in before.pairs():
+            for u, v in itertools.combinations(before.variables, 2):
                 assert before.constraint(u, v) <= after.constraint(u, v)
         assert trace.final == networks[-1]
 

@@ -1,3 +1,4 @@
+import hashlib
 import itertools
 import random
 
@@ -11,6 +12,8 @@ from ontomerge.ontology import (
     ExistsRight,
     Ontology,
     Subsumption,
+    format_ontology,
+    ontology_to_json,
     parse_ontology,
 )
 from ontomerge.rcc5 import (
@@ -191,9 +194,94 @@ class TestBackward:
             {("A", "B"): rel(PO), ("A", "C"): rel(PP), ("B", "C"): rel(DR)},
         )
         o = backward(s)
-        from ontomerge.ontology import format_ontology
-
         assert parse_ontology(format_ontology(o)).tbox == o.tbox
+
+    def test_non_scenario_label_rejected(self):
+        # a plain QCN may carry any label; only scenario labels translate back
+        with pytest.raises(ValueError, match="not a scenario label"):
+            backward(QCN(["A", "B"], {("A", "B"): rel(PP, PO)}))
+
+
+#: Back-translation bytes: scenario, `format_ontology` text, `concepts` and
+#: `individuals` in first-occurrence order, and the SHA-256 of `ontology_to_json`.
+BACKWARD_PINS = {
+    "EQ": (
+        Scenario(["A", "B"], {("A", "B"): rel(EQ)}),
+        "A <= B\nB <= A\n",
+        ("A", "B"),
+        (),
+        "e402c9b7b909faa91f4d2e26244b6cc98e93c6158a30cc2747fca78b67f728bd",
+    ),
+    "DR": (
+        Scenario(["A", "B"], {("A", "B"): rel(DR)}),
+        "A & B <= bot\n",
+        ("A", "B"),
+        (),
+        "6902dd624763d94bced2377b1024b36e55eb4a0df380d0a2c6d9f55a47e317cc",
+    ),
+    "PP,EQ": (
+        Scenario(["A", "B"], {("A", "B"): rel(PP, EQ)}),
+        "A <= B\n",
+        ("A", "B"),
+        (),
+        "9c89f828e52de396847477b130129a58274bc70f1cbd9b09ca40d7812755f3d1",
+    ),
+    "PPi,EQ": (
+        Scenario(["A", "B"], {("A", "B"): rel(PPi, EQ)}),
+        "B <= A\n",
+        ("A", "B"),
+        (),
+        "7f9cd817a72dfe9fd8ff46528978835df9a9fe572514ce39fa1bb9a246a63835",
+    ),
+    "PP": (
+        Scenario(["A", "B"], {("A", "B"): rel(PP)}),
+        "A <= B\nSubB <= B\nA & SubB <= bot\nA(x_2)\nB(x_1)\nB(x_2)\nSubB(x_1)\n",
+        ("A", "B", "SubB"),
+        ("x_1", "x_2"),
+        "2b949b63bc6ff88b2e62353743046f731056249867f734093cb9c33572a03f8f",
+    ),
+    "PPi": (
+        Scenario(["A", "B"], {("A", "B"): rel(PPi)}),
+        "B <= A\nSubA <= A\nB & SubA <= bot\nA(x_1)\nA(x_2)\nB(x_2)\nSubA(x_1)\n",
+        ("A", "B", "SubA"),
+        ("x_1", "x_2"),
+        "8eec5d8d02bbb8bb163cb44b3ff19600f5b34cb2c72ac4de3e4300958b2ba5ed",
+    ),
+    "PO": (
+        Scenario(["A", "B"], {("A", "B"): rel(PO)}),
+        "IntAB <= A\nIntAB <= B\nSubA <= A\nSubB <= B\nA & SubB <= bot\nB & SubA <= bot\n"
+        "A(x_1)\nA(x_2)\nB(x_1)\nB(x_3)\nIntAB(x_1)\nSubA(x_2)\nSubB(x_3)\n",
+        ("A", "B", "IntAB", "SubA", "SubB"),
+        ("x_1", "x_2", "x_3"),
+        "7805fda92918635554c336b8c05e3e60d5210046b1fe8f11962556587e297e78",
+    ),
+    # variables named like the fresh pool's output, listed out of name order;
+    # the canonical pairs hold PP, PO and PPi, and the two blocks inside SubB
+    # both claim SubSubB
+    "pool-names": (
+        Scenario(
+            ["x_1", "SubB", "IntAB"],
+            {("IntAB", "SubB"): rel(PP), ("x_1", "IntAB"): rel(PO), ("x_1", "SubB"): rel(PP)},
+        ),
+        "IntAB <= SubB\nIntIntABx_1 <= IntAB\nIntIntABx_1 <= x_1\nSubIntAB <= IntAB\n"
+        "SubSubB <= SubB\nSubSubB2 <= SubB\nSubx_1 <= x_1\nx_1 <= SubB\n"
+        "IntAB & SubSubB <= bot\nIntAB & Subx_1 <= bot\nSubIntAB & x_1 <= bot\nSubSubB2 & x_1 <= bot\n"
+        "IntAB(x_3)\nIntAB(x_4)\nIntAB(x_5)\nIntIntABx_1(x_4)\nSubB(x_2)\nSubB(x_3)\nSubB(x_7)\n"
+        "SubB(x_8)\nSubIntAB(x_5)\nSubSubB(x_2)\nSubSubB2(x_7)\nSubx_1(x_6)\nx_1(x_4)\nx_1(x_6)\nx_1(x_8)\n",
+        ("x_1", "SubB", "IntAB", "SubSubB", "IntIntABx_1", "SubIntAB", "Subx_1", "SubSubB2"),
+        ("x_2", "x_3", "x_4", "x_5", "x_6", "x_7", "x_8"),
+        "79c0bb538215391a918262b53848b9f20f6a48a3f5bb0463d4fc87c418e3e767",
+    ),
+}
+
+
+@pytest.mark.parametrize("name", BACKWARD_PINS)
+def test_backward_bytes_are_pinned(name):
+    scenario, text, concepts, individuals, json_sha256 = BACKWARD_PINS[name]
+    o = backward(scenario)
+    assert format_ontology(o) == text
+    assert (o.concepts, o.individuals) == (concepts, individuals)
+    assert hashlib.sha256(ontology_to_json(o).encode("utf-8")).hexdigest() == json_sha256
 
 
 class TestFlattenInflate:
