@@ -385,11 +385,30 @@ def test_no_assert_in_the_package():
         assert not lines, f"{module.name}: assert on lines {lines}"
 
 
-def test_import_loads_no_numpy():
-    # a fresh interpreter, since the test process imports numpy for the oracles
-    command = [sys.executable, "-c", "import sys, ontomerge; print('numpy' in sys.modules)"]
+def test_import_loads_no_numpy(source_paths):
+    # a fresh interpreter, since the test process imports numpy for the oracles;
+    # every module that the CLI's import and a merge of the running example add
+    # to the interpreter's start-up set comes from the standard library
+    script = "\n".join(
+        [
+            "import sys",
+            "before = set(sys.modules)",
+            "from ontomerge.cli import run_pipeline",
+            "from ontomerge.ontology import parse_ontology",
+            "run_pipeline([parse_ontology(open(p, encoding='utf-8').read()) for p in sys.argv[1:]])",
+            "print(sorted(set(sys.modules) - before), 'numpy' in sys.modules)",
+        ]
+    )
+    command = [sys.executable, "-c", script, *source_paths]
     result = subprocess.run(command, capture_output=True, text=True, check=True)
-    assert result.stdout == "False\n"
+    loaded, numpy_loaded = result.stdout.rsplit(" ", 1)
+    assert numpy_loaded == "False\n"
+    foreign = [
+        name
+        for name in ast.literal_eval(loaded)
+        if name.partition(".")[0] not in sys.stdlib_module_names | {"ontomerge"}
+    ]
+    assert foreign == []
 
 
 class TestDeterminism:

@@ -1,3 +1,4 @@
+import dataclasses
 import itertools
 import json
 import random
@@ -21,6 +22,8 @@ from ontomerge.ontology import (
     classify,
     deductive_closure,
     format_ontology,
+    _KINDS,
+    format_statement,
     ontology_to_json,
     parse_ontology,
 )
@@ -121,6 +124,28 @@ class TestParser:
         assert str(err.value) == f"{where}: {message}"
 
 
+    @given(
+        st.one_of(
+            st.lists(
+                st.sampled_from(
+                    ["A", "B", "r", "x", "some", "bot", "<=", "<", "=", "&", "(", ")", ",", ".",
+                     " ", "\n", "é", "\x0c", "\t", "#"]
+                ),
+                max_size=24,
+            ).map("".join),
+            st.text(max_size=24),
+        )
+    )
+    @settings(max_examples=300, deadline=None)
+    def test_any_text_parses_or_raises_ontology_error(self, text):
+        try:
+            o = parse_ontology(text)
+        except OntologyError:
+            return
+        rendered = format_ontology(o)
+        assert format_ontology(parse_ontology(rendered)) == rendered
+
+
 class TestFormatting:
     def test_round_trip_is_stable(self):
         text = "P <= T\nT & D <= bot\nP <= some r.B\nsome r.B <= C\nP(p1)\nr(p1,p2)\n"
@@ -135,6 +160,59 @@ class TestFormatting:
         assert data["concepts"] == ["A", "B"]
         assert list(data) == sorted(data)
         assert ontology_to_json(parse_ontology("A(x)\nB <= A\n")) == payload
+
+
+#: One statement of each kind: its text, JSON tag and the namespace of each field.
+KIND_PINS = {
+    "Subsumption": ("A <= B", "subsumption", ("concept", "concept")),
+    "Disjointness": ("A & B <= bot", "disjointness", ("concept", "concept")),
+    "ExistsRight": ("A <= some r.B", "exists_right", ("concept", "role", "concept")),
+    "ExistsLeft": ("some r.A <= B", "exists_left", ("role", "concept", "concept")),
+    "ConceptAssertion": ("A(x)", "concept", ("concept", "individual")),
+    "RoleAssertion": ("r(x,y)", "role", ("role", "individual", "individual")),
+}
+
+
+class TestStatementKinds:
+    @pytest.mark.parametrize("cls", list(_KINDS), ids=lambda cls: cls.__name__)
+    def test_fields_namespaces_and_name_tokens_agree(self, cls):
+        text, tag, namespaces = KIND_PINS[cls.__name__]
+        kind = _KINDS[cls]
+        fields = [f.name for f in dataclasses.fields(cls)]
+        assert len(fields) == len(kind.namespaces) == kind.pattern.count("n")
+        o = parse_ontology(text)
+        (stmt,) = o.statements()
+        assert type(stmt) is cls
+        assert format_statement(stmt) == text
+        signature = {"concept": o.concepts, "role": o.roles, "individual": o.individuals}
+        assert all(getattr(stmt, name) in signature[ns] for name, ns in zip(fields, namespaces))
+        data = json.loads(ontology_to_json(o))
+        assert data["tbox"] + data["abox"] == [{**{name: getattr(stmt, name) for name in fields}, "type": tag}]
+
+
+def _clash_in_declared_signature():
+    Ontology(tbox=frozenset(), abox=frozenset(), concepts=("A",), roles=("A",), individuals=())
+
+
+@pytest.mark.parametrize(
+    "build, error, message, line, column",
+    [
+        (lambda: parse_ontology("A <= B\nA ~ B\n"), OntologySyntaxError,
+         "line 2, column 3: unexpected character '~'", 2, 3),
+        (lambda: parse_ontology("A <= B\nA & B <= C\n"), NotNormalFormError,
+         "line 2: axiom is not in strict normal form: 'A & B <= C'", 2, None),
+        (lambda: parse_ontology("A <= B\n\nr(A,x)\n"), NameClashError,
+         "line 3: name 'A' already used as a concept, here as a individual", 3, None),
+        (_clash_in_declared_signature, NameClashError,
+         "concept, role and individual names must be disjoint", None, None),
+    ],
+    ids=["syntax", "not-normal-form", "parsed-clash", "signature-clash"],
+)
+def test_error_location_is_pinned(build, error, message, line, column):
+    with pytest.raises(OntologyError) as err:
+        build()
+    assert type(err.value) is error
+    assert (str(err.value), err.value.line, getattr(err.value, "column", None)) == (message, line, column)
 
 
 class TestOntologyType:

@@ -1,9 +1,12 @@
 import hashlib
 import itertools
+import json
 import random
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from ontomerge.ontology import (
     ExistsLeft,
@@ -30,6 +33,7 @@ from ontomerge.rcc5 import (
     Scenario,
     algebraic_closure,
     is_consistent,
+    qcn_from_json,
 )
 from ontomerge.translate import FreshNamePool, backward, forward
 
@@ -200,6 +204,57 @@ class TestBackward:
         # a plain QCN may carry any label; only scenario labels translate back
         with pytest.raises(ValueError, match="not a scenario label"):
             backward(QCN(["A", "B"], {("A", "B"): rel(PP, PO)}))
+
+
+#: JSON values of any shape, for the places a QCN document expects something else.
+_JSON_JUNK = st.recursive(
+    st.none() | st.booleans() | st.integers(-2, 2) | st.sampled_from(["", "A", "PP", "rel"]),
+    lambda inner: st.lists(inner, max_size=3)
+    | st.dictionaries(st.sampled_from(["from", "to", "rel", "x"]), inner, max_size=3),
+    max_leaves=6,
+)
+
+
+def _qcn_documents(variables):
+    """QCN documents over `variables` with one constraint per pair; a label may name no relation."""
+    relation_names = st.lists(
+        st.sampled_from(["DR", "PO", "PP", "PPi", "EQ"] * 3 + ["XX"]), min_size=1, max_size=2
+    )
+    constraints = [
+        st.fixed_dictionaries({"from": st.just(u), "to": st.just(v), "rel": relation_names})
+        for u, v in itertools.combinations(variables, 2)
+    ]
+    return st.tuples(*constraints).map(lambda c: {"variables": variables, "constraints": list(c)})
+
+
+# mostly distinct names; some repeat, are reserved or are not names the grammar reads
+_VARIABLE = st.sampled_from(["A", "B", "C", "D", "x_1", "SubA", "IntAB", "some", "a-b", ""])
+_QCN_DOCUMENT = (
+    st.lists(_VARIABLE, max_size=4, unique=True) | st.lists(_VARIABLE, max_size=3)
+).flatmap(_qcn_documents)
+
+
+@given(
+    st.one_of(
+        _QCN_DOCUMENT.map(json.dumps),
+        st.tuples(_QCN_DOCUMENT, st.sampled_from(["variables", "constraints"]), _JSON_JUNK).map(
+            lambda t: json.dumps({**t[0], t[1]: t[2]})
+        ),
+        st.tuples(_QCN_DOCUMENT, _JSON_JUNK).map(
+            lambda t: json.dumps({**t[0], "constraints": t[0]["constraints"] + [t[1]]})
+        ),
+        st.tuples(_QCN_DOCUMENT.map(json.dumps), st.integers(0, 80)).map(lambda t: t[0][: t[1]]),
+        _JSON_JUNK.map(json.dumps),
+        st.text(max_size=20),
+    )
+)
+@settings(max_examples=300, deadline=None)
+def test_any_json_translates_back_or_raises_value_error(text):
+    try:
+        o = backward(Scenario.from_qcn(qcn_from_json(text)))
+    except ValueError:
+        return
+    assert set(json.loads(text)["variables"]) <= set(o.concepts)
 
 
 #: Back-translation bytes: scenario, `format_ontology` text, `concepts` and
