@@ -15,11 +15,12 @@ from __future__ import annotations
 import json
 import re
 from collections import defaultdict
-from dataclasses import dataclass, field
+from dataclasses import dataclass, field, fields
+from functools import cached_property
 from itertools import chain
 from operator import attrgetter
 from os.path import commonprefix
-from typing import Callable, Collection, Iterable, Iterator, Mapping, Union
+from typing import Callable, Collection, Iterable, Iterator, Mapping
 
 __all__ = [
     "OntologyError",
@@ -48,30 +49,26 @@ __all__ = [
 
 
 class OntologyError(Exception):
-    """Base class for input-level ontology failures."""
+    """Base class for input-level ontology failures, located by line and column when known."""
+
+    def __init__(self, message: str, line: int | None = None, column: int | None = None) -> None:
+        if line is not None:
+            message = f"line {line}{'' if column is None else f', column {column}'}: {message}"
+        super().__init__(message)
+        self.line = line
+        self.column = column
 
 
 class OntologySyntaxError(OntologyError):
-    def __init__(self, message: str, line: int, column: int) -> None:
-        super().__init__(f"line {line}, column {column}: {message}")
-        self.line = line
-        self.column = column
+    """A line the text grammar cannot read."""
 
 
 class NotNormalFormError(OntologyError):
     """An axiom outside the four strict-normal-form shapes."""
 
-    def __init__(self, message: str, line: int) -> None:
-        super().__init__(f"line {line}: {message}")
-        self.line = line
-
 
 class NameClashError(OntologyError):
     """One name used in two of the concept/role/individual namespaces."""
-
-    def __init__(self, message: str, line: int | None = None) -> None:
-        super().__init__(f"line {line}: {message}" if line is not None else message)
-        self.line = line
 
 
 @dataclass(frozen=True)
@@ -116,7 +113,7 @@ class ExistsLeft:
     sup: str
 
 
-Axiom = Union[Subsumption, Disjointness, ExistsRight, ExistsLeft]
+Axiom = Subsumption | Disjointness | ExistsRight | ExistsLeft
 
 
 @dataclass(frozen=True)
@@ -132,71 +129,48 @@ class RoleAssertion:
     object: str
 
 
-Assertion = Union[ConceptAssertion, RoleAssertion]
-Statement = Union[Subsumption, Disjointness, ExistsRight, ExistsLeft, ConceptAssertion, RoleAssertion]
+Assertion = ConceptAssertion | RoleAssertion
+Statement = Axiom | Assertion
 
 
 @dataclass(frozen=True)
 class _Kind:
-    """How one statement class is written, read, named and exported."""
+    """How one statement class is written, read, named and exported.
 
+    The field names come from the dataclass, and `namespaces` follows them.
+    """
+
+    cls: type
     pattern: str
-    fields: tuple[tuple[str, str], ...]
+    namespaces: tuple[str, ...]
     template: str
     tag: str
+    field_names: tuple[str, ...] = field(init=False)
     values: Callable[[Statement], tuple[str, ...]] = field(init=False)
-    namespaces: tuple[str, ...] = field(init=False)
 
     def __post_init__(self) -> None:
-        object.__setattr__(self, "values", attrgetter(*(name for name, _ in self.fields)))
-        object.__setattr__(self, "namespaces", tuple(ns for _, ns in self.fields))
+        object.__setattr__(self, "field_names", tuple(f.name for f in fields(self.cls)))
+        object.__setattr__(self, "values", attrgetter(*self.field_names))
 
     def names(self, stmt: Statement) -> Iterator[tuple[str, str]]:
         """(name, namespace) of each field of `stmt`, in written order."""
         return zip(self.values(stmt), self.namespaces)
 
 
-#: One row per statement class, in canonical order: token pattern, fields
-#: with their namespaces, text template and JSON tag.  The name tokens
+#: One row per statement class, in canonical order: class, token pattern,
+#: namespace of each field, text template and JSON tag.  The name tokens
 #: (``n``, see `_tokenize`) of each pattern carry the fields in declaration
 #: order, so ``cls(*names)`` builds the statement, and they sort it.
 _KINDS: dict[type, _Kind] = {
-    Subsumption: _Kind(
-        "n<n",
-        (("sub", "concept"), ("sup", "concept")),
-        "{} <= {}",
-        "subsumption",
-    ),
-    Disjointness: _Kind(
-        "n&n<b",
-        (("first", "concept"), ("second", "concept")),
-        "{} & {} <= bot",
-        "disjointness",
-    ),
-    ExistsRight: _Kind(
-        "n<sn.n",
-        (("sub", "concept"), ("role", "role"), ("filler", "concept")),
-        "{} <= some {}.{}",
-        "exists_right",
-    ),
-    ExistsLeft: _Kind(
-        "sn.n<n",
-        (("role", "role"), ("filler", "concept"), ("sup", "concept")),
-        "some {}.{} <= {}",
-        "exists_left",
-    ),
-    ConceptAssertion: _Kind(
-        "n(n)",
-        (("concept", "concept"), ("individual", "individual")),
-        "{}({})",
-        "concept",
-    ),
-    RoleAssertion: _Kind(
-        "n(n,n)",
-        (("role", "role"), ("subject", "individual"), ("object", "individual")),
-        "{}({},{})",
-        "role",
-    ),
+    kind.cls: kind
+    for kind in (
+        _Kind(Subsumption, "n<n", ("concept", "concept"), "{} <= {}", "subsumption"),
+        _Kind(Disjointness, "n&n<b", ("concept", "concept"), "{} & {} <= bot", "disjointness"),
+        _Kind(ExistsRight, "n<sn.n", ("concept", "role", "concept"), "{} <= some {}.{}", "exists_right"),
+        _Kind(ExistsLeft, "sn.n<n", ("role", "concept", "concept"), "some {}.{} <= {}", "exists_left"),
+        _Kind(ConceptAssertion, "n(n)", ("concept", "individual"), "{}({})", "concept"),
+        _Kind(RoleAssertion, "n(n,n)", ("role", "individual", "individual"), "{}({},{})", "role"),
+    )
 }
 _CLASS_OF_PATTERN = {kind.pattern: cls for cls, kind in _KINDS.items()}
 
@@ -212,9 +186,8 @@ def _by_class(statements: Iterable[Statement]) -> defaultdict[type, list[Stateme
     groups: defaultdict[type, list[Statement]] = defaultdict(list)
     for stmt in statements:
         groups[type(stmt)].append(stmt)
-    for cls, group in groups.items():
-        if cls not in _KINDS:
-            raise TypeError(f"not a statement: {group[0]!r}")
+    for group in groups.values():
+        _kind(group[0])  # a TypeError unless the group holds statements
     return groups
 
 
@@ -304,7 +277,7 @@ def _collect(
                 raise NameClashError(
                     f"name {name!r} already used as a {previous}, here as a {kind}", line_no
                 )
-        if isinstance(stmt, (ConceptAssertion, RoleAssertion)):
+        if isinstance(stmt, Assertion):
             abox.add(stmt)
         else:
             tbox.add(stmt)
@@ -406,7 +379,7 @@ def format_ontology(o: Ontology) -> str:
 
 def _statement_json(stmt: Statement) -> dict:
     kind = _kind(stmt)
-    data = {name: value for (name, _), value in zip(kind.fields, kind.values(stmt))}
+    data = dict(zip(kind.field_names, kind.values(stmt)))
     data["type"] = kind.tag
     return data
 
@@ -442,19 +415,17 @@ class Classification:
 
     `subsumptions` includes the reflexive ones; `disjointness` is the
     asserted set closed downward under subsumption (self-disjointness is
-    reported through `unsatisfiable` instead of as an axiom).  `supers`
-    indexes `subsumptions` by their left-hand concept; it is built from
-    them when not given and takes no part in equality.
+    reported through `unsatisfiable` instead of as an axiom).
     """
 
     subsumptions: frozenset[Subsumption]
     disjointness: frozenset[Disjointness]
     unsatisfiable: frozenset[str]
-    supers: Mapping[str, frozenset[str]] = field(default=None, compare=False, repr=False)
 
-    def __post_init__(self) -> None:
-        if self.supers is None:
-            object.__setattr__(self, "supers", _index((s.sub, s.sup) for s in self.subsumptions))
+    @cached_property
+    def supers(self) -> dict[str, frozenset[str]]:
+        """`subsumptions` indexed by their left-hand concept."""
+        return _index((s.sub, s.sup) for s in self.subsumptions)
 
     def supers_of(self, concept: str) -> frozenset[str]:
         return self.supers.get(concept, _NOTHING)
@@ -588,7 +559,6 @@ def classify(tbox: Iterable[Axiom], concepts: Iterable[str] = ()) -> Classificat
         subsumptions=frozenset(Subsumption(a, b) for a in names for b in supers[a]),
         disjointness=frozenset(Disjointness(a, b) for a, b in disjoint),
         unsatisfiable=frozenset(_unsatisfiable(supers, predecessors, by_class[Disjointness])),
-        supers={a: frozenset(sa) for a, sa in supers.items()},
     )
 
 
@@ -604,18 +574,16 @@ class ClosedABox:
     ABox read as axioms (see `deductive_closure`).  `roles` are the
     asserted role assertions, never derived.  Inconsistent individuals
     are recorded, not raised: conflicting sources are expected input.
-    `by_concept` indexes `facts` by concept; it is built from `facts`
-    when not given and takes no part in equality.
     """
 
     facts: frozenset[ConceptAssertion]
     roles: frozenset[RoleAssertion]
     inconsistent_individuals: frozenset[str]
-    by_concept: Mapping[str, frozenset[str]] = field(default=None, compare=False, repr=False)
 
-    def __post_init__(self) -> None:
-        if self.by_concept is None:
-            object.__setattr__(self, "by_concept", _index((f.concept, f.individual) for f in self.facts))
+    @cached_property
+    def by_concept(self) -> dict[str, frozenset[str]]:
+        """`facts` indexed by concept: the individuals of each."""
+        return _index((f.concept, f.individual) for f in self.facts)
 
     def instances_of(self, concept: str) -> frozenset[str]:
         return self.by_concept.get(concept, _NOTHING)
