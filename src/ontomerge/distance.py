@@ -13,7 +13,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 from typing import Iterator, Mapping, Sequence
 
-from .rcc5 import EQ, PO, PP, DR, PPi, UNIVERSAL, BaseRelation, QCN, Relation
+from .rcc5 import EMPTY, EQ, PO, PP, DR, PPi, UNIVERSAL, BaseRelation, QCN, Relation
 
 __all__ = [
     "NEIGHBORHOOD_EDGES",
@@ -125,12 +125,17 @@ def distance_table(profile: Sequence[QCN]) -> DistanceTable:
             )
     columns: dict[tuple[str, str], tuple[int, int, int, int, int]] = {}
     flagged: list[tuple[int, tuple[str, str]]] = []
+    # most pairs repeat a column, so each distinct tuple of entries is summed once
+    by_entries: dict[tuple[Relation, ...], tuple[int, int, int, int, int]] = {}
     for cells in zip(*(qcn.canonical_items() for qcn in profile)):
         pair = cells[0][:2]
-        for k, (_, _, entry) in enumerate(cells):
-            if entry.is_empty:
-                flagged.append((k, pair))
-        columns[pair] = tuple(map(sum, zip(*(_DIST[entry.mask] for _, _, entry in cells))))
+        entries = tuple(entry for _, _, entry in cells)
+        if EMPTY in entries:
+            flagged.extend((k, pair) for k, entry in enumerate(entries) if entry is EMPTY)
+        column = by_entries.get(entries)
+        if column is None:
+            column = by_entries[entries] = tuple(map(sum, zip(*(_DIST[entry.mask] for entry in entries))))
+        columns[pair] = column
     return DistanceTable(pairs=tuple(columns), columns=columns, empty_entries=tuple(flagged))
 
 

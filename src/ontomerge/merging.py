@@ -81,14 +81,21 @@ def merge(profile: Sequence[QCN]) -> tuple[QCN, MergeTrace]:
     of relaxations (pairs are reported in canonical orientation).
     """
     table = distance_table(profile)
-    labels = {pair: relax(EMPTY, pair, table) for pair in table.pairs}
+    # a seed label depends on the pair's column only; most pairs share the zero column
+    seeds: dict[tuple[int, ...], Relation] = {}
+    labels = {}
+    for pair, column in table.columns.items():
+        if column not in seeds:
+            seeds[column] = relax(EMPTY, pair, table)
+        if not seeds[column].is_full:
+            labels[pair] = seeds[column]
     current = initial = QCN(profile[0].variables, labels)
 
     iterations: list[MergeIteration] = []
     bound = 4 * len(table.pairs) + 1
     # relaxing a pair changes its value only, and deleting a full pair keeps
     # the order of the rest, so the selected pairs come in table order
-    values = {pair: val(label, pair, table) for pair, label in labels.items() if not label.is_full}
+    values = {pair: val(label, pair, table) for pair, label in labels.items()}
     while not is_consistent(current):
         if not values:
             raise RuntimeError("relaxation ran out of pairs, yet the all-full network is consistent")

@@ -274,9 +274,8 @@ def _collect(
                 kind_of[name] = kind
                 order[kind].append(name)
             elif previous != kind:
-                raise NameClashError(
-                    f"name {name!r} already used as a {previous}, here as a {kind}", line_no
-                )
+                was, now = (("an " if k[0] in "aeiou" else "a ") + k for k in (previous, kind))
+                raise NameClashError(f"name {name!r} already used as {was}, here as {now}", line_no)
         if isinstance(stmt, Assertion):
             abox.add(stmt)
         else:

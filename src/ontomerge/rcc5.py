@@ -356,11 +356,12 @@ class QCN:
     def canonical_items(self) -> Iterator[tuple[str, str, Relation]]:
         """The canonical pair order: every pair once as (u, v, constraint), u < v, sorted."""
         names = self._variables
+        interned = Relation._interned
         order = sorted(range(len(names)), key=names.__getitem__)
         for p, i in enumerate(order):
             row = self._matrix[i]
             for j in order[p + 1 :]:
-                yield names[i], names[j], Relation.from_mask(row[j])
+                yield names[i], names[j], interned[row[j]]
 
     def sort_key(self) -> tuple[tuple[int, ...], ...]:
         """The labels pair by pair in variable order, each as its member indices."""
@@ -482,28 +483,35 @@ def _close(m: list[list[int]], n: int, queue: deque[tuple[int, int]] | None = No
     its converse.  By the converse law, the (j, i) orientation narrows
     r_kj by r_ki o r_ij.  A changed pair is queued again.
 
-    Without a queue every pair starts queued, and an empty constraint in
-    `m` is reported at once.  A queue is for a closed `m` in which only
-    the queued pairs were narrowed, none of them to empty.
+    Universal constraints are skipped: r o UNIVERSAL and UNIVERSAL o r
+    are UNIVERSAL for every non-empty r, so a universal r_ab or r_bk
+    narrows nothing.  The closure is the unique greatest fixpoint below
+    `m`, so skipping them changes no closed matrix and no verdict.
+
+    Without a queue every non-universal pair starts queued, and an empty
+    constraint in `m` is reported at once.  A queue is for a closed `m`
+    in which only the queued pairs were narrowed, none of them to empty.
     """
     comp = _COMP_MASK
     conv = _CONV_MASK
     if queue is None:
         if any(not m[i][j] for i in range(n) for j in range(i + 1, n)):
             return False
-        queue = deque((i, j) for i in range(n) for j in range(i + 1, n))
+        queue = deque((i, j) for i in range(n) for j in range(i + 1, n) if m[i][j] != _FULL_MASK)
     pending = set(queue)
     while queue:
         i, j = queue.popleft()
         pending.discard((i, j))
         for a, b in ((i, j), (j, i)):
-            rab = m[a][b]
+            row_a, row_b = m[a], m[b]
+            by_ab = comp[row_a[b]]
             for k in range(n):
-                if k == a or k == b:
+                rbk = row_b[k]
+                if rbk == _FULL_MASK or k == a or k == b:
                     continue
-                t = m[a][k] & comp[rab][m[b][k]]
-                if t != m[a][k]:
-                    m[a][k] = t
+                t = row_a[k] & by_ab[rbk]
+                if t != row_a[k]:
+                    row_a[k] = t
                     m[k][a] = conv[t]
                     if not t:
                         return False

@@ -11,14 +11,17 @@ Slow references sit beside them: `reference_classify` and
 `ontology.classify` and `ontology.deductive_closure` that the indexed
 worklist saturation replaced, and `reference_close` is the algebraic
 closure with two mirrored updates that the single update of
-`rcc5._close` replaced.  Two references check `rcc5.enumerate_scenarios`,
-which decides boxes triangle by triangle: `levelwise_scenarios` merges
-sibling boxes level by level, starting from the consistent atomic
-refinements that `_atomic_refinements` lists, and `reference_scenarios`
-filters those refinements into boxes and drops every box contained in
-another.  `reference_select` scores scenarios from witness lists read
-straight off the closed ABox's facts.  They are kept so the fast paths
-and the shorter paths can be checked for agreement with them.
+`rcc5._close` replaced.  `reference_distance_table` sums every pair's
+distance column afresh, where `distance.distance_table` sums each
+distinct tuple of source entries once.  Two references check
+`rcc5.enumerate_scenarios`, which decides boxes triangle by triangle:
+`levelwise_scenarios` merges sibling boxes level by level, starting
+from the consistent atomic refinements that `_atomic_refinements`
+lists, and `reference_scenarios` filters those refinements into boxes
+and drops every box contained in another.  `reference_select` scores
+scenarios from witness lists read straight off the closed ABox's facts.
+They are kept so the fast paths and the shorter paths can be checked
+for agreement with them.
 """
 
 from __future__ import annotations
@@ -30,6 +33,7 @@ from typing import Iterable, Iterator, Mapping, Sequence
 
 import numpy as np
 
+from ontomerge.distance import _DIST, DistanceTable
 from ontomerge.ontology import (
     Axiom,
     Classification,
@@ -966,3 +970,20 @@ def reference_close(m: list[list[int]], n: int, queue: deque[tuple[int, int]] | 
                     pending.add(pair)
                     queue.append(pair)
     return True
+
+
+def reference_distance_table(profile: Sequence[QCN]) -> DistanceTable:
+    """The distance table with every pair's column summed over the sources.
+
+    Same pairs, columns and flagged empty entries as
+    `distance.distance_table`, for a profile sharing one variable set.
+    """
+    columns: dict[tuple[str, str], tuple[int, int, int, int, int]] = {}
+    flagged: list[tuple[int, tuple[str, str]]] = []
+    for cells in zip(*(qcn.canonical_items() for qcn in profile)):
+        pair = cells[0][:2]
+        for k, (_, _, entry) in enumerate(cells):
+            if entry.is_empty:
+                flagged.append((k, pair))
+        columns[pair] = tuple(map(sum, zip(*(_DIST[entry.mask] for _, _, entry in cells))))
+    return DistanceTable(pairs=tuple(columns), columns=columns, empty_entries=tuple(flagged))

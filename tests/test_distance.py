@@ -1,4 +1,5 @@
 import itertools
+import random
 
 import pytest
 
@@ -22,6 +23,8 @@ from ontomerge.rcc5 import (
     QCN,
     Relation,
 )
+
+from oracles import reference_distance_table
 
 
 def rel(*bases):
@@ -134,6 +137,33 @@ class TestDistanceTable:
         table = distance_table(_profile_qcns())
         with pytest.raises(KeyError):
             table.column("A", "Z")
+
+    def test_matches_reference_on_random_profiles(self):
+        # labels come from a small pool, and most pairs stay universal, so
+        # columns repeat; each source lists the variables in its own order
+        rng = random.Random(3301)
+        pool = (0, 0b00001, 0b00110, 0b10100, 0b11111)
+        seen = {"repeated column": False, "empty entry": False}
+        for _ in range(200):
+            names = [f"v{i}" for i in range(rng.randint(3, 8))]
+            profile = []
+            for _ in range(rng.randint(1, 4)):
+                order = rng.sample(names, len(names))
+                constraints = {
+                    pair: Relation.from_mask(rng.choice(pool))
+                    for pair in itertools.combinations(order, 2)
+                    if rng.random() < 0.4
+                }
+                profile.append(QCN(order, constraints))
+            got, want = distance_table(profile), reference_distance_table(profile)
+            assert (got.pairs, got.columns, got.empty_entries) == (
+                want.pairs,
+                want.columns,
+                want.empty_entries,
+            )
+            seen["repeated column"] |= len(set(got.columns.values())) < len(got.pairs)
+            seen["empty entry"] |= bool(got.empty_entries)
+        assert all(seen.values()), seen
 
 
 class TestRendering:

@@ -202,7 +202,7 @@ def _clash_in_declared_signature():
         (lambda: parse_ontology("A <= B\nA & B <= C\n"), NotNormalFormError,
          "line 2: axiom is not in strict normal form: 'A & B <= C'", 2, None),
         (lambda: parse_ontology("A <= B\n\nr(A,x)\n"), NameClashError,
-         "line 3: name 'A' already used as a concept, here as a individual", 3, None),
+         "line 3: name 'A' already used as a concept, here as an individual", 3, None),
         (_clash_in_declared_signature, NameClashError,
          "concept, role and individual names must be disjoint", None, None),
     ],

@@ -239,27 +239,10 @@ class TestAlgebraicClosure:
         # as every search node does; matrices are compared when consistent
         rng = random.Random(1187)
         verdicts = {"full": set(), "single": set()}
-
-        def agree(kind, m, size, pair=None):
-            mine, theirs = [row[:] for row in m], [row[:] for row in m]
-            got = _close(mine, size, None if pair is None else deque([pair]))
-            want = oracles.reference_close(theirs, size, None if pair is None else deque([pair]))
-            assert got == want, (kind, m, pair)
-            if got:
-                assert mine == theirs, (kind, m, pair)
-            verdicts[kind].add(got)
-            return theirs if got else None
-
         for _ in range(300):
             size = rng.randint(2, 8)
-            universal = rng.random()
-            m = [[EQ.value if i == j else UNIVERSAL.mask for j in range(size)] for i in range(size)]
-            for i, j in itertools.combinations(range(size), 2):
-                if rng.random() >= universal:
-                    _put(m, i, j, rng.randrange(1, 32))
-            if rng.random() < 0.1:
-                _put(m, *rng.sample(range(size), 2), 0)
-            closed = agree("full", m, size)
+            m = _random_matrix(rng, size, rng.random())
+            closed = _close_agrees(verdicts["full"], m, size)
             if closed is None:
                 continue
             for i, j in itertools.combinations(range(size), 2):
@@ -267,8 +250,65 @@ class TestAlgebraicClosure:
                     for b in Relation.from_mask(closed[i][j]):
                         child = [row[:] for row in closed]
                         _put(child, i, j, b.value)
-                        agree("single", child, size, (i, j))
+                        _close_agrees(verdicts["single"], child, size, (i, j))
         assert verdicts == {"full": {True, False}, "single": {True, False}}
+
+    def test_universal_constraints_narrow_nothing(self):
+        # the identity that lets _close skip a universal r_ab or r_bk
+        for mask in range(1, 32):
+            assert rcc5._COMP_MASK[mask][UNIVERSAL.mask] == UNIVERSAL.mask
+            assert rcc5._COMP_MASK[UNIVERSAL.mask][mask] == UNIVERSAL.mask
+
+    def test_close_matches_reference_on_sparse_networks(self):
+        # 80-95% of the pairs universal, as in merged networks of many
+        # concepts.  Labels lack PO, like those the consistency search
+        # splits, and every open pair is fixed to each of its atoms in turn,
+        # as are two universal pairs per network.
+        rng = random.Random(5309)
+        without_po = [mask for mask in range(1, 32) if not mask & PO.value]
+        verdicts = {"full": set(), "single": set()}
+        for _ in range(60):
+            size = rng.randint(10, 30)
+            m = _random_matrix(rng, size, rng.uniform(0.80, 0.95), without_po)
+            closed = _close_agrees(verdicts["full"], m, size)
+            if closed is None:
+                continue
+            wide = [(i, j) for i, j in itertools.combinations(range(size), 2) if closed[i][j].bit_count() > 1]
+            universal = [(i, j) for i, j in wide if closed[i][j] == UNIVERSAL.mask]
+            fixed = [(i, j) for i, j in wide if closed[i][j] != UNIVERSAL.mask] + rng.sample(universal, 2)
+            for i, j in fixed:
+                for b in Relation.from_mask(closed[i][j]):
+                    child = [row[:] for row in closed]
+                    _put(child, i, j, b.value)
+                    _close_agrees(verdicts["single"], child, size, (i, j))
+        assert verdicts == {"full": {True, False}, "single": {True, False}}
+
+
+def _random_matrix(rng, size, universal, labels=range(1, 32)):
+    """A mask matrix in which each pair stays universal with probability
+    `universal` and otherwise draws from `labels`; one pair in ten networks
+    is empty."""
+    m = [[EQ.value if i == j else UNIVERSAL.mask for j in range(size)] for i in range(size)]
+    for i, j in itertools.combinations(range(size), 2):
+        if rng.random() >= universal:
+            _put(m, i, j, rng.choice(labels))
+    if rng.random() < 0.1:
+        _put(m, *rng.sample(range(size), 2), 0)
+    return m
+
+
+def _close_agrees(verdicts, m, size, pair=None):
+    """Close copies of `m` with `_close` and `reference_close`, optionally
+    from one queued pair; the verdicts agree, and so do the matrices when
+    closed.  Adds the verdict to `verdicts`; returns the closed matrix or None."""
+    mine, theirs = [row[:] for row in m], [row[:] for row in m]
+    got = _close(mine, size, None if pair is None else deque([pair]))
+    want = oracles.reference_close(theirs, size, None if pair is None else deque([pair]))
+    assert got == want, (m, pair)
+    if got:
+        assert mine == theirs, (m, pair)
+    verdicts.add(got)
+    return theirs if got else None
 
 
 class TestConsistency:
