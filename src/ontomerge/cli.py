@@ -141,7 +141,7 @@ def _dump_json(data: dict) -> str:
     return json.dumps(data, indent=2, sort_keys=True) + "\n"
 
 
-def cmd_merge(args: argparse.Namespace) -> int:
+def cmd_merge(args: argparse.Namespace) -> str:
     sources = [_load_ontology(path) for path in _input_paths(args)]
     result = run_pipeline(sources)
     if args.emit_qcn:
@@ -152,19 +152,17 @@ def cmd_merge(args: argparse.Namespace) -> int:
         _write_output(_dump_json(result.report.to_json_dict()), args.emit_scenarios)
     if args.dot:
         _write_output(qcn_to_dot(result.merged, name="merged"), args.dot)
-    payload = ontology_to_json(result.result) if args.json else format_ontology(result.result)
-    _write_output(payload, args.output)
-    return EXIT_OK
+    return ontology_to_json(result.result) if args.json else format_ontology(result.result)
 
 
-def cmd_explain(args: argparse.Namespace) -> int:
+def cmd_explain(args: argparse.Namespace) -> str:
     sources = [_load_ontology(path) for path in _input_paths(args)]
     result = run_pipeline(sources)
     lines: list[str] = []
     lines.append("Distance table (relations x pairs):")
     lines.append(render_distance_table(result.trace.table, fmt="csv" if args.csv else "text").rstrip("\n"))
-    for source_index, pair in result.trace.table.empty_entries:
-        lines.append(f"warning: source {source_index + 1} has an empty constraint on {pair}")
+    for source_index, (u, v) in result.trace.table.empty_entries:
+        lines.append(f"warning: source {source_index + 1} has an empty constraint on {u}-{v}")
     lines.append("")
     lines.append("Relaxation trace:")
     initial = ", ".join(f"{u}-{v}: {rel!r}" for u, v, rel in result.trace.initial.items())
@@ -187,56 +185,46 @@ def cmd_explain(args: argparse.Namespace) -> int:
     if result.report.tied_indices:
         tied = ", ".join(str(i + 1) for i in result.report.tied_indices)
         lines.append(f"  tie between scenarios {tied}; lexicographically smallest selected")
-    _write_output("\n".join(lines) + "\n", args.output)
-    return EXIT_OK
+    return "\n".join(lines) + "\n"
 
 
-def cmd_check(args: argparse.Namespace) -> int:
-    paths = _input_paths(args)
+def cmd_check(args: argparse.Namespace) -> str:
     reports = []
-    lines = []
-    for path in paths:
-        o = _load_ontology(path)
-        translation = forward(o)
-        consistent = is_consistent(translation.qcn)
-        verdict = "consistent" if consistent else "inconsistent"
-        detail = ""
-        if translation.conflicting_pairs:
-            pairs = ", ".join(f"{u}-{v}" for u, v in translation.conflicting_pairs)
-            detail = f" (conflicting pairs: {pairs})"
-        lines.append(f"{path}: {verdict}{detail}")
+    for path in _input_paths(args):
+        translation = forward(_load_ontology(path))
         reports.append(
             {
                 "path": path,
-                "consistent": consistent,
+                "consistent": not translation.conflicting_pairs and is_consistent(translation.qcn),
                 "conflicting_pairs": [list(p) for p in translation.conflicting_pairs],
                 "dropped_role_axioms": len(translation.dropped_role_axioms),
             }
         )
-    payload = _dump_json({"inputs": reports}) if args.json else "\n".join(lines) + "\n"
-    _write_output(payload, args.output)
-    return EXIT_OK
+    if args.json:
+        return _dump_json({"inputs": reports})
+    lines = []
+    for report in reports:
+        verdict = "consistent" if report["consistent"] else "inconsistent"
+        pairs = ", ".join(f"{u}-{v}" for u, v in report["conflicting_pairs"])
+        detail = f" (conflicting pairs: {pairs})" if pairs else ""
+        lines.append(f"{report['path']}: {verdict}{detail}")
+    return "\n".join(lines) + "\n"
 
 
-def cmd_classify(args: argparse.Namespace) -> int:
+def cmd_classify(args: argparse.Namespace) -> str:
     o = _load_ontology(args.input)
     facts = classify(o.tbox, concepts=o.concepts).to_json_dict()
     if args.json:
-        _write_output(_dump_json(facts), args.output)
-        return EXIT_OK
+        return _dump_json(facts)
     lines = [f"{sub} <= {sup}" for sub, sup in facts["subsumptions"]]
     lines += [f"{a} & {b} <= bot" for a, b in facts["disjointness"]]
     lines += [f"# unsatisfiable: {concept}" for concept in facts["unsatisfiable"]]
-    _write_output("\n".join(lines) + "\n", args.output)
-    return EXIT_OK
+    return "\n".join(lines) + "\n"
 
 
-def cmd_translate(args: argparse.Namespace) -> int:
+def cmd_translate(args: argparse.Namespace) -> str:
     if args.direction == "forward":
-        o = _load_ontology(args.input)
-        translation = forward(o)
-        _write_output(qcn_to_json(translation.qcn), args.output)
-        return EXIT_OK
+        return qcn_to_json(forward(_load_ontology(args.input)).qcn)
     text = _read_text(args.input, "translate-backward")
     try:
         qcn = qcn_from_json(text)
@@ -244,9 +232,7 @@ def cmd_translate(args: argparse.Namespace) -> int:
         result = backward(scenario)
     except (ValueError, RecursionError) as exc:  # JSONDecodeError is a ValueError
         raise PipelineError("translate-backward", f"{args.input}: {exc}") from exc
-    payload = ontology_to_json(result) if args.json else format_ontology(result)
-    _write_output(payload, args.output)
-    return EXIT_OK
+    return ontology_to_json(result) if args.json else format_ontology(result)
 
 
 def _add_io_arguments(parser: argparse.ArgumentParser, multi_input: bool) -> None:
@@ -312,9 +298,10 @@ def build_parser() -> argparse.ArgumentParser:
 def main(argv: Sequence[str] | None = None) -> int:
     parser = build_parser()
     args = parser.parse_args(argv)
-    handler: Callable[[argparse.Namespace], int] = args.handler
+    handler: Callable[[argparse.Namespace], str] = args.handler
     try:
-        return handler(args)
+        _write_output(handler(args), args.output)
+        return EXIT_OK
     except PipelineError as exc:
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_INPUT

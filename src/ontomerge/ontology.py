@@ -90,10 +90,6 @@ class Disjointness:
             object.__setattr__(self, "first", a)
             object.__setattr__(self, "second", b)
 
-    @property
-    def concepts(self) -> frozenset[str]:
-        return frozenset((self.first, self.second))
-
 
 @dataclass(frozen=True)
 class ExistsRight:

@@ -54,7 +54,6 @@ class ForwardTranslation:
 
     qcn: QCN
     dropped_role_axioms: tuple[Axiom, ...]
-    degenerate_axioms: tuple[Axiom, ...]
     conflicting_pairs: tuple[tuple[str, str], ...]
 
 
@@ -64,7 +63,8 @@ def forward(o: Ontology, variables: Sequence[str] | None = None) -> ForwardTrans
     Variables default to the ontology's concept names in first-occurrence
     order; passing a superset embeds the network into a shared variable
     space.  Pairs with an empty intersection (a source contradicting
-    itself on one pair) are kept and listed in `conflicting_pairs`.
+    itself on one pair) are kept and listed in `conflicting_pairs`, as
+    is (A, A) for each `A & A <= bot`, since a region is never empty.
     """
     if variables is None:
         var_list = o.concepts
@@ -75,7 +75,7 @@ def forward(o: Ontology, variables: Sequence[str] | None = None) -> ForwardTrans
             raise ValueError(f"variables must cover the signature; missing {sorted(missing)}")
     constraints: list[tuple[tuple[str, str], Relation]] = []
     dropped: list[Axiom] = []
-    degenerate: list[Axiom] = []
+    self_conflicts: list[tuple[str, str]] = []
     for axiom in sorted_statements(o.tbox):
         if isinstance(axiom, Subsumption):
             if axiom.sub == axiom.sup:
@@ -83,18 +83,17 @@ def forward(o: Ontology, variables: Sequence[str] | None = None) -> ForwardTrans
             constraints.append(((axiom.sub, axiom.sup), _SUBSUMPTION_LABEL))
         elif isinstance(axiom, Disjointness):
             if axiom.first == axiom.second:
-                degenerate.append(axiom)
+                self_conflicts.append((axiom.first, axiom.first))
                 continue
             constraints.append(((axiom.first, axiom.second), _DISJOINTNESS_LABEL))
         else:
             dropped.append(axiom)
     qcn = QCN(var_list, constraints)
-    conflicts = tuple((u, v) for u, v, rel in qcn.canonical_items() if rel.is_empty)
+    conflicts = [(u, v) for u, v, rel in qcn.canonical_items() if rel.is_empty]
     return ForwardTranslation(
         qcn=qcn,
         dropped_role_axioms=tuple(dropped),
-        degenerate_axioms=tuple(degenerate),
-        conflicting_pairs=conflicts,
+        conflicting_pairs=tuple(sorted(self_conflicts + conflicts)),
     )
 
 

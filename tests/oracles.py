@@ -615,7 +615,7 @@ def reference_classify(tbox: Iterable[Axiom], concepts: Iterable[str] = ()) -> C
                         supers[a].add(axiom.sup)
                         changed = True
 
-    pairs: set[frozenset[str]] = {d.concepts for d in disj}
+    pairs: set[frozenset[str]] = {frozenset((d.first, d.second)) for d in disj}
     changed = True
     while changed:
         changed = False

@@ -1,5 +1,6 @@
 import ast
 import json
+import random
 import subprocess
 import sys
 from pathlib import Path
@@ -7,7 +8,7 @@ from pathlib import Path
 import pytest
 
 import ontomerge
-from ontomerge.cli import main
+from ontomerge.cli import build_parser, main
 from ontomerge.ontology import classify, parse_ontology
 from ontomerge.rcc5 import Relation, qcn_from_json
 
@@ -183,7 +184,7 @@ class TestExplainCommand:
         plain.write_text("A <= B\n")
         code, out, _ = run_cli("explain", str(conflicted), str(plain), capsys=capsys)
         assert code == 0
-        assert "warning: source 1 has an empty constraint on ('A', 'B')\n" in out
+        assert "warning: source 1 has an empty constraint on A-B\n" in out
         assert "initial: A-B: {PP,EQ}\n" in out
 
 
@@ -218,6 +219,51 @@ class TestCheckCommand:
         data = json.loads(out)
         assert data["inputs"][0]["consistent"] is False
         assert data["inputs"][0]["conflicting_pairs"] == [["C", "D"]]
+
+    def test_self_disjoint_concept_is_a_conflicting_pair(self, tmp_path, capsys):
+        source = tmp_path / "a.txt"
+        source.write_text("A & A <= bot\n")
+        code, out, _ = run_cli("check", str(source), capsys=capsys)
+        assert (code, out) == (0, f"{source}: inconsistent (conflicting pairs: A-A)\n")
+        code, out, _ = run_cli("check", "--json", str(source), capsys=capsys)
+        assert code == 0
+        (report,) = json.loads(out)["inputs"]
+        assert report == {
+            "path": str(source),
+            "consistent": False,
+            "conflicting_pairs": [["A", "A"]],
+            "dropped_role_axioms": 0,
+        }
+
+    def test_verdict_is_satisfiability_of_every_concept(self, tmp_path, capsys):
+        # EL-bottom models are closed under disjoint union, so a source has a
+        # fulfilling model exactly when each of its concepts is satisfiable;
+        # classification decides that without any RCC-5 search
+        rng = random.Random(15)
+        paths, expected = [], []
+        for k in range(2000):
+            names = [f"C{i}" for i in range(rng.randint(2, 30))]
+            lines = []
+            for _ in range(rng.randint(1, 2 * len(names))):
+                a, b = rng.sample(names, 2)
+                kind = rng.random()
+                if kind < 0.6:
+                    lines.append(f"{a} <= {b}")
+                elif kind < 0.98:
+                    lines.append(f"{a} & {b} <= bot")
+                else:
+                    lines.append(f"{a} & {a} <= bot")
+            text = "\n".join(lines) + "\n"
+            o = parse_ontology(text)
+            expected.append(not classify(o.tbox, concepts=o.concepts).unsatisfiable)
+            path = tmp_path / f"source{k}.txt"
+            path.write_text(text)
+            paths.append(str(path))
+        code, out, _ = run_cli("check", "--json", *paths, capsys=capsys)
+        assert code == 0
+        verdicts = [report["consistent"] for report in json.loads(out)["inputs"]]
+        assert verdicts == expected
+        assert min(verdicts.count(True), verdicts.count(False)) >= 500
 
 
 class TestClassifyCommand:
@@ -372,6 +418,18 @@ def test_running_example_matches_golden(golden, argv, artifacts, tmp_path, monke
     assert out == (goldens / golden).read_text(encoding="utf-8")
     for name in artifacts.values():
         assert (tmp_path / name).read_text(encoding="utf-8") == (goldens / name).read_text(encoding="utf-8")
+
+
+@pytest.mark.parametrize(
+    "golden, argv", [run[:2] for run in GOLDEN_RUNS], ids=[run[0] for run in GOLDEN_RUNS]
+)
+def test_handler_returns_its_output(golden, argv, monkeypatch, capsys):
+    # main alone writes a command's output; the handler only returns it
+    monkeypatch.chdir(REPO_ROOT)
+    args = build_parser().parse_args(argv)
+    text = args.handler(args)
+    assert capsys.readouterr() == ("", "")
+    assert text == (REPO_ROOT / "tests" / "golden" / golden).read_text(encoding="utf-8")
 
 
 def test_no_assert_in_the_package():

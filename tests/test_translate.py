@@ -83,8 +83,9 @@ class TestForward:
         assert result.qcn.constraint("A", "C") == UNIVERSAL
 
     def test_self_disjointness_is_degenerate(self):
-        result = forward(parse_ontology("A & A <= bot\nA <= B\n"))
-        assert result.degenerate_axioms == (Disjointness("A", "A"),)
+        # a region is never empty, so it is never disjoint from itself
+        result = forward(parse_ontology("A & A <= bot\nA <= B\nB & C <= bot\nB <= C\n"))
+        assert result.conflicting_pairs == (("A", "A"), ("B", "C"))
         assert result.qcn.constraint("A", "B") == rel(PP, EQ)
 
     def test_variable_embedding(self):
