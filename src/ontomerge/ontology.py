@@ -294,6 +294,33 @@ _RESERVED = {"some": "s", "bot": "b"}
 _PUNCT = "&(),."
 #: A conjunction of names, ``bot`` and existentials, of any arity and depth.
 _LOOSE_SIDE = re.compile(r"(sn\.)*[nb](&(sn\.)*[nb])*")
+#: Only these end a line; `str.splitlines` also splits on ``\f``, ``\u2028`` and more.
+_LINE_BREAK = re.compile(r"\r\n?|\n")
+
+
+def _line_expression() -> tuple[re.Pattern[str], dict[int, tuple[type, tuple[int, ...]]]]:
+    """A whole-line regular expression, one named alternative per `_KINDS` pattern.
+
+    It accepts exactly the lines `_tokenize` and `_match_statement` read
+    without error; under ``re.ASCII``, ``\\w`` is a name character.  Also
+    returns the class and name groups of each alternative, by its group index.
+    """
+    blank = "[ \t]*"
+    token = {"n": rf"((?!(?:{'|'.join(_RESERVED)})\b)\w+)", "<": "<="}
+    token.update((kind, word + r"\b") for word, kind in _RESERVED.items())
+    alternatives = "|".join(
+        f"(?P<{cls.__name__}>{blank.join(token.get(t, re.escape(t)) for t in kind.pattern)})"
+        for cls, kind in _KINDS.items()
+    )
+    expression = re.compile(f"{blank}(?:{alternatives})?{blank}(?:#.*)?", re.ASCII)
+    groups = {}
+    for cls, kind in _KINDS.items():
+        first = expression.groupindex[cls.__name__] + 1
+        groups[first - 1] = (cls, tuple(range(first, first + kind.pattern.count("n"))))
+    return expression, groups
+
+
+_LINE_RE, _LINE_GROUPS = _line_expression()
 
 
 def is_name(word: str) -> bool:
@@ -356,10 +383,16 @@ def parse_ontology(text: str) -> Ontology:
 
 
 def _numbered_statements(text: str) -> Iterator[tuple[int, Statement]]:
-    for line_no, line in enumerate(text.splitlines(), start=1):
-        tokens = _tokenize(line, line_no)
-        if tokens:
-            yield line_no, _match_statement(tokens, line_no, line)
+    """Each line in one match of `_LINE_RE`; the tokenizer locates the errors."""
+    for line_no, line in enumerate(_LINE_BREAK.split(text), start=1):
+        match = _LINE_RE.fullmatch(line)
+        if match is None:
+            tokens = _tokenize(line, line_no)
+            if tokens:
+                yield line_no, _match_statement(tokens, line_no, line)
+        elif match.lastindex:
+            cls, groups = _LINE_GROUPS[match.lastindex]
+            yield line_no, cls(*match.group(*groups))
 
 
 def format_statement(stmt: Statement) -> str:
@@ -428,8 +461,12 @@ class Classification:
     def entails_subsumption(self, sub: str, sup: str) -> bool:
         return sup in self.supers_of(sub)
 
+    @cached_property
+    def _disjoint_pairs(self) -> frozenset[tuple[str, str]]:
+        return frozenset((d.first, d.second) for d in self.disjointness)
+
     def entails_disjointness(self, a: str, b: str) -> bool:
-        return Disjointness(a, b) in self.disjointness
+        return ((a, b) if a <= b else (b, a)) in self._disjoint_pairs
 
     def to_json_dict(self) -> dict:
         return {

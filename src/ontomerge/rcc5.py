@@ -90,6 +90,8 @@ def _converse_mask(mask: int) -> int:
 _CONV_MASK = tuple(_converse_mask(m) for m in range(32))
 _MEMBERS = tuple(tuple(b for b in _BASES if b.value & m) for m in range(32))
 _SORT_KEYS = tuple(tuple(b.index for b in members) for members in _MEMBERS)
+_NAMES = tuple(tuple(b.name for b in members) for members in _MEMBERS)
+_REPRS = tuple("{%s}" % ",".join(names) for names in _NAMES)
 
 
 class Relation:
@@ -139,7 +141,7 @@ class Relation:
         return _MEMBERS[self._mask]
 
     def names(self) -> tuple[str, ...]:
-        return tuple(b.name for b in self.members)
+        return _NAMES[self._mask]
 
     @property
     def is_empty(self) -> bool:
@@ -186,7 +188,7 @@ class Relation:
         return (Relation.from_mask, (self._mask,))
 
     def __repr__(self) -> str:
-        return "{%s}" % ",".join(self.names())
+        return _REPRS[self._mask]
 
 
 def _intern_relations() -> tuple[Relation, ...]:
@@ -247,22 +249,19 @@ _COMPOSITION_ENTRIES: dict[tuple[str, str], tuple[str, ...]] = {
 }
 
 def _build_comp_masks() -> tuple[tuple[int, ...], ...]:
-    base_comp = [[0] * 5 for _ in range(5)]
+    """Composition is a union over members, so each entry splits off its lowest member."""
+    table = [[0] * 32 for _ in range(32)]
     for (b1, b2), out in _COMPOSITION_ENTRIES.items():
-        base_comp[_BASE_BY_NAME[b1].index][_BASE_BY_NAME[b2].index] = Relation.from_names(out).mask
-    table = []
-    for m1 in range(32):
-        row = []
-        for m2 in range(32):
-            acc = 0
-            for i in range(5):
-                if m1 >> i & 1:
-                    for j in range(5):
-                        if m2 >> j & 1:
-                            acc |= base_comp[i][j]
-            row.append(acc)
-        table.append(tuple(row))
-    return tuple(table)
+        table[_BASE_BY_NAME[b1].value][_BASE_BY_NAME[b2].value] = Relation.from_names(out).mask
+    for m1 in range(1, 32):
+        low1 = m1 & -m1
+        for m2 in range(1, 32):
+            low2 = m2 & -m2
+            if low1 != m1:
+                table[m1][m2] = table[low1][m2] | table[m1 ^ low1][m2]
+            elif low2 != m2:
+                table[m1][m2] = table[m1][low2] | table[m1][m2 ^ low2]
+    return tuple(map(tuple, table))
 
 
 _COMP_MASK = _build_comp_masks()
@@ -348,10 +347,11 @@ class QCN:
 
     def items(self) -> Iterator[tuple[str, str, Relation]]:
         """(u, v, constraint) for every constrained pair, oriented by variable-list order."""
+        interned = Relation._interned
         for i, j, mask in self._upper():
             if mask == _FULL_MASK:
                 continue
-            yield self._variables[i], self._variables[j], Relation.from_mask(mask)
+            yield self._variables[i], self._variables[j], interned[mask]
 
     def canonical_items(self) -> Iterator[tuple[str, str, Relation]]:
         """The canonical pair order: every pair once as (u, v, constraint), u < v, sorted."""

@@ -11,7 +11,8 @@ Slow references sit beside them: `reference_classify` and
 `ontology.classify` and `ontology.deductive_closure` that the indexed
 worklist saturation replaced, and `reference_close` is the algebraic
 closure with two mirrored updates that the single update of
-`rcc5._close` replaced.  `reference_distance_table` sums every pair's
+`rcc5._close` replaced, and `reference_comp_masks` the composition mask
+table built by a triple loop over member pairs.  `reference_distance_table` sums every pair's
 distance column afresh, where `distance.distance_table` sums each
 distinct tuple of source entries once.  Two references check
 `rcc5.enumerate_scenarios`, which decides boxes triangle by triangle:
@@ -60,9 +61,11 @@ from ontomerge.rcc5 import (
     PPi,
     Relation,
     Scenario,
+    _BASE_BY_NAME,
     _branches,
     _close,
     _COMP_MASK,
+    _COMPOSITION_ENTRIES,
     _CONV_MASK,
     _put,
 )
@@ -917,6 +920,33 @@ def reference_select(
         pairs=(),
     )
     return candidates[selected], report, list(entries.values())
+
+
+# --- slow reference for the composition mask table ---------------------------
+
+
+def reference_comp_masks() -> tuple[tuple[int, ...], ...]:
+    """The 32×32 composition mask table, each entry the union over every member pair.
+
+    `rcc5._COMP_MASK` builds the same table by splitting off the lowest
+    member of a union; this is the triple loop it replaced.
+    """
+    base_comp = [[0] * 5 for _ in range(5)]
+    for (b1, b2), out in _COMPOSITION_ENTRIES.items():
+        base_comp[_BASE_BY_NAME[b1].index][_BASE_BY_NAME[b2].index] = Relation.from_names(out).mask
+    table = []
+    for m1 in range(32):
+        row = []
+        for m2 in range(32):
+            acc = 0
+            for i in range(5):
+                if m1 >> i & 1:
+                    for j in range(5):
+                        if m2 >> j & 1:
+                            acc |= base_comp[i][j]
+            row.append(acc)
+        table.append(tuple(row))
+    return tuple(table)
 
 
 # --- slow reference for algebraic closure ------------------------------------

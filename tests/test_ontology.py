@@ -18,11 +18,16 @@ from ontomerge.ontology import (
     OntologyError,
     OntologySyntaxError,
     RoleAssertion,
+    Statement,
     Subsumption,
     classify,
     deductive_closure,
     format_ontology,
+    _collect,
     _KINDS,
+    _LINE_RE,
+    _match_statement,
+    _tokenize,
     format_statement,
     ontology_to_json,
     parse_ontology,
@@ -92,6 +97,17 @@ class TestParser:
         with pytest.raises(NameClashError):
             parse_ontology("A <= B\nA(x)\nB(A)\n")
 
+    @pytest.mark.parametrize("text", ["A <= B\x0cC <= D\n", "A <= B\x0c\nC <=\n", "A <= B\u2028C <= D\n"])
+    def test_only_newline_and_carriage_return_end_a_line(self, text):
+        with pytest.raises(OntologySyntaxError) as err:
+            parse_ontology(text)
+        assert str(err.value) == f"line 1, column 7: unexpected character {text[6]!r}"
+        assert (err.value.line, err.value.column) == (1, 7)
+
+    def test_crlf_and_cr_end_a_line(self):
+        o = parse_ontology("A <= B\r\nC <= D\rE <= F\n")
+        assert o.tbox == {Subsumption("A", "B"), Subsumption("C", "D"), Subsumption("E", "F")}
+
     def test_reserved_words_are_not_names(self):
         with pytest.raises(OntologySyntaxError):
             parse_ontology("some <= B")
@@ -144,6 +160,74 @@ class TestParser:
             return
         rendered = format_ontology(o)
         assert format_ontology(parse_ontology(rendered)) == rendered
+
+
+def _tokenizer_reading(line: str) -> Statement | None | OntologyError:
+    """What `_tokenize` and `_match_statement` make of one line, or the error they raise."""
+    try:
+        tokens = _tokenize(line, 1)
+        return _match_statement(tokens, 1, line) if tokens else None
+    except OntologyError as exc:
+        return exc
+
+
+def _parsed(build) -> Ontology | OntologyError:
+    try:
+        return build()
+    except OntologyError as exc:
+        return exc
+
+
+_GRAMMAR_NAMES = ("A", "B", "r", "x", "some", "bot", "someR", "bot_", "Some")
+_GRAMMAR_MARKS = ("<=", "<", "=", "&", "(", ")", ",", ".", "#", " ", "\t", "é")
+_KIND_WORDS = {"s": "some", "b": "bot", "<": "<="}
+
+
+def _grammar_line(rng: random.Random) -> str:
+    """A statement of a random kind, its tokens perturbed; or tokens drawn at random."""
+    pool = _GRAMMAR_NAMES + _GRAMMAR_MARKS
+    if rng.random() < 0.15:
+        return "".join(rng.choice(pool) for _ in range(rng.randrange(9)))
+    pattern = rng.choice([kind.pattern for kind in _KINDS.values()])
+    words = [rng.choice(_GRAMMAR_NAMES) if t == "n" else _KIND_WORDS.get(t, t) for t in pattern]
+    for _ in range(rng.choice((0, 0, 1, 2))):
+        at = rng.randrange(len(words) + 1)
+        edit = rng.randrange(3)
+        if edit == 0 and at < len(words):
+            del words[at]
+        elif edit == 1 and at < len(words):
+            words[at] = rng.choice(pool)
+        else:
+            words.insert(at, rng.choice(pool))
+    line = rng.choice(("", " ", "\t")) + words[0] if words else ""
+    for word in words[1:]:
+        line += rng.choice(("", "", " ", "\t", " \t ")) + word
+    return line + rng.choice(("", "", "", " ", "#", " # note", "\t#é"))
+
+
+class TestLineExpression:
+    """The whole-line regular expression against the tokenizer it bypasses."""
+
+    def test_both_paths_read_every_line_alike(self):
+        rng = random.Random(1604)
+        seen = dict.fromkeys([*_KINDS, OntologySyntaxError, NotNormalFormError, NameClashError], 0)
+        for _ in range(100_000):
+            line = _grammar_line(rng)
+            read = _tokenizer_reading(line)
+            assert (_LINE_RE.fullmatch(line) is not None) is not isinstance(read, OntologyError), line
+            expected = read
+            if not isinstance(read, OntologyError):
+                expected = _parsed(lambda: _collect([(1, read)] if read else []))
+            got = _parsed(lambda: parse_ontology(line))
+            if isinstance(expected, OntologyError):
+                assert type(got) is type(expected), line
+                assert (str(got), got.line, got.column) == (str(expected), expected.line, expected.column), line
+            else:
+                assert got == expected, line
+            kind = type(expected) if isinstance(expected, OntologyError) else type(read)
+            if kind in seen:
+                seen[kind] += 1
+        assert all(count >= 500 for count in seen.values()), seen
 
 
 class TestFormatting:
@@ -458,6 +542,8 @@ class TestReferenceAgreement:
             for c in o.concepts + ("Z",):
                 expected = {f.individual for f in reference.facts if f.concept == c}
                 assert closed.instances_of(c) == expected, (o, c)
+            for a, b in itertools.product(o.concepts, repeat=2):
+                assert fast.entails_disjointness(a, b) == (Disjointness(a, b) in fast.disjointness), (o, a, b)
 
             shapes["satisfiable"] += not slow.unsatisfiable
             shapes["unsatisfiable"] += bool(slow.unsatisfiable)

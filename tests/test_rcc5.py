@@ -74,6 +74,12 @@ class TestRelation:
         with pytest.raises(ValueError):
             Relation.from_names(["XX"])
 
+    def test_label_tables_match_base_relation_names(self):
+        for mask in range(32):
+            names = tuple(b.name for b in BaseRelation if b.value & mask)
+            assert Relation.from_mask(mask).names() == names
+            assert repr(Relation.from_mask(mask)) == "{" + ",".join(names) + "}"
+
 
 class TestConverse:
     def test_swaps_proper_part_directions(self):
@@ -112,6 +118,12 @@ class TestComposition:
             assert compose_relations(rel(b1), rel(b2)) == compose(b1, b2)
         assert compose_relations(UNIVERSAL, UNIVERSAL) == UNIVERSAL
         assert compose_relations(EMPTY, UNIVERSAL) == EMPTY
+
+    def test_mask_table_matches_reference_loop(self):
+        reference = oracles.reference_comp_masks()
+        for m1, m2 in itertools.product(range(32), repeat=2):
+            assert rcc5._COMP_MASK[m1][m2] == reference[m1][m2], (m1, m2)
+        assert len(rcc5._COMP_MASK) == 32 and all(len(row) == 32 for row in rcc5._COMP_MASK)
 
     def test_regenerated_table_matches_constant(self):
         regenerated = generate_composition_table(7)
