@@ -11,13 +11,12 @@ from __future__ import annotations
 
 import argparse
 import json
+import os
 import sys
 from dataclasses import dataclass
 from pathlib import Path
-from typing import Callable, Sequence
+from typing import TYPE_CHECKING, Callable, Sequence
 
-from .distance import render_distance_table
-from .merging import MergeTrace, merge
 from .ontology import (
     Ontology,
     OntologyError,
@@ -26,17 +25,13 @@ from .ontology import (
     ontology_to_json,
     parse_ontology,
 )
-from .rcc5 import (
-    QCN,
-    Scenario,
-    enumerate_scenarios,
-    is_consistent,
-    qcn_from_json,
-    qcn_to_dot,
-    qcn_to_json,
-)
-from .selection import ConflictReport, select_scenario
-from .translate import backward, forward
+
+# Each command imports the other layers it runs inside its handler, so
+# `classify` loads no network code and `check` no merging or selection.
+if TYPE_CHECKING:
+    from .merging import MergeTrace
+    from .rcc5 import QCN, Scenario
+    from .selection import ConflictReport
 
 __all__ = ["main", "build_parser", "PipelineError", "run_pipeline"]
 
@@ -100,6 +95,11 @@ class PipelineResult:
 
 def run_pipeline(sources: Sequence[Ontology]) -> PipelineResult:
     """Translate, merge, pick the representative scenario, translate back."""
+    from .merging import merge
+    from .rcc5 import enumerate_scenarios
+    from .selection import select_scenario
+    from .translate import backward, forward
+
     union: list[str] = []
     for o in sources:
         for concept in o.concepts:
@@ -129,7 +129,17 @@ def run_pipeline(sources: Sequence[Ontology]) -> PipelineResult:
 
 def _write_output(text: str, path: str | None) -> None:
     if path is None or path == "-":
-        sys.stdout.write(text)
+        try:
+            sys.stdout.write(text)
+            sys.stdout.flush()
+        except OSError as exc:
+            # a reader that closed the pipe early: send the rest of stdout,
+            # and the interpreter's flush at exit, to devnull (see the
+            # `signal` docs on SIGPIPE), so the status stays 2
+            devnull = os.open(os.devnull, os.O_WRONLY)
+            os.dup2(devnull, sys.stdout.fileno())
+            os.close(devnull)
+            raise PipelineError("output", f"cannot write to stdout: {exc.strerror or exc}") from exc
     else:
         try:
             Path(path).write_text(text, encoding="utf-8")
@@ -142,6 +152,8 @@ def _dump_json(data: dict) -> str:
 
 
 def cmd_merge(args: argparse.Namespace) -> str:
+    from .rcc5 import qcn_to_dot, qcn_to_json
+
     sources = [_load_ontology(path) for path in _input_paths(args)]
     result = run_pipeline(sources)
     if args.emit_qcn:
@@ -156,6 +168,8 @@ def cmd_merge(args: argparse.Namespace) -> str:
 
 
 def cmd_explain(args: argparse.Namespace) -> str:
+    from .distance import render_distance_table
+
     sources = [_load_ontology(path) for path in _input_paths(args)]
     result = run_pipeline(sources)
     lines: list[str] = []
@@ -189,6 +203,9 @@ def cmd_explain(args: argparse.Namespace) -> str:
 
 
 def cmd_check(args: argparse.Namespace) -> str:
+    from .rcc5 import is_consistent
+    from .translate import forward
+
     reports = []
     for path in _input_paths(args):
         translation = forward(_load_ontology(path))
@@ -223,6 +240,9 @@ def cmd_classify(args: argparse.Namespace) -> str:
 
 
 def cmd_translate(args: argparse.Namespace) -> str:
+    from .rcc5 import Scenario, qcn_from_json, qcn_to_json
+    from .translate import backward, forward
+
     if args.direction == "forward":
         return qcn_to_json(forward(_load_ontology(args.input)).qcn)
     text = _read_text(args.input, "translate-backward")

@@ -1,5 +1,6 @@
 import ast
 import json
+import os
 import random
 import subprocess
 import sys
@@ -8,6 +9,7 @@ from pathlib import Path
 import pytest
 
 import ontomerge
+from ontomerge import cli, distance, merging, ontology, rcc5, selection, translate
 from ontomerge.cli import build_parser, main
 from ontomerge.ontology import classify, parse_ontology
 from ontomerge.rcc5 import Relation, qcn_from_json
@@ -142,6 +144,20 @@ class TestFileErrors:
         code, out, err = run_cli("merge", "--profile", profile_path, flag, str(target), capsys=capsys)
         assert (code, out) == (2, "")
         assert err.startswith(f"error: output: cannot write {target}: ")
+
+    @pytest.mark.parametrize("flags", [[], ["--emit-scenarios", "-"]], ids=["result", "emit-scenarios"])
+    def test_closed_stdout_is_input_error(self, flags, profile_path, monkeypatch, capsys):
+        # a reader that exits early, as `| head -1` does: the write raises
+        # BrokenPipeError, and stdout is pointed at devnull, so the
+        # interpreter's own flush at exit cannot fail again
+        read_end, write_end = os.pipe()
+        os.close(read_end)
+        with os.fdopen(write_end, "w", buffering=1) as stdout:
+            monkeypatch.setattr(sys, "stdout", stdout)
+            code = main(["merge", *flags, "--profile", profile_path])
+            stdout.write("more output\n")
+        assert code == 2
+        assert capsys.readouterr().err == "error: output: cannot write to stdout: Broken pipe\n"
 
 
 class TestExplainCommand:
@@ -443,30 +459,77 @@ def test_no_assert_in_the_package():
         assert not lines, f"{module.name}: assert on lines {lines}"
 
 
-def test_import_loads_no_numpy(source_paths):
+CLI_MODULES = {"ontomerge", "ontomerge.cli", "ontomerge.ontology"}
+NETWORK_MODULES = CLI_MODULES | {"ontomerge.translate", "ontomerge.rcc5"}
+ALL_MODULES = NETWORK_MODULES | {"ontomerge.distance", "ontomerge.merging", "ontomerge.selection"}
+
+#: arguments of `ontomerge` (none: only `import ontomerge`) and the package modules they load
+MODULE_SETS = [
+    ("import", [], {"ontomerge"}),
+    ("classify", ["classify", SOURCES[0]], CLI_MODULES),
+    ("check", ["check", "--profile", PROFILE], NETWORK_MODULES),
+    ("translate-forward", ["translate", "forward", SOURCES[0]], NETWORK_MODULES),
+    ("translate-backward", ["translate", "backward", SELECTED], NETWORK_MODULES),
+    ("merge", ["merge", "--profile", PROFILE], ALL_MODULES),
+    ("explain", ["explain", "--profile", PROFILE], ALL_MODULES),
+]
+
+
+@pytest.mark.parametrize("argv, expected", [m[1:] for m in MODULE_SETS], ids=[m[0] for m in MODULE_SETS])
+def test_import_loads_no_numpy(argv, expected):
     # a fresh interpreter, since the test process imports numpy for the oracles;
-    # every module that the CLI's import and a merge of the running example add
-    # to the interpreter's start-up set comes from the standard library
+    # a command loads only the package modules it runs, and every other module
+    # it adds to the interpreter's start-up set comes from the standard library
     script = "\n".join(
         [
             "import sys",
             "before = set(sys.modules)",
-            "from ontomerge.cli import run_pipeline",
-            "from ontomerge.ontology import parse_ontology",
-            "run_pipeline([parse_ontology(open(p, encoding='utf-8').read()) for p in sys.argv[1:]])",
-            "print(sorted(set(sys.modules) - before), 'numpy' in sys.modules)",
+            "import ontomerge",
+            "if sys.argv[1:]:",
+            "    from ontomerge.cli import main",
+            "    status = main(sys.argv[1:])",
+            "    if status:",
+            "        sys.exit(status)",
+            "print(sorted(set(sys.modules) - before), file=sys.stderr)",
         ]
     )
-    command = [sys.executable, "-c", script, *source_paths]
-    result = subprocess.run(command, capture_output=True, text=True, check=True)
-    loaded, numpy_loaded = result.stdout.rsplit(" ", 1)
-    assert numpy_loaded == "False\n"
+    command = [sys.executable, "-c", script, *argv]
+    result = subprocess.run(command, cwd=REPO_ROOT, capture_output=True, text=True, check=True)
+    loaded = ast.literal_eval(result.stderr)
+    assert "numpy" not in loaded
+    assert {name for name in loaded if name.partition(".")[0] == "ontomerge"} == expected
     foreign = [
-        name
-        for name in ast.literal_eval(loaded)
-        if name.partition(".")[0] not in sys.stdlib_module_names | {"ontomerge"}
+        name for name in loaded if name.partition(".")[0] not in sys.stdlib_module_names | {"ontomerge"}
     ]
     assert foreign == []
+
+
+class TestPackageSurface:
+    LIBRARY = [distance, merging, ontology, rcc5, selection, translate]
+    EXPORTS = [name for module in LIBRARY for name in module.__all__]
+
+    def test_each_export_is_the_module_attribute(self):
+        for module in self.LIBRARY:
+            for name in module.__all__:
+                assert getattr(ontomerge, name) is getattr(module, name), (module.__name__, name)
+
+    def test_star_import_binds_the_union_of_the_exports(self):
+        namespace: dict = {}
+        exec("from ontomerge import *", namespace)
+        assert set(namespace) - {"__builtins__"} == set(self.EXPORTS)
+        assert sorted(ontomerge.__all__) == sorted(self.EXPORTS)
+
+    def test_no_name_is_exported_twice(self):
+        # star imports let the last module win and the lazy lookup the first,
+        # so the two agree only while every name has one module
+        assert len(self.EXPORTS) == len(set(self.EXPORTS))
+
+    def test_submodules_dir_and_unknown_names(self):
+        assert ontomerge.rcc5 is rcc5
+        assert ontomerge.cli is cli
+        assert {"merge", "parse_ontology", "rcc5", "cli", "__version__"} <= set(dir(ontomerge))
+        with pytest.raises(AttributeError, match="'no_such_name'"):
+            ontomerge.no_such_name
 
 
 class TestDeterminism:
