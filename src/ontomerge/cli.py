@@ -18,6 +18,7 @@ from pathlib import Path
 from typing import TYPE_CHECKING, Callable, Sequence
 
 from .ontology import (
+    _LINE_BREAK,
     Ontology,
     OntologyError,
     classify,
@@ -70,7 +71,7 @@ def _input_paths(args: argparse.Namespace) -> list[str]:
     if args.profile:
         profile_path = Path(args.profile)
         text = _read_text(args.profile, "profile")
-        for line in text.splitlines():
+        for line in _LINE_BREAK.split(text):
             line = line.strip()
             if not line or line.startswith("#"):
                 continue
@@ -328,7 +329,3 @@ def main(argv: Sequence[str] | None = None) -> int:
     except Exception as exc:  # pragma: no cover - defensive
         print(f"internal error: {type(exc).__name__}: {exc}", file=sys.stderr)
         return EXIT_INTERNAL
-
-
-if __name__ == "__main__":
-    sys.exit(main())

@@ -84,12 +84,11 @@ def profile_distance(b: BaseRelation, entries: Sequence[Relation]) -> int:
 class DistanceTable:
     """Per-pair distances from every base relation to the profile.
 
-    Columns are stored for the pairs in `QCN.canonical_items` order and
+    `columns` is keyed by the pairs in `QCN.canonical_items` order and
     orientation; `column` transposes PP and PPi when asked for the other
     orientation.
     """
 
-    pairs: tuple[tuple[str, str], ...]
     columns: Mapping[tuple[str, str], tuple[int, int, int, int, int]]
     empty_entries: tuple[tuple[int, tuple[str, str]], ...]
 
@@ -136,14 +135,13 @@ def distance_table(profile: Sequence[QCN]) -> DistanceTable:
         if column is None:
             column = by_entries[entries] = tuple(map(sum, zip(*(_DIST[entry.mask] for entry in entries))))
         columns[pair] = column
-    return DistanceTable(pairs=tuple(columns), columns=columns, empty_entries=tuple(flagged))
+    return DistanceTable(columns=columns, empty_entries=tuple(flagged))
 
 
 def _table_rows(table: DistanceTable) -> Iterator[tuple[str, ...]]:
-    header = ("relation",) + tuple(f"{u}-{v}" for u, v in table.pairs)
-    yield header
+    yield ("relation",) + tuple(f"{u}-{v}" for u, v in table.columns)
     for b in BaseRelation:
-        yield (b.name,) + tuple(str(table.columns[pair][b.index]) for pair in table.pairs)
+        yield (b.name,) + tuple(str(column[b.index]) for column in table.columns.values())
 
 
 def render_distance_table(table: DistanceTable, fmt: str = "text") -> str:

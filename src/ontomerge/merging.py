@@ -92,7 +92,7 @@ def merge(profile: Sequence[QCN]) -> tuple[QCN, MergeTrace]:
     current = initial = QCN(profile[0].variables, labels)
 
     iterations: list[MergeIteration] = []
-    bound = 4 * len(table.pairs) + 1
+    bound = 4 * len(table.columns) + 1
     # relaxing a pair changes its value only, and deleting a full pair keeps
     # the order of the rest, so the selected pairs come in table order
     values = {pair: val(label, pair, table) for pair, label in labels.items()}

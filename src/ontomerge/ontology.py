@@ -16,7 +16,6 @@ import json
 import re
 from collections import defaultdict
 from dataclasses import dataclass, field, fields
-from functools import cached_property
 from itertools import chain
 from operator import attrgetter
 from os.path import commonprefix
@@ -294,7 +293,8 @@ _RESERVED = {"some": "s", "bot": "b"}
 _PUNCT = "&(),."
 #: A conjunction of names, ``bot`` and existentials, of any arity and depth.
 _LOOSE_SIDE = re.compile(r"(sn\.)*[nb](&(sn\.)*[nb])*")
-#: Only these end a line; `str.splitlines` also splits on ``\f``, ``\u2028`` and more.
+#: Only these end a line, in ontology and profile files; `str.splitlines`
+#: also splits on ``\f``, ``\u2028`` and more.
 _LINE_BREAK = re.compile(r"\r\n?|\n")
 
 
@@ -429,31 +429,29 @@ def ontology_to_json(o: Ontology) -> str:
 _NOTHING: frozenset[str] = frozenset()
 
 
-def _index(pairs: Iterable[tuple[str, str]]) -> dict[str, frozenset[str]]:
-    """Group (key, value) pairs into key -> frozenset of values."""
-    groups: dict[str, set[str]] = {}
-    for key, value in pairs:
-        groups.setdefault(key, set()).add(value)
-    return {key: frozenset(values) for key, values in groups.items()}
-
-
 @dataclass(frozen=True)
 class Classification:
     """Entailed atomic facts of a TBox.
 
-    `subsumptions` includes the reflexive ones; `disjointness` is the
-    asserted set closed downward under subsumption (self-disjointness is
-    reported through `unsatisfiable` instead of as an axiom).
+    `supers` maps every classified concept to its supers, itself
+    included.  `disjoint` holds each entailed disjoint pair once, as
+    ``(a, b)`` with ``a < b``: the asserted disjointness closed downward
+    under subsumption (self-disjointness is reported through
+    `unsatisfiable` instead).  `subsumptions` and `disjointness` are the
+    same facts as statements.
     """
 
-    subsumptions: frozenset[Subsumption]
-    disjointness: frozenset[Disjointness]
+    supers: Mapping[str, frozenset[str]]
+    disjoint: frozenset[tuple[str, str]]
     unsatisfiable: frozenset[str]
 
-    @cached_property
-    def supers(self) -> dict[str, frozenset[str]]:
-        """`subsumptions` indexed by their left-hand concept."""
-        return _index((s.sub, s.sup) for s in self.subsumptions)
+    @property
+    def subsumptions(self) -> frozenset[Subsumption]:
+        return frozenset(Subsumption(a, b) for a, found in self.supers.items() for b in found)
+
+    @property
+    def disjointness(self) -> frozenset[Disjointness]:
+        return frozenset(Disjointness(a, b) for a, b in self.disjoint)
 
     def supers_of(self, concept: str) -> frozenset[str]:
         return self.supers.get(concept, _NOTHING)
@@ -461,17 +459,13 @@ class Classification:
     def entails_subsumption(self, sub: str, sup: str) -> bool:
         return sup in self.supers_of(sub)
 
-    @cached_property
-    def _disjoint_pairs(self) -> frozenset[tuple[str, str]]:
-        return frozenset((d.first, d.second) for d in self.disjointness)
-
     def entails_disjointness(self, a: str, b: str) -> bool:
-        return ((a, b) if a <= b else (b, a)) in self._disjoint_pairs
+        return ((a, b) if a <= b else (b, a)) in self.disjoint
 
     def to_json_dict(self) -> dict:
         return {
-            "subsumptions": sorted([s.sub, s.sup] for s in self.subsumptions),
-            "disjointness": sorted([d.first, d.second] for d in self.disjointness),
+            "subsumptions": sorted([a, b] for a, found in self.supers.items() for b in found),
+            "disjointness": sorted(map(list, self.disjoint)),
             "unsatisfiable": sorted(self.unsatisfiable),
         }
 
@@ -588,8 +582,8 @@ def classify(tbox: Iterable[Axiom], concepts: Iterable[str] = ()) -> Classificat
                         disjoint.add((a, b) if a < b else (b, a))
 
     return Classification(
-        subsumptions=frozenset(Subsumption(a, b) for a in names for b in supers[a]),
-        disjointness=frozenset(Disjointness(a, b) for a, b in disjoint),
+        supers={a: frozenset(supers[a]) for a in names},
+        disjoint=frozenset(disjoint),
         unsatisfiable=frozenset(_unsatisfiable(supers, predecessors, by_class[Disjointness])),
     )
 
@@ -601,24 +595,25 @@ def classify(tbox: Iterable[Axiom], concepts: Iterable[str] = ()) -> Classificat
 class ClosedABox:
     """The ABox saturated against its TBox.
 
-    `facts` holds every entailed membership ``C(i)``: the concepts among
-    the supers of the nominal ``i`` when the TBox is saturated with the
-    ABox read as axioms (see `deductive_closure`).  `roles` are the
+    `members` maps each concept to its individuals, by every entailed
+    membership ``C(i)``: the concepts among the supers of the nominal
+    ``i`` when the TBox is saturated with the ABox read as axioms (see
+    `deductive_closure`).  A concept without members has no entry, and
+    `facts` is the same memberships as statements.  `roles` are the
     asserted role assertions, never derived.  Inconsistent individuals
     are recorded, not raised: conflicting sources are expected input.
     """
 
-    facts: frozenset[ConceptAssertion]
+    members: Mapping[str, frozenset[str]]
     roles: frozenset[RoleAssertion]
     inconsistent_individuals: frozenset[str]
 
-    @cached_property
-    def by_concept(self) -> dict[str, frozenset[str]]:
-        """`facts` indexed by concept: the individuals of each."""
-        return _index((f.concept, f.individual) for f in self.facts)
+    @property
+    def facts(self) -> frozenset[ConceptAssertion]:
+        return frozenset(ConceptAssertion(c, i) for c, found in self.members.items() for i in found)
 
     def instances_of(self, concept: str) -> frozenset[str]:
-        return self.by_concept.get(concept, _NOTHING)
+        return self.members.get(concept, _NOTHING)
 
 
 def deductive_closure(o: Ontology) -> ClosedABox:
@@ -644,7 +639,7 @@ def deductive_closure(o: Ontology) -> ClosedABox:
     )
     supers, predecessors = _saturate(chain(o.concepts, o.individuals), axioms)
     unsatisfiable = _unsatisfiable(supers, predecessors, axioms[Disjointness])
-    by_individual = {i: frozenset(supers[i] - {i}) for i in o.individuals if len(supers[i]) > 1}
+    by_individual = {i: supers[i] - {i} for i in o.individuals if len(supers[i]) > 1}
     # no edges: only the individuals whose own memberships hold an asserted pair
     clashing = _unsatisfiable(by_individual, {}, axioms[Disjointness])
     inconsistent = {
@@ -652,9 +647,13 @@ def deductive_closure(o: Ontology) -> ClosedABox:
         for i, concepts in by_individual.items()
         if i in clashing or not concepts.isdisjoint(unsatisfiable)
     }
+    members: dict[str, set[str]] = {}
+    for i, concepts in by_individual.items():
+        for c in concepts:
+            members.setdefault(c, set()).add(i)
 
     return ClosedABox(
-        facts=frozenset(ConceptAssertion(c, i) for i, concepts in by_individual.items() for c in concepts),
+        members={c: frozenset(found) for c, found in members.items()},
         roles=frozenset(assertions[RoleAssertion]),
         inconsistent_individuals=frozenset(inconsistent),
     )

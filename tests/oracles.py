@@ -655,12 +655,8 @@ def reference_classify(tbox: Iterable[Axiom], concepts: Iterable[str] = ()) -> C
                 changed = True
 
     return Classification(
-        subsumptions=frozenset(
-            Subsumption(a, b) for a in names for b in supers[a]
-        ),
-        disjointness=frozenset(
-            Disjointness(x, y) for pair in pairs if len(pair) == 2 for x, y in [sorted(pair)]
-        ),
+        supers={a: frozenset(supers[a]) for a in names},
+        disjoint=frozenset(tuple(sorted(pair)) for pair in pairs if len(pair) == 2),
         unsatisfiable=frozenset(unsatisfiable),
     )
 
@@ -711,8 +707,11 @@ def reference_closure(o: Ontology) -> ClosedABox:
         if found:
             inconsistent.add(individual)
 
+    members: dict[str, set[str]] = {}
+    for fact in facts:
+        members.setdefault(fact.concept, set()).add(fact.individual)
     return ClosedABox(
-        facts=frozenset(facts),
+        members={c: frozenset(found) for c, found in members.items()},
         roles=frozenset(assertions[RoleAssertion]),
         inconsistent_individuals=frozenset(inconsistent),
     )
@@ -1016,4 +1015,4 @@ def reference_distance_table(profile: Sequence[QCN]) -> DistanceTable:
             if entry.is_empty:
                 flagged.append((k, pair))
         columns[pair] = tuple(map(sum, zip(*(_DIST[entry.mask] for _, _, entry in cells))))
-    return DistanceTable(pairs=tuple(columns), columns=columns, empty_entries=tuple(flagged))
+    return DistanceTable(columns=columns, empty_entries=tuple(flagged))

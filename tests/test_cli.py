@@ -227,6 +227,16 @@ class TestCheckCommand:
         assert "inconsistent" in out
         assert "C-D" in out
 
+    @pytest.mark.parametrize("mark", ["\x0c", "\x1c", "\x85", "\u2028"])
+    def test_profile_lines_end_only_at_line_breaks(self, mark, tmp_path, capsys):
+        # `str.splitlines` also ends a line at each of these marks
+        source = tmp_path / f"odd{mark}name.txt"
+        source.write_text("A <= B\n")
+        profile = tmp_path / "profile.txt"
+        profile.write_bytes(f"# sources\r{source.name}\r\n".encode())
+        code, out, err = run_cli("check", "--profile", str(profile), capsys=capsys)
+        assert (code, out, err) == (0, f"{source}: consistent\n", "")
+
     def test_json_report(self, tmp_path, capsys):
         conflicted = tmp_path / "conflict.txt"
         conflicted.write_text("C <= D\nC & D <= bot\n")

@@ -144,11 +144,11 @@ class TestMergeProperties:
             merged, trace = merge(profile)
             assert is_consistent(merged)
             table = distance_table(profile)
-            for pair in table.pairs:
+            for pair in table.columns:
                 column = table.column(*pair)
                 best = min(column.values())
                 assert rel(*(b for b, d in column.items() if d == best)) <= merged.constraint(*pair)
-            assert len(trace.iterations) <= 4 * len(table.pairs)
+            assert len(trace.iterations) <= 4 * len(table.columns)
 
     def test_conflicting_sources_relax_until_consistent(self):
         a = QCN(["A", "B"], {("A", "B"): rel(DR)})

@@ -531,6 +531,7 @@ class TestReferenceAgreement:
             assert fast.subsumptions == slow.subsumptions, o
             assert fast.disjointness == slow.disjointness, o
             assert fast.unsatisfiable == slow.unsatisfiable, o
+            assert fast.to_json_dict() == slow.to_json_dict(), o
             for c in o.concepts:
                 assert fast.supers_of(c) == {s.sup for s in slow.subsumptions if s.sub == c}
 
@@ -538,6 +539,7 @@ class TestReferenceAgreement:
             reference = oracles.reference_closure(o)
             assert closed == reference, o
             assert closed.facts == reference.facts, o
+            assert closed.members == reference.members, o
             assert closed.inconsistent_individuals == reference.inconsistent_individuals, o
             for c in o.concepts + ("Z",):
                 expected = {f.individual for f in reference.facts if f.concept == c}
