@@ -72,7 +72,7 @@ def _input_paths(args: argparse.Namespace) -> list[str]:
         profile_path = Path(args.profile)
         text = _read_text(args.profile, "profile")
         for line in _LINE_BREAK.split(text):
-            line = line.strip()
+            line = line.strip(" \t")
             if not line or line.startswith("#"):
                 continue
             entry = Path(line)

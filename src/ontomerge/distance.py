@@ -26,29 +26,29 @@ __all__ = [
 ]
 
 #: Conceptual-neighborhood edges over the five base relations.
-NEIGHBORHOOD_EDGES: frozenset[frozenset[BaseRelation]] = frozenset(
+NEIGHBORHOOD_EDGES: frozenset[frozenset[Relation]] = frozenset(
     frozenset(edge) for edge in ((DR, PO), (PO, PP), (PO, PPi), (PP, EQ), (PPi, EQ))
 )
 
 
 def _distance_rows() -> tuple[tuple[int, ...], ...]:
-    """Row `mask`, column `b.index`: distance from b to the constraint `mask`.
+    """Row `mask`, column i: distance from ``BaseRelation[i]`` to the constraint `mask`.
 
     The ball around b grows by one neighbourhood step at a time until it
     covers every base relation; the distance to a non-empty constraint is
     the number of balls that miss it.  The empty constraint's row is 0.
     """
-    reach = {b.value: b.value for b in BaseRelation}
+    reach = {b.mask: b.mask for b in BaseRelation}
     for a, c in NEIGHBORHOOD_EDGES:
-        reach[a.value] |= c.value
-        reach[c.value] |= a.value
+        reach[a.mask] |= c.mask
+        reach[c.mask] |= a.mask
     rows = [[0] * 5 for _ in range(32)]
-    for b in BaseRelation:
-        ball = b.value
+    for col, b in enumerate(BaseRelation):
+        ball = b.mask
         while ball != UNIVERSAL.mask:
             for mask in range(1, 32):
                 if not mask & ball:
-                    rows[mask][b.index] += 1
+                    rows[mask][col] += 1
             grown = ball
             for bit, neighbours in reach.items():
                 if bit & ball:
@@ -60,24 +60,24 @@ def _distance_rows() -> tuple[tuple[int, ...], ...]:
 _DIST = _distance_rows()
 
 
-def base_distance(b1: BaseRelation, b2: BaseRelation) -> int:
+def base_distance(b1: Relation, b2: Relation) -> int:
     """Shortest-path length between two base relations in the graph."""
-    return _DIST[b2.value][b1.index]
+    return _DIST[b2.mask][BaseRelation.index(b1)]
 
 
-def constraint_distance(b: BaseRelation, phi: Relation) -> int:
+def constraint_distance(b: Relation, phi: Relation) -> int:
     """Distance from a base relation to a constraint: min over members.
 
     An empty constraint yields 0 so the operator stays total; callers that
     build tables flag the affected pairs (a self-contradictory source
     imposes no preference).
     """
-    return _DIST[phi.mask][b.index]
+    return _DIST[phi.mask][BaseRelation.index(b)]
 
 
-def profile_distance(b: BaseRelation, entries: Sequence[Relation]) -> int:
+def profile_distance(b: Relation, entries: Sequence[Relation]) -> int:
     """Distance from a base relation to a profile: sum over the entries."""
-    return sum(_DIST[phi.mask][b.index] for phi in entries)
+    return sum(constraint_distance(b, phi) for phi in entries)
 
 
 @dataclass(frozen=True)
@@ -93,7 +93,7 @@ class DistanceTable:
     empty_entries: tuple[tuple[int, tuple[str, str]], ...]
 
     def distances(self, u: str, v: str) -> tuple[int, int, int, int, int]:
-        """Distances for the ordered pair (u, v), indexed by `BaseRelation.index`."""
+        """Distances for the ordered pair (u, v), in `BaseRelation` order."""
         if (u, v) in self.columns:
             return self.columns[(u, v)]
         if (v, u) in self.columns:
@@ -101,7 +101,7 @@ class DistanceTable:
             return (stored[0], stored[1], stored[3], stored[2], stored[4])
         raise KeyError(f"no distance column for pair ({u!r}, {v!r})")
 
-    def column(self, u: str, v: str) -> dict[BaseRelation, int]:
+    def column(self, u: str, v: str) -> dict[Relation, int]:
         """Distances for the ordered pair (u, v), keyed by base relation."""
         return dict(zip(BaseRelation, self.distances(u, v)))
 
@@ -140,8 +140,8 @@ def distance_table(profile: Sequence[QCN]) -> DistanceTable:
 
 def _table_rows(table: DistanceTable) -> Iterator[tuple[str, ...]]:
     yield ("relation",) + tuple(f"{u}-{v}" for u, v in table.columns)
-    for b in BaseRelation:
-        yield (b.name,) + tuple(str(column[b.index]) for column in table.columns.values())
+    for col, b in enumerate(BaseRelation):
+        yield (b.name,) + tuple(str(column[col]) for column in table.columns.values())
 
 
 def render_distance_table(table: DistanceTable, fmt: str = "text") -> str:

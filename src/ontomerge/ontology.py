@@ -370,7 +370,8 @@ def _match_statement(tokens: list[tuple[str, str, int]], line_no: int, line: str
     if best < len(tokens):
         _, text, column = tokens[best]
         raise OntologySyntaxError(f"unexpected token {text!r}", line_no, column)
-    raise OntologySyntaxError("incomplete statement", line_no, len(line.rstrip()) + 1)
+    _, text, column = tokens[-1]
+    raise OntologySyntaxError("incomplete statement", line_no, column + len(text))
 
 
 def parse_ontology(text: str) -> Ontology:

@@ -17,7 +17,6 @@ from __future__ import annotations
 
 import json
 from collections import deque
-from enum import Enum
 from typing import Iterable, Iterator, Mapping
 
 __all__ = [
@@ -33,7 +32,6 @@ __all__ = [
     "SCENARIO_LABELS",
     "converse",
     "compose",
-    "compose_relations",
     "QCN",
     "Scenario",
     "algebraic_closure",
@@ -45,75 +43,35 @@ __all__ = [
 ]
 
 
-class BaseRelation(Enum):
-    """The five jointly exhaustive, pairwise disjoint base relations."""
-
-    DR = 1
-    PO = 2
-    PP = 4
-    PPi = 8
-    EQ = 16
-
-    def __repr__(self) -> str:
-        return self.name
-
-    def __str__(self) -> str:
-        return self.name
-
-    @property
-    def index(self) -> int:
-        """Position in the canonical order DR, PO, PP, PPi, EQ."""
-        return self.value.bit_length() - 1
-
-    @property
-    def converse(self) -> "BaseRelation":
-        return BaseRelation(_CONV_MASK[self.value])
-
-
-DR, PO, PP, PPi, EQ = BaseRelation
-
-_BASES: tuple[BaseRelation, ...] = tuple(BaseRelation)
-_BASE_BY_NAME = {b.name: b for b in _BASES}
 _FULL_MASK = 0b11111
-_SINGLETON_MASKS = (1, 2, 4, 8, 16)
-
-
-def _converse_mask(mask: int) -> int:
-    swapped = mask & ~(PP.value | PPi.value)
-    if mask & PP.value:
-        swapped |= PPi.value
-    if mask & PPi.value:
-        swapped |= PP.value
-    return swapped
-
-
-_CONV_MASK = tuple(_converse_mask(m) for m in range(32))
-_MEMBERS = tuple(tuple(b for b in _BASES if b.value & m) for m in range(32))
-_SORT_KEYS = tuple(tuple(b.index for b in members) for members in _MEMBERS)
-_NAMES = tuple(tuple(b.name for b in members) for members in _MEMBERS)
+_BASE_NAMES = ("DR", "PO", "PP", "PPi", "EQ")
+#: The member positions and member bits of each mask.
+_SORT_KEYS = tuple(tuple(i for i in range(5) if m >> i & 1) for m in range(32))
+_BITS = tuple(tuple(1 << i for i in key) for key in _SORT_KEYS)
+_NAMES = tuple(tuple(_BASE_NAMES[i] for i in key) for key in _SORT_KEYS)
 _REPRS = tuple("{%s}" % ",".join(names) for names in _NAMES)
 
 
 class Relation:
     """An immutable set of base relations; the constraint label type.
 
-    The full set means "no information"; the empty set is an unsatisfiable
-    constraint.  All 32 values are interned -- by ``__new__``,
-    `from_mask` and ``__reduce__`` (copies and pickles) -- so equality
-    and hashing are those of identity.
+    A base relation is the singleton set holding it.  The full set means
+    "no information"; the empty set is an unsatisfiable constraint.  All
+    32 values are interned -- by ``__new__``, `from_mask` and
+    ``__reduce__`` (copies and pickles) -- so equality and hashing are
+    those of identity.
     """
 
     __slots__ = ("_mask",)
     _interned: tuple["Relation", ...] = ()
 
-    def __new__(cls, members: Iterable[BaseRelation] = ()) -> "Relation":
-        if isinstance(members, Relation):
-            return members
+    def __new__(cls, members: Iterable["Relation"] = ()) -> "Relation":
+        """The union of `members`; a relation is the union of its own members."""
         mask = 0
         for b in members:
-            if not isinstance(b, BaseRelation):
-                raise TypeError(f"expected BaseRelation members, got {b!r}")
-            mask |= b.value
+            if not isinstance(b, Relation):
+                raise TypeError(f"expected Relation members, got {b!r}")
+            mask |= b._mask
         return cls.from_mask(mask)
 
     @classmethod
@@ -124,24 +82,29 @@ class Relation:
 
     @classmethod
     def from_names(cls, names: Iterable[str]) -> "Relation":
-        members = []
+        mask = 0
         for name in names:
-            try:
-                members.append(_BASE_BY_NAME[name])
-            except KeyError:
-                raise ValueError(f"unknown base relation name: {name!r}") from None
-        return cls(members)
+            if name not in _BASE_NAMES:
+                raise ValueError(f"unknown base relation name: {name!r}")
+            mask |= 1 << _BASE_NAMES.index(name)
+        return cls._interned[mask]
 
     @property
     def mask(self) -> int:
         return self._mask
 
     @property
-    def members(self) -> tuple[BaseRelation, ...]:
-        return _MEMBERS[self._mask]
+    def members(self) -> tuple["Relation", ...]:
+        """The base relations in this set, in the order DR, PO, PP, PPi, EQ."""
+        return tuple(self)
 
     def names(self) -> tuple[str, ...]:
         return _NAMES[self._mask]
+
+    @property
+    def name(self) -> str:
+        """The member names joined by commas; a base relation's own name."""
+        return ",".join(_NAMES[self._mask])
 
     @property
     def is_empty(self) -> bool:
@@ -151,17 +114,18 @@ class Relation:
     def is_full(self) -> bool:
         return self._mask == _FULL_MASK
 
+    @property
     def converse(self) -> "Relation":
         return Relation.from_mask(_CONV_MASK[self._mask])
 
     def sort_key(self) -> tuple[int, ...]:
         return _SORT_KEYS[self._mask]
 
-    def __contains__(self, b: BaseRelation) -> bool:
-        return bool(b.value & self._mask)
+    def __contains__(self, b: "Relation") -> bool:
+        return bool(b._mask & self._mask)
 
-    def __iter__(self) -> Iterator[BaseRelation]:
-        return iter(self.members)
+    def __iter__(self) -> Iterator["Relation"]:
+        return map(Relation._interned.__getitem__, _BITS[self._mask])
 
     def __len__(self) -> int:
         return self._mask.bit_count()
@@ -205,17 +169,31 @@ Relation._interned = _intern_relations()
 EMPTY = Relation.from_mask(0)
 UNIVERSAL = Relation.from_mask(_FULL_MASK)
 
+#: The five jointly exhaustive, pairwise disjoint base relations, as singletons.
+BaseRelation: tuple[Relation, ...] = tuple(Relation.from_mask(1 << i) for i in range(5))
+DR, PO, PP, PPi, EQ = BaseRelation
+
+
+def _converse_mask(mask: int) -> int:
+    swapped = mask & ~(PP.mask | PPi.mask)
+    if mask & PP.mask:
+        swapped |= PPi.mask
+    if mask & PPi.mask:
+        swapped |= PP.mask
+    return swapped
+
+
+_CONV_MASK = tuple(_converse_mask(m) for m in range(32))
+
 #: Labels a scenario constraint may carry: singletons plus the two
 #: quasi-atomic disjunctions.
-SCENARIO_LABELS = tuple(
-    Relation.from_mask(m) for m in (*_SINGLETON_MASKS, PP.value | EQ.value, PPi.value | EQ.value)
-)
+SCENARIO_LABELS = (*BaseRelation, PP | EQ, PPi | EQ)
 _SCENARIO_MASKS = frozenset(r.mask for r in SCENARIO_LABELS)
 
 
 def converse(rel: Relation) -> Relation:
     """Base-wise converse: PP and PPi swap, DR/PO/EQ are fixed."""
-    return rel.converse()
+    return rel.converse
 
 
 # Weak composition of base relations, frozen as a constant.  The tests
@@ -252,7 +230,8 @@ def _build_comp_masks() -> tuple[tuple[int, ...], ...]:
     """Composition is a union over members, so each entry splits off its lowest member."""
     table = [[0] * 32 for _ in range(32)]
     for (b1, b2), out in _COMPOSITION_ENTRIES.items():
-        table[_BASE_BY_NAME[b1].value][_BASE_BY_NAME[b2].value] = Relation.from_names(out).mask
+        m1, m2 = (Relation.from_names([b]).mask for b in (b1, b2))
+        table[m1][m2] = Relation.from_names(out).mask
     for m1 in range(1, 32):
         low1 = m1 & -m1
         for m2 in range(1, 32):
@@ -267,13 +246,8 @@ def _build_comp_masks() -> tuple[tuple[int, ...], ...]:
 _COMP_MASK = _build_comp_masks()
 
 
-def compose(b1: BaseRelation, b2: BaseRelation) -> Relation:
-    """Weak composition of two base relations."""
-    return Relation.from_mask(_COMP_MASK[b1.value][b2.value])
-
-
-def compose_relations(r1: Relation, r2: Relation) -> Relation:
-    """Weak composition lifted to relation sets (union over members)."""
+def compose(r1: Relation, r2: Relation) -> Relation:
+    """Weak composition: the union of the base compositions over member pairs."""
     return Relation.from_mask(_COMP_MASK[r1.mask][r2.mask])
 
 
@@ -303,12 +277,12 @@ class QCN:
         self._variables = vars_t
         self._index = {v: i for i, v in enumerate(vars_t)}
         n = len(vars_t)
-        m = [[EQ.value if i == j else _FULL_MASK for j in range(n)] for i in range(n)]
+        m = [[EQ.mask if i == j else _FULL_MASK for j in range(n)] for i in range(n)]
         self._matrix = m
         items = constraints.items() if isinstance(constraints, Mapping) else constraints
         for (u, v), rel in items:
             i, j = self._pair_indices(u, v)
-            _put(m, i, j, m[i][j] & Relation(rel).mask)
+            _put(m, i, j, m[i][j] & rel.mask)
 
     @classmethod
     def _from_matrix(cls, source: "QCN", m: list[list[int]]) -> "QCN":
@@ -535,7 +509,7 @@ def algebraic_closure(n: QCN) -> QCN:
 
 
 #: Labels the consistency search splits: the non-atomic ones without PO.
-_SPLIT = tuple(m.bit_count() > 1 and not m & PO.value for m in range(32))
+_SPLIT = tuple(m.bit_count() > 1 and not m & PO.mask for m in range(32))
 
 
 def _branches(m: list[list[int]], n: int, i: int, j: int) -> Iterator[list[list[int]]]:
@@ -543,9 +517,9 @@ def _branches(m: list[list[int]], n: int, i: int, j: int) -> Iterator[list[list[
 
     A copy in which a constraint empties is dropped.
     """
-    for b in _MEMBERS[m[i][j]]:
+    for bit in _BITS[m[i][j]]:
         child = [row[:] for row in m]
-        _put(child, i, j, b.value)
+        _put(child, i, j, bit)
         if _close(child, n, deque([(i, j)])):
             yield child
 
@@ -603,9 +577,9 @@ def _triangle_labels(a: int, b: int) -> int:
     That is, z lies in x^-1 o y for every x in a, y in b and z in c.
     """
     common = _FULL_MASK
-    for x in _MEMBERS[a]:
-        for y in _MEMBERS[b]:
-            common &= _COMP_MASK[_CONV_MASK[x.value]][y.value]
+    for x in _BITS[a]:
+        for y in _BITS[b]:
+            common &= _COMP_MASK[_CONV_MASK[x]][y]
     return _FITS[common]
 
 
@@ -687,7 +661,7 @@ def qcn_to_dot(qcn: QCN, name: str = "qcn") -> str:
         lines.append(f'  "{var}";')
     for u, v, rel in qcn.items():
         if u > v:
-            u, v, rel = v, u, rel.converse()
+            u, v, rel = v, u, rel.converse
         lines.append(f'  "{u}" -- "{v}" [label="{rel!r}"];')
     lines.append("}")
     return "\n".join(lines) + "\n"

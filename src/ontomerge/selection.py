@@ -34,13 +34,13 @@ __all__ = [
 _COUNT_INDEX: tuple[int | None, ...] = tuple(
     map(
         {
-            PP.value: 0,
-            EQ.value: 0,
-            PP.value | EQ.value: 0,
-            PPi.value: 1,
-            PPi.value | EQ.value: 1,
-            DR.value: 2,
-            PO.value: 3,
+            PP.mask: 0,
+            EQ.mask: 0,
+            PP.mask | EQ.mask: 0,
+            PPi.mask: 1,
+            PPi.mask | EQ.mask: 1,
+            DR.mask: 2,
+            PO.mask: 3,
         }.get,
         range(32),
     )

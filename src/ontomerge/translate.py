@@ -180,13 +180,13 @@ def _overlap_block(u: str, v: str, pool: FreshNamePool) -> list[Statement]:
 #: The statement block of each scenario label mask on a canonical pair (u, v):
 #: axioms first, then assertions.
 _BLOCKS: dict[int, Callable[[str, str, FreshNamePool], list[Statement]]] = {
-    EQ.value: lambda u, v, pool: [Subsumption(u, v), Subsumption(v, u)],
-    DR.value: lambda u, v, pool: [Disjointness(u, v)],
-    PP.value | EQ.value: lambda u, v, pool: [Subsumption(u, v)],
-    PPi.value | EQ.value: lambda u, v, pool: [Subsumption(v, u)],
-    PP.value: _proper_part_block,
-    PPi.value: lambda u, v, pool: _proper_part_block(v, u, pool),
-    PO.value: _overlap_block,
+    EQ.mask: lambda u, v, pool: [Subsumption(u, v), Subsumption(v, u)],
+    DR.mask: lambda u, v, pool: [Disjointness(u, v)],
+    PP.mask | EQ.mask: lambda u, v, pool: [Subsumption(u, v)],
+    PPi.mask | EQ.mask: lambda u, v, pool: [Subsumption(v, u)],
+    PP.mask: _proper_part_block,
+    PPi.mask: lambda u, v, pool: _proper_part_block(v, u, pool),
+    PO.mask: _overlap_block,
 }
 
 

@@ -61,7 +61,6 @@ from ontomerge.rcc5 import (
     PPi,
     Relation,
     Scenario,
-    _BASE_BY_NAME,
     _branches,
     _close,
     _COMP_MASK,
@@ -92,26 +91,25 @@ def code_matrix(universe_size: int) -> np.ndarray:
 
 def generate_composition_table(
     universe_size: int = 7,
-) -> dict[tuple[BaseRelation, BaseRelation], Relation]:
+) -> dict[tuple[Relation, Relation], Relation]:
     """Regenerate weak composition by brute force over set triples.
 
     Seven points cover every Boolean cell of three regions, so the result
     is the true table; it must equal the shipped constant.
     """
     codes = code_matrix(universe_size)
-    bases = tuple(BaseRelation)
     table = {}
-    for b1 in bases:
-        left = (codes == b1.index).astype(np.uint32)
-        for b2 in bases:
-            right = (codes == b2.index).astype(np.uint32)
+    for i1, b1 in enumerate(BaseRelation):
+        left = (codes == i1).astype(np.uint32)
+        for i2, b2 in enumerate(BaseRelation):
+            right = (codes == i2).astype(np.uint32)
             reachable = (left @ right) > 0
             out = np.unique(codes[reachable])
-            table[(b1, b2)] = Relation(bases[i] for i in out)
+            table[(b1, b2)] = Relation(BaseRelation[i] for i in out)
     return table
 
 
-def rel_of_sets(x: frozenset, y: frozenset) -> BaseRelation:
+def rel_of_sets(x: frozenset, y: frozenset) -> Relation:
     """The unique base relation holding between two non-empty sets."""
     if not x or not y:
         raise ValueError("regions must be non-empty")
@@ -141,7 +139,7 @@ class SetInterpretation:
             if not region <= points:
                 raise ValueError(f"region for {var!r} leaves the universe")
 
-    def relation_between(self, u: str, v: str) -> BaseRelation:
+    def relation_between(self, u: str, v: str) -> Relation:
         return rel_of_sets(self.assignment[u], self.assignment[v])
 
     def satisfies(self, qcn: QCN) -> bool:
@@ -172,7 +170,7 @@ def find_set_model(n: QCN, universe_size: int) -> SetInterpretation | None:
             return None
         selector = np.zeros(5, dtype=bool)
         for b in rel:
-            selector[b.index] = True
+            selector[BaseRelation.index(b)] = True
         allowed[(index[u], index[v])] = selector[codes]
 
     chosen = [0] * len(variables)
@@ -354,7 +352,7 @@ def solution_grid(qcn: QCN, concepts: Sequence[str], universe_size: int) -> np.n
     for u, v, rel in qcn.items():
         selector = np.zeros(5, dtype=bool)
         for b in rel:
-            selector[b.index] = True
+            selector[BaseRelation.index(b)] = True
         grid = grid & _pair_grid(selector[codes], index[u], index[v], axes)
     return grid
 
@@ -422,7 +420,7 @@ def satisfiable_3var(qcn: QCN, universe_size: int = 7) -> bool:
     def allowed(u: str, v: str) -> np.ndarray:
         selector = np.zeros(5, dtype=bool)
         for b in qcn.constraint(u, v):
-            selector[b.index] = True
+            selector[BaseRelation.index(b)] = True
         return selector[codes]
 
     m01 = allowed(names[0], names[1])
@@ -441,7 +439,7 @@ def realizable_bases_3var(qcn: QCN, universe_size: int = 7) -> dict[tuple[str, s
     def allowed(u: str, v: str) -> np.ndarray:
         selector = np.zeros(5, dtype=bool)
         for b in qcn.constraint(u, v):
-            selector[b.index] = True
+            selector[BaseRelation.index(b)] = True
         return selector[codes]
 
     m01 = allowed(names[0], names[1])
@@ -452,8 +450,7 @@ def realizable_bases_3var(qcn: QCN, universe_size: int = 7) -> dict[tuple[str, s
     for (ai, bi), axis in (((0, 1), 2), ((0, 2), 1), ((1, 2), 0)):
         witnessed = cube.any(axis=axis)
         present = np.unique(codes[witnessed])
-        bases = tuple(BaseRelation)
-        out[(names[ai], names[bi])] = Relation(bases[i] for i in present)
+        out[(names[ai], names[bi])] = Relation(BaseRelation[i] for i in present)
     return out
 
 
@@ -751,9 +748,9 @@ def _atomic_refinements(n: QCN) -> tuple[list[tuple[int, int]], list[tuple[int, 
 #: For each atomic label that can widen: (sibling label, merged label).
 #: Siblings differ at one pair only, and the merged box is their union.
 _SIBLINGS: dict[int, tuple[tuple[int, int], ...]] = {
-    PP.value: ((EQ.value, PP.value | EQ.value),),
-    PPi.value: ((EQ.value, PPi.value | EQ.value),),
-    EQ.value: ((PP.value, PP.value | EQ.value), (PPi.value, PPi.value | EQ.value)),
+    PP.mask: ((EQ.mask, PP.mask | EQ.mask),),
+    PPi.mask: ((EQ.mask, PPi.mask | EQ.mask),),
+    EQ.mask: ((PP.mask, PP.mask | EQ.mask), (PPi.mask, PPi.mask | EQ.mask)),
 }
 
 
@@ -802,12 +799,12 @@ def reference_scenarios(n: QCN) -> list[Scenario]:
     pair_list, atoms = _atomic_refinements(n)
     if not atoms:
         return []
-    quasi = (PP.value | EQ.value, PPi.value | EQ.value)
+    quasi = (PP.mask | EQ.mask, PPi.mask | EQ.mask)
     label_options = []
     for u, v in itertools.combinations(n.variables, 2):
         mask = n.constraint(u, v).mask
         label_options.append(
-            tuple(b.value for b in BaseRelation if b.value & mask)
+            tuple(b.mask for b in Relation.from_mask(mask))
             + tuple(q for q in quasi if mask & q == q)
         )
 
@@ -930,9 +927,10 @@ def reference_comp_masks() -> tuple[tuple[int, ...], ...]:
     `rcc5._COMP_MASK` builds the same table by splitting off the lowest
     member of a union; this is the triple loop it replaced.
     """
+    position = {b.name: i for i, b in enumerate(BaseRelation)}
     base_comp = [[0] * 5 for _ in range(5)]
     for (b1, b2), out in _COMPOSITION_ENTRIES.items():
-        base_comp[_BASE_BY_NAME[b1].index][_BASE_BY_NAME[b2].index] = Relation.from_names(out).mask
+        base_comp[position[b1]][position[b2]] = Relation.from_names(out).mask
     table = []
     for m1 in range(32):
         row = []

@@ -237,6 +237,16 @@ class TestCheckCommand:
         code, out, err = run_cli("check", "--profile", str(profile), capsys=capsys)
         assert (code, out, err) == (0, f"{source}: consistent\n", "")
 
+    @pytest.mark.parametrize("mark", ["\x0c", "\x1c", "\x85", "\u2028"])
+    def test_profile_entries_lose_only_spaces_and_tabs(self, mark, tmp_path, capsys):
+        # the white space ontology lines accept; `str.strip` also removes these marks
+        source = tmp_path / f"{mark}edge{mark}"
+        source.write_text("A <= B\n")
+        profile = tmp_path / "profile.txt"
+        profile.write_bytes(f" \t{source.name}\t \n".encode())
+        code, out, err = run_cli("check", "--profile", str(profile), capsys=capsys)
+        assert (code, out, err) == (0, f"{source}: consistent\n", "")
+
     def test_json_report(self, tmp_path, capsys):
         conflicted = tmp_path / "conflict.txt"
         conflicted.write_text("C <= D\nC & D <= bot\n")

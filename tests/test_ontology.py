@@ -123,6 +123,7 @@ class TestParser:
             ("A <= some r.", OntologySyntaxError, 13, "incomplete statement"),
             ("A <= B <= C", OntologySyntaxError, 8, "unexpected token '<='"),
             ("A &", OntologySyntaxError, 4, "incomplete statement"),
+            ("A <= # why", OntologySyntaxError, 5, "incomplete statement"),
             ("A & <= B", OntologySyntaxError, 5, "unexpected token '<='"),
             ("A <= some r.B C", OntologySyntaxError, 15, "unexpected token 'C'"),
             ("some <= B", OntologySyntaxError, 6, "unexpected token '<='"),

@@ -27,7 +27,6 @@ from ontomerge.rcc5 import (
     Scenario,
     algebraic_closure,
     compose,
-    compose_relations,
     converse,
     enumerate_scenarios,
     is_consistent,
@@ -47,7 +46,7 @@ from oracles import (
 relations = st.builds(Relation.from_mask, st.integers(min_value=0, max_value=31))
 
 
-def rel(*bases: BaseRelation) -> Relation:
+def rel(*bases: Relation) -> Relation:
     return Relation(bases)
 
 
@@ -65,10 +64,23 @@ class TestRelation:
     def test_interning_and_equality(self):
         assert Relation([PP, EQ]) is Relation([EQ, PP])
         assert Relation([]) is EMPTY
+        assert Relation(rel(PP, EQ)) is rel(PP, EQ)
+        # the base relations are the singletons, in the order DR, PO, PP, PPi, EQ
+        assert [b.mask for b in BaseRelation] == [1, 2, 4, 8, 16]
+        for b in BaseRelation:
+            assert Relation([b]) is b
+            assert Relation.from_mask(b.mask) is b
+            assert Relation.from_names([b.name]) is b
+            assert list(b) == [b]
         # equality is identity, so copies and pickles must come back interned
-        for r in (EMPTY, rel(PP, EQ), UNIVERSAL):
+        for mask in range(32):
+            r = Relation.from_mask(mask)
             assert copy.copy(r) is r and copy.deepcopy(r) is r
             assert pickle.loads(pickle.dumps(r)) is r
+
+    def test_members_must_be_relations(self):
+        with pytest.raises(TypeError):
+            Relation([PP, "EQ"])
 
     def test_from_names_rejects_unknown(self):
         with pytest.raises(ValueError):
@@ -76,8 +88,9 @@ class TestRelation:
 
     def test_label_tables_match_base_relation_names(self):
         for mask in range(32):
-            names = tuple(b.name for b in BaseRelation if b.value & mask)
+            names = tuple(b.name for b in BaseRelation if b.mask & mask)
             assert Relation.from_mask(mask).names() == names
+            assert Relation.from_mask(mask).name == ",".join(names)
             assert repr(Relation.from_mask(mask)) == "{" + ",".join(names) + "}"
 
 
@@ -114,10 +127,12 @@ class TestComposition:
             assert compose(b1, b2) == converse(compose(b2.converse, b1.converse))
 
     def test_set_composition_matches_base_table(self):
-        for b1, b2 in itertools.product(BaseRelation, repeat=2):
-            assert compose_relations(rel(b1), rel(b2)) == compose(b1, b2)
-        assert compose_relations(UNIVERSAL, UNIVERSAL) == UNIVERSAL
-        assert compose_relations(EMPTY, UNIVERSAL) == EMPTY
+        relations = [Relation.from_mask(mask) for mask in range(32)]
+        for r1, r2 in itertools.product(relations, repeat=2):
+            union = Relation(compose(b1, b2) for b1 in r1 for b2 in r2)
+            assert compose(r1, r2) is union, (r1, r2)
+        assert compose(UNIVERSAL, UNIVERSAL) is UNIVERSAL
+        assert compose(EMPTY, UNIVERSAL) is EMPTY
 
     def test_mask_table_matches_reference_loop(self):
         reference = oracles.reference_comp_masks()
@@ -231,7 +246,7 @@ class TestAlgebraicClosure:
         closed = algebraic_closure(n)
         for u, v in itertools.combinations(n.variables, 2):
             assert closed.constraint(u, v) <= n.constraint(u, v)
-            assert closed.constraint(u, v).converse() == closed.constraint(v, u)
+            assert closed.constraint(u, v).converse == closed.constraint(v, u)
 
     def test_closure_never_drops_realizable_bases(self):
         rng = random.Random(20240817)
@@ -261,7 +276,7 @@ class TestAlgebraicClosure:
                 if closed[i][j].bit_count() > 1:
                     for b in Relation.from_mask(closed[i][j]):
                         child = [row[:] for row in closed]
-                        _put(child, i, j, b.value)
+                        _put(child, i, j, b.mask)
                         _close_agrees(verdicts["single"], child, size, (i, j))
         assert verdicts == {"full": {True, False}, "single": {True, False}}
 
@@ -277,7 +292,7 @@ class TestAlgebraicClosure:
         # splits, and every open pair is fixed to each of its atoms in turn,
         # as are two universal pairs per network.
         rng = random.Random(5309)
-        without_po = [mask for mask in range(1, 32) if not mask & PO.value]
+        without_po = [mask for mask in range(1, 32) if not mask & PO.mask]
         verdicts = {"full": set(), "single": set()}
         for _ in range(60):
             size = rng.randint(10, 30)
@@ -291,7 +306,7 @@ class TestAlgebraicClosure:
             for i, j in fixed:
                 for b in Relation.from_mask(closed[i][j]):
                     child = [row[:] for row in closed]
-                    _put(child, i, j, b.value)
+                    _put(child, i, j, b.mask)
                     _close_agrees(verdicts["single"], child, size, (i, j))
         assert verdicts == {"full": {True, False}, "single": {True, False}}
 
@@ -300,7 +315,7 @@ def _random_matrix(rng, size, universal, labels=range(1, 32)):
     """A mask matrix in which each pair stays universal with probability
     `universal` and otherwise draws from `labels`; one pair in ten networks
     is empty."""
-    m = [[EQ.value if i == j else UNIVERSAL.mask for j in range(size)] for i in range(size)]
+    m = [[EQ.mask if i == j else UNIVERSAL.mask for j in range(size)] for i in range(size)]
     for i, j in itertools.combinations(range(size), 2):
         if rng.random() >= universal:
             _put(m, i, j, rng.choice(labels))
@@ -381,7 +396,7 @@ class TestConsistency:
             for combo in itertools.product(*(rel.members for rel in constraints.values())):
                 atomic = QCN(variables, dict(zip(constraints, (Relation([b]) for b in combo))))
                 if not algebraic_closure(atomic).has_empty_constraint:
-                    expected.add(tuple(b.value for b in combo))
+                    expected.add(tuple(b.mask for b in combo))
             pair_list, solutions = _atomic_refinements(n)
             assert pair_list == list(itertools.combinations(range(len(variables)), 2))
             assert len(solutions) == len(set(solutions)), masks
@@ -447,7 +462,7 @@ class TestConsistencyWithOpenPOLabels:
 
         monkeypatch.setattr(rcc5, "_branches", counting)
         rng = random.Random(40)
-        with_po = [mask for mask in range(32) if mask & PO.value]
+        with_po = [mask for mask in range(32) if mask & PO.mask]
         names = [f"v{i}" for i in range(40)]
         pairs = itertools.combinations(names, 2)
         n = QCN(names, {pair: Relation.from_mask(rng.choice(with_po)) for pair in pairs})
@@ -505,8 +520,8 @@ def _oracle_scenarios(n: QCN) -> set[tuple[int, ...]]:
     options = []
     for u, v in pair_names:
         mask = n.constraint(u, v).mask
-        labels = [b.value for b in BaseRelation if b.value & mask]
-        for quasi in (PP.value | EQ.value, PPi.value | EQ.value):
+        labels = [b.mask for b in BaseRelation if b.mask & mask]
+        for quasi in (PP.mask | EQ.mask, PPi.mask | EQ.mask):
             if quasi & mask == quasi:
                 labels.append(quasi)
         options.append(labels)

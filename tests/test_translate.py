@@ -412,12 +412,12 @@ class TestForwardFaithfulness:
 def _label_selector(label):
     out = np.zeros(5, dtype=bool)
     for b in label:
-        out[b.index] = True
+        out[BaseRelation.index(b)] = True
     return out
 
 
 class TestBackwardFaithfulness:
-    @pytest.mark.parametrize("label_masks", [(b.value,) for b in BaseRelation] + [(4, 16), (8, 16)])
+    @pytest.mark.parametrize("label_masks", [(b.mask,) for b in BaseRelation] + [(4, 16), (8, 16)])
     def test_two_variable_scenarios_exact(self, label_masks):
         label = Relation.from_mask(sum(label_masks))
         s = Scenario(["C", "D"], {("C", "D"): label})
