@@ -51,7 +51,7 @@ class PipelineError(Exception):
 
 def _read_text(path: str, stage: str) -> str:
     try:
-        return Path(path).read_text(encoding="utf-8")
+        return Path(path).read_text(encoding="utf-8-sig")
     except OSError as exc:
         raise PipelineError(stage, f"cannot read {path}: {exc.strerror or exc}") from exc
     except UnicodeDecodeError as exc:

@@ -17,9 +17,6 @@ from .rcc5 import EMPTY, EQ, PO, PP, DR, PPi, UNIVERSAL, BaseRelation, QCN, Rela
 
 __all__ = [
     "NEIGHBORHOOD_EDGES",
-    "base_distance",
-    "constraint_distance",
-    "profile_distance",
     "DistanceTable",
     "distance_table",
     "render_distance_table",
@@ -60,26 +57,6 @@ def _distance_rows() -> tuple[tuple[int, ...], ...]:
 _DIST = _distance_rows()
 
 
-def base_distance(b1: Relation, b2: Relation) -> int:
-    """Shortest-path length between two base relations in the graph."""
-    return _DIST[b2.mask][BaseRelation.index(b1)]
-
-
-def constraint_distance(b: Relation, phi: Relation) -> int:
-    """Distance from a base relation to a constraint: min over members.
-
-    An empty constraint yields 0 so the operator stays total; callers that
-    build tables flag the affected pairs (a self-contradictory source
-    imposes no preference).
-    """
-    return _DIST[phi.mask][BaseRelation.index(b)]
-
-
-def profile_distance(b: Relation, entries: Sequence[Relation]) -> int:
-    """Distance from a base relation to a profile: sum over the entries."""
-    return sum(constraint_distance(b, phi) for phi in entries)
-
-
 @dataclass(frozen=True)
 class DistanceTable:
     """Per-pair distances from every base relation to the profile.
@@ -92,18 +69,13 @@ class DistanceTable:
     columns: Mapping[tuple[str, str], tuple[int, int, int, int, int]]
     empty_entries: tuple[tuple[int, tuple[str, str]], ...]
 
-    def distances(self, u: str, v: str) -> tuple[int, int, int, int, int]:
-        """Distances for the ordered pair (u, v), in `BaseRelation` order."""
-        if (u, v) in self.columns:
-            return self.columns[(u, v)]
-        if (v, u) in self.columns:
-            stored = self.columns[(v, u)]
-            return (stored[0], stored[1], stored[3], stored[2], stored[4])
-        raise KeyError(f"no distance column for pair ({u!r}, {v!r})")
-
     def column(self, u: str, v: str) -> dict[Relation, int]:
         """Distances for the ordered pair (u, v), keyed by base relation."""
-        return dict(zip(BaseRelation, self.distances(u, v)))
+        if (u, v) in self.columns:
+            return dict(zip(BaseRelation, self.columns[(u, v)]))
+        if (v, u) in self.columns:
+            return {b.converse: d for b, d in zip(BaseRelation, self.columns[(v, u)])}
+        raise KeyError(f"no distance column for pair ({u!r}, {v!r})")
 
 
 def distance_table(profile: Sequence[QCN]) -> DistanceTable:

@@ -23,21 +23,19 @@ __all__ = ["relax", "val", "MergeIteration", "MergeTrace", "merge"]
 _MISSING = tuple(tuple(i for i in range(5) if not mask >> i & 1) for mask in range(32))
 
 
-def relax(phi: Relation, pair: tuple[str, str], table: DistanceTable) -> Relation:
-    """Add every missing base relation of minimal distance for the pair."""
+def relax(phi: Relation, dist: Sequence[int]) -> Relation:
+    """Add every missing base relation of minimal distance in the pair's column."""
     missing = _MISSING[phi.mask]
     if not missing:
         return phi
-    dist = table.distances(*pair)
     best = min([dist[i] for i in missing])
     return Relation.from_mask(phi.mask | sum([1 << i for i in missing if dist[i] == best]))
 
 
-def val(phi: Relation, pair: tuple[str, str], table: DistanceTable) -> int:
-    """How contested a constraint is: the largest member distance."""
+def val(phi: Relation, dist: Sequence[int]) -> int:
+    """How contested a constraint is: the largest member distance in the pair's column."""
     if phi.is_empty:
         raise ValueError("val of an empty constraint is undefined")
-    dist = table.distances(*pair)
     return max(dist[i] for i in range(5) if phi.mask >> i & 1)
 
 
@@ -81,32 +79,33 @@ def merge(profile: Sequence[QCN]) -> tuple[QCN, MergeTrace]:
     of relaxations (pairs are reported in canonical orientation).
     """
     table = distance_table(profile)
+    columns = table.columns
     # a seed label depends on the pair's column only; most pairs share the zero column
     seeds: dict[tuple[int, ...], Relation] = {}
     labels = {}
-    for pair, column in table.columns.items():
+    for pair, column in columns.items():
         if column not in seeds:
-            seeds[column] = relax(EMPTY, pair, table)
+            seeds[column] = relax(EMPTY, column)
         if not seeds[column].is_full:
             labels[pair] = seeds[column]
     current = initial = QCN(profile[0].variables, labels)
 
     iterations: list[MergeIteration] = []
-    bound = 4 * len(table.columns) + 1
+    bound = 4 * len(columns) + 1
     # relaxing a pair changes its value only, and deleting a full pair keeps
     # the order of the rest, so the selected pairs come in table order
-    values = {pair: val(label, pair, table) for pair, label in labels.items()}
+    values = {pair: val(label, columns[pair]) for pair, label in labels.items()}
     while not is_consistent(current):
         if not values:
             raise RuntimeError("relaxation ran out of pairs, yet the all-full network is consistent")
         highest = max(values.values())
         selected = tuple(pair for pair, value in values.items() if value == highest)
         for pair in selected:
-            label = labels[pair] = relax(labels[pair], pair, table)
+            label = labels[pair] = relax(labels[pair], columns[pair])
             if label.is_full:
                 del values[pair]
             else:
-                values[pair] = val(label, pair, table)
+                values[pair] = val(label, columns[pair])
         current = current.updated({pair: labels[pair] for pair in selected})
         iterations.append(
             MergeIteration(

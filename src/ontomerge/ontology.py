@@ -229,37 +229,23 @@ class Ontology:
                 raise ValueError(f"{kind} {min(names - by_kind[kind])!r} missing from the signature")
 
     @classmethod
-    def from_statements(
-        cls,
-        statements: Iterable[Statement],
-        concepts: Iterable[str] = (),
-        roles: Iterable[str] = (),
-        individuals: Iterable[str] = (),
-    ) -> "Ontology":
-        return _collect(((None, stmt) for stmt in statements), concepts, roles, individuals)
+    def from_statements(cls, statements: Iterable[Statement], concepts: Iterable[str] = ()) -> "Ontology":
+        return _collect(((None, stmt) for stmt in statements), concepts)
 
     def statements(self) -> list[Statement]:
         """All statements in canonical (kind, names) order."""
         return sorted_statements(chain(self.tbox, self.abox))
 
 
-def _collect(
-    numbered: Iterable[tuple[int | None, Statement]],
-    concepts: Iterable[str] = (),
-    roles: Iterable[str] = (),
-    individuals: Iterable[str] = (),
-) -> Ontology:
+def _collect(numbered: Iterable[tuple[int | None, Statement]], concepts: Iterable[str] = ()) -> Ontology:
     """An ontology of (line number, statement) pairs; the line may be None.
 
-    The signature is the given names of each namespace followed by the
-    names the statements use, in first-occurrence order.  A name used in
-    a second namespace is a NameClashError naming the statement's line.
+    The signature is the given concepts followed by the names the
+    statements use, each namespace in first-occurrence order.  A name used
+    in a second namespace is a NameClashError naming the statement's line.
     """
-    order = {"concept": list(concepts), "role": list(roles), "individual": list(individuals)}
-    kind_of: dict[str, str] = {}
-    for kind, names in order.items():
-        for name in names:
-            kind_of.setdefault(name, kind)
+    order: dict[str, list[str]] = {"concept": list(concepts), "role": [], "individual": []}
+    kind_of = dict.fromkeys(order["concept"], "concept")
     tbox: set[Axiom] = set()
     abox: set[Assertion] = set()
     for line_no, stmt in numbered:

@@ -12,11 +12,16 @@ Slow references sit beside them: `reference_classify` and
 worklist saturation replaced, and `reference_close` is the algebraic
 closure with two mirrored updates that the single update of
 `rcc5._close` replaced, and `reference_comp_masks` the composition mask
-table built by a triple loop over member pairs.  `reference_distance_table` sums every pair's
-distance column afresh, where `distance.distance_table` sums each
-distinct tuple of source entries once.  Two references check
-`rcc5.enumerate_scenarios`, which decides boxes triangle by triangle:
-`levelwise_scenarios` merges sibling boxes level by level, starting
+table built by a triple loop over member pairs.  `reference_dist_rows`
+finds each base relation's distance to a constraint by breadth-first
+search over the neighbourhood graph, where `distance._DIST` grows a
+ball around each base relation one step at a time.
+`reference_distance_table` sums every pair's distance column afresh, where `distance.distance_table` sums each
+distinct tuple of source entries once.  `reference_merge` recomputes
+every open pair's value each round, where `merging.merge` seeds each
+distinct column once and updates only the relaxed pairs' values.  Two
+references check `rcc5.enumerate_scenarios`, which decides boxes
+triangle by triangle: `levelwise_scenarios` merges sibling boxes level by level, starting
 from the consistent atomic refinements that `_atomic_refinements`
 lists, and `reference_scenarios` filters those refinements into boxes
 and drops every box contained in another.  `reference_select` scores
@@ -34,7 +39,7 @@ from typing import Iterable, Iterator, Mapping, Sequence
 
 import numpy as np
 
-from ontomerge.distance import _DIST, DistanceTable
+from ontomerge.distance import _DIST, NEIGHBORHOOD_EDGES, DistanceTable, distance_table
 from ontomerge.ontology import (
     Axiom,
     Classification,
@@ -53,6 +58,7 @@ from ontomerge.ontology import (
 )
 from ontomerge.rcc5 import (
     DR,
+    EMPTY,
     EQ,
     PO,
     PP,
@@ -67,6 +73,7 @@ from ontomerge.rcc5 import (
     _COMPOSITION_ENTRIES,
     _CONV_MASK,
     _put,
+    is_consistent,
 )
 from ontomerge.selection import ConflictReport, ScenarioScore, _check_signature
 
@@ -1014,3 +1021,65 @@ def reference_distance_table(profile: Sequence[QCN]) -> DistanceTable:
                 flagged.append((k, pair))
         columns[pair] = tuple(map(sum, zip(*(_DIST[entry.mask] for _, _, entry in cells))))
     return DistanceTable(columns=columns, empty_entries=tuple(flagged))
+
+
+def reference_dist_rows() -> tuple[tuple[int, ...], ...]:
+    """Row `mask`, column i: the distance from ``BaseRelation[i]`` to the constraint `mask`.
+
+    Shortest-path lengths by breadth-first search over `NEIGHBORHOOD_EDGES`,
+    the minimum over the constraint's members, and 0 for the empty constraint.
+    """
+    neighbours: dict[Relation, set[Relation]] = {b: set() for b in BaseRelation}
+    for a, c in NEIGHBORHOOD_EDGES:
+        neighbours[a].add(c)
+        neighbours[c].add(a)
+    hops: dict[Relation, dict[Relation, int]] = {}
+    for source in BaseRelation:
+        seen = {source: 0}
+        queue = deque([source])
+        while queue:
+            b = queue.popleft()
+            for c in neighbours[b]:
+                if c not in seen:
+                    seen[c] = seen[b] + 1
+                    queue.append(c)
+        hops[source] = seen
+    return tuple(
+        tuple(min((hops[b][m] for m in Relation.from_mask(mask).members), default=0) for b in BaseRelation)
+        for mask in range(32)
+    )
+
+
+def reference_merge(
+    profile: Sequence[QCN],
+) -> tuple[QCN, QCN, list[tuple[int, int, tuple[tuple[str, str], ...], QCN]]]:
+    """The merged network, the initial network and the rounds of `merging.merge`.
+
+    Each round is (index, value, relaxed pairs, snapshot).  Every round
+    recomputes the value of every open canonical pair from its column and
+    relaxes all pairs of the highest value by their nearest missing bases.
+    """
+    table = distance_table(profile)
+    columns = {pair: table.column(*pair) for pair in table.columns}
+
+    def nearest(label: Relation, column: Mapping[Relation, int]) -> Relation:
+        missing = [b for b in BaseRelation if b not in label]
+        best = min(column[b] for b in missing)
+        return Relation([label, *(b for b in missing if column[b] == best)])
+
+    labels = {pair: nearest(EMPTY, column) for pair, column in columns.items()}
+    current = initial = QCN(profile[0].variables, labels)
+    rounds = []
+    while not is_consistent(current):
+        values = {
+            pair: max(columns[pair][b] for b in label.members)
+            for pair, label in labels.items()
+            if not label.is_full
+        }
+        highest = max(values.values())
+        selected = tuple(pair for pair, value in values.items() if value == highest)
+        for pair in selected:
+            labels[pair] = nearest(labels[pair], columns[pair])
+        current = QCN(profile[0].variables, labels)
+        rounds.append((len(rounds) + 1, highest, selected, current))
+    return current, initial, rounds

@@ -138,6 +138,35 @@ class TestFileErrors:
         assert (code, out) == (2, "")
         assert err.startswith(f"error: {stage}: cannot read {path}: not UTF-8 text")
 
+    @pytest.mark.parametrize(
+        "command, source, golden",
+        [
+            (["classify"], "data/running_example/source1.txt", "tests/golden/classify_source1.txt"),
+            (["translate", "backward"], "tests/golden/selected_scenario.json", "tests/golden/backward.txt"),
+            (["check", "--profile"], None, None),
+        ],
+        ids=["ontology", "scenario", "profile"],
+    )
+    def test_leading_byte_order_mark_is_skipped(self, command, source, golden, tmp_path, capsys):
+        path = tmp_path / "bom.txt"
+        if source is None:
+            listed = tmp_path / "a.txt"
+            listed.write_text("A <= B\n")
+            path.write_text(f"\ufeff{listed.name}\n", encoding="utf-8")
+            expected = f"{listed}: consistent\n"
+        else:
+            path.write_text("\ufeff" + (REPO_ROOT / source).read_text(encoding="utf-8"), encoding="utf-8")
+            expected = (REPO_ROOT / golden).read_text(encoding="utf-8")
+        code, out, err = run_cli(*command, str(path), capsys=capsys)
+        assert (code, out, err) == (0, expected, "")
+
+    def test_byte_order_mark_after_the_start_is_an_error(self, tmp_path, capsys):
+        path = tmp_path / "bom.txt"
+        path.write_text("A <= B\n\ufeffB <= C\n", encoding="utf-8")
+        code, out, err = run_cli("classify", str(path), capsys=capsys)
+        assert (code, out) == (2, "")
+        assert err == f"error: parse: {path}: line 2, column 1: unexpected character '\\ufeff'\n"
+
     @pytest.mark.parametrize("flag", ["-o", "--trace", "--emit-qcn", "--emit-scenarios", "--dot"])
     def test_unwritable_output_is_input_error(self, flag, profile_path, tmp_path, capsys):
         target = tmp_path / "no-such-directory" / "out.txt"

@@ -4,11 +4,9 @@ import random
 import pytest
 
 from ontomerge.distance import (
+    _DIST,
     NEIGHBORHOOD_EDGES,
-    base_distance,
-    constraint_distance,
     distance_table,
-    profile_distance,
     render_distance_table,
 )
 from ontomerge.rcc5 import (
@@ -24,11 +22,20 @@ from ontomerge.rcc5 import (
     Relation,
 )
 
-from oracles import reference_distance_table
+from oracles import reference_dist_rows, reference_distance_table
 
 
 def rel(*bases):
     return Relation(bases)
+
+
+def pair_column(*entries):
+    """The (A, B) distance column of a profile with one source per entry."""
+    return distance_table([QCN(["A", "B"], {("A", "B"): entry}) for entry in entries]).column("A", "B")
+
+
+def test_distance_rows_match_shortest_paths():
+    assert _DIST == reference_dist_rows()
 
 
 class TestBaseDistance:
@@ -36,40 +43,39 @@ class TestBaseDistance:
         assert len(NEIGHBORHOOD_EDGES) == 5
 
     def test_neighbors_are_one_apart(self):
-        assert base_distance(DR, PO) == 1
+        assert pair_column(PO)[DR] == 1
 
     def test_disjoint_to_equal_is_three(self):
-        assert base_distance(DR, EQ) == 3
+        assert pair_column(EQ)[DR] == 3
 
     def test_part_to_inverse_part_is_two(self):
-        assert base_distance(PP, PPi) == 2
+        assert pair_column(PPi)[PP] == 2
 
     def test_metric_properties(self):
+        d = {b: pair_column(b) for b in BaseRelation}
         for a, b in itertools.product(BaseRelation, repeat=2):
-            assert base_distance(a, b) == base_distance(b, a)
-            assert (base_distance(a, b) == 0) == (a == b)
+            assert d[b][a] == d[a][b]
+            assert (d[b][a] == 0) == (a == b)
         for a, b, c in itertools.product(BaseRelation, repeat=3):
-            assert base_distance(a, c) <= base_distance(a, b) + base_distance(b, c)
+            assert d[c][a] <= d[b][a] + d[c][b]
 
     def test_values_bounded_by_three(self):
-        assert all(
-            0 <= base_distance(a, b) <= 3 for a, b in itertools.product(BaseRelation, repeat=2)
-        )
+        assert all(0 <= pair_column(b)[a] <= 3 for a, b in itertools.product(BaseRelation, repeat=2))
 
 
 class TestConstraintDistance:
     def test_takes_the_minimum(self):
-        assert constraint_distance(PP, rel(PPi, EQ)) == 1
+        assert pair_column(rel(PPi, EQ))[PP] == 1
 
     def test_full_set_costs_nothing(self):
-        assert constraint_distance(PP, UNIVERSAL) == 0
+        assert pair_column(UNIVERSAL)[PP] == 0
 
     def test_membership_costs_nothing(self):
         for b in BaseRelation:
-            assert constraint_distance(b, rel(b)) == 0
+            assert pair_column(b)[b] == 0
 
     def test_empty_constraint_costs_nothing(self):
-        assert constraint_distance(PP, EMPTY) == 0
+        assert pair_column(EMPTY)[PP] == 0
 
 
 class TestProfileDistance:
@@ -77,20 +83,20 @@ class TestProfileDistance:
     TD_PROFILE = [rel(DR), UNIVERSAL, rel(PPi, EQ), rel(DR)]
 
     def test_sums_entries(self):
-        assert profile_distance(PP, self.TD_PROFILE) == 5
+        assert pair_column(*self.TD_PROFILE)[PP] == 5
 
     def test_disjoint_row(self):
-        assert profile_distance(DR, self.TD_PROFILE) == 2
+        assert pair_column(*self.TD_PROFILE)[DR] == 2
 
     def test_all_full_profile_is_free(self):
-        for b in BaseRelation:
-            assert profile_distance(b, [UNIVERSAL] * 4) == 0
+        assert set(pair_column(*[UNIVERSAL] * 4).values()) == {0}
 
     def test_zero_iff_member_of_every_entry(self):
         entries = [rel(PP, EQ), rel(PP), rel(PP, PO)]
+        column = pair_column(*entries)
         for b in BaseRelation:
             expected = all(b in e for e in entries)
-            assert (profile_distance(b, entries) == 0) == expected
+            assert (column[b] == 0) == expected
 
 
 def _profile_qcns():
@@ -131,7 +137,7 @@ class TestDistanceTable:
         table = distance_table(_profile_qcns())
         assert table.empty_entries == ((0, ("A", "C")),)
         # the flagged source contributes nothing to the column
-        assert table.column("A", "C")[EQ] == constraint_distance(EQ, UNIVERSAL)
+        assert table.column("A", "C")[EQ] == 0
 
     def test_unknown_pair(self):
         table = distance_table(_profile_qcns())

@@ -13,6 +13,7 @@ from ontomerge.rcc5 import (
     DR,
     PPi,
     UNIVERSAL,
+    BaseRelation,
     QCN,
     Relation,
     is_consistent,
@@ -25,6 +26,12 @@ def rel(*bases):
     return Relation(bases)
 
 
+def col(table, u, v):
+    """The (u, v) distance column in `BaseRelation` order, as `relax` and `val` take it."""
+    column = table.column(u, v)
+    return tuple(column[b] for b in BaseRelation)
+
+
 @pytest.fixture(scope="module")
 def running_table(pipeline):
     return pipeline.trace.table
@@ -32,38 +39,38 @@ def running_table(pipeline):
 
 class TestRelax:
     def test_from_empty_picks_minimal_bases(self, running_table):
-        assert relax(EMPTY, ("B", "D"), running_table) == rel(PP, EQ)
+        assert relax(EMPTY, col(running_table, "B", "D")) == rel(PP, EQ)
 
     def test_from_empty_keeps_every_tied_base(self):
         # source 1 gives {PP,EQ}, source 2 gives {DR}: DR, PO and PP are 2 away
         a = QCN(["A", "B"], {("A", "B"): rel(PP, EQ)})
         b = QCN(["A", "B"], {("A", "B"): rel(DR)})
-        assert relax(EMPTY, ("A", "B"), distance_table([a, b])) == rel(DR, PO, PP)
+        assert relax(EMPTY, col(distance_table([a, b]), "A", "B")) == rel(DR, PO, PP)
 
     def test_adds_next_closest_layer(self, running_table):
-        assert relax(rel(PP, EQ), ("B", "D"), running_table) == rel(PO, PP, PPi, EQ)
+        assert relax(rel(PP, EQ), col(running_table, "B", "D")) == rel(PO, PP, PPi, EQ)
 
     def test_full_stays_full(self, running_table):
-        assert relax(UNIVERSAL, ("B", "D"), running_table) == UNIVERSAL
+        assert relax(UNIVERSAL, col(running_table, "B", "D")) == UNIVERSAL
 
     def test_respects_orientation(self, running_table):
         # on the flipped pair the same step adds the converses
-        assert relax(EMPTY, ("D", "B"), running_table) == rel(PPi, EQ)
+        assert relax(EMPTY, col(running_table, "D", "B")) == rel(PPi, EQ)
 
 
 class TestVal:
     def test_contested_pair(self, running_table):
-        assert val(rel(PP, EQ), ("B", "D"), running_table) == 3
+        assert val(rel(PP, EQ), col(running_table, "B", "D")) == 3
 
     def test_consensual_pair(self, running_table):
-        assert val(rel(PPi, EQ), ("T", "P"), running_table) == 0
+        assert val(rel(PPi, EQ), col(running_table, "T", "P")) == 0
 
     def test_initial_paper_document_constraint(self, running_table):
-        assert val(rel(DR, PO, PPi), ("P", "D"), running_table) == 4
+        assert val(rel(DR, PO, PPi), col(running_table, "P", "D")) == 4
 
     def test_empty_constraint_rejected(self, running_table):
         with pytest.raises(ValueError):
-            val(EMPTY, ("B", "D"), running_table)
+            val(EMPTY, col(running_table, "B", "D"))
 
 
 class TestMergeRunningExample:
@@ -159,3 +166,28 @@ class TestMergeProperties:
     def test_variable_mismatch_rejected(self):
         with pytest.raises(ValueError):
             merge([QCN(["A", "B"]), QCN(["A", "C"])])
+
+    def test_matches_reference_merge_on_random_profiles(self):
+        # labels come from every mask, the empty one included, so sources
+        # contradict themselves on some pairs; each source orders the variables its own way
+        rng = random.Random(2020)
+        seen = {"empty entry": False, "two rounds": False, "tied pairs": False}
+        for _ in range(150):
+            names = [f"v{i}" for i in range(rng.randint(3, 6))]
+            profile = []
+            for _ in range(rng.randint(1, 4)):
+                order = rng.sample(names, len(names))
+                constraints = {
+                    pair: Relation.from_mask(rng.randrange(32))
+                    for pair in itertools.combinations(order, 2)
+                    if rng.random() < 0.6
+                }
+                profile.append(QCN(order, constraints))
+            merged, trace = merge(profile)
+            want, initial, rounds = oracles.reference_merge(profile)
+            got = [(it.index, it.value, it.relaxed_pairs, it.snapshot) for it in trace.iterations]
+            assert (merged, trace.initial, got) == (want, initial, rounds)
+            seen["empty entry"] |= bool(trace.table.empty_entries)
+            seen["two rounds"] |= len(rounds) >= 2
+            seen["tied pairs"] |= any(len(pairs) >= 2 for _, _, pairs, _ in rounds)
+        assert all(seen.values()), seen

@@ -510,7 +510,7 @@ def _random_ontology(rng: random.Random) -> Ontology:
         RoleAssertion(rng.choice(roles), rng.choice(individuals), rng.choice(individuals))
         for _ in range(rng.randrange(0, 5))
     ]
-    return Ontology.from_statements(statements, concepts=concepts, roles=roles)
+    return Ontology.from_statements(statements, concepts=concepts)
 
 
 class TestReferenceAgreement:
