@@ -10,10 +10,8 @@ error, 3 internal error.  Output is deterministic byte-for-byte.
 from __future__ import annotations
 
 import argparse
-import json
 import os
 import sys
-from dataclasses import dataclass
 from pathlib import Path
 from typing import TYPE_CHECKING, Callable, Sequence
 
@@ -21,6 +19,7 @@ from .ontology import (
     _LINE_BREAK,
     Ontology,
     OntologyError,
+    _Record,
     classify,
     format_ontology,
     ontology_to_json,
@@ -28,7 +27,8 @@ from .ontology import (
 )
 
 # Each command imports the other layers it runs inside its handler, so
-# `classify` loads no network code and `check` no merging or selection.
+# `classify` loads no network code and `check` no merging or selection;
+# `json` is imported only where JSON is written.
 if TYPE_CHECKING:
     from .merging import MergeTrace
     from .rcc5 import QCN, Scenario
@@ -84,8 +84,8 @@ def _input_paths(args: argparse.Namespace) -> list[str]:
     return paths
 
 
-@dataclass(frozen=True)
-class PipelineResult:
+class PipelineResult(_Record):
+    __slots__ = ("merged", "trace", "scenarios", "selected", "report", "result")
     merged: QCN
     trace: MergeTrace
     scenarios: tuple[Scenario, ...]
@@ -149,6 +149,8 @@ def _write_output(text: str, path: str | None) -> None:
 
 
 def _dump_json(data: dict) -> str:
+    import json
+
     return json.dumps(data, indent=2, sort_keys=True) + "\n"
 
 
@@ -241,15 +243,16 @@ def cmd_classify(args: argparse.Namespace) -> str:
 
 
 def cmd_translate(args: argparse.Namespace) -> str:
-    from .rcc5 import Scenario, qcn_from_json, qcn_to_json
+    from .rcc5 import Scenario, is_consistent, qcn_from_json, qcn_to_json
     from .translate import backward, forward
 
     if args.direction == "forward":
         return qcn_to_json(forward(_load_ontology(args.input)).qcn)
     text = _read_text(args.input, "translate-backward")
     try:
-        qcn = qcn_from_json(text)
-        scenario = Scenario.from_qcn(qcn)
+        scenario = Scenario.from_qcn(qcn_from_json(text))
+        if not is_consistent(scenario):
+            raise ValueError("the scenario is inconsistent")
         result = backward(scenario)
     except (ValueError, RecursionError) as exc:  # JSONDecodeError is a ValueError
         raise PipelineError("translate-backward", f"{args.input}: {exc}") from exc

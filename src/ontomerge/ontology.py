@@ -12,14 +12,12 @@ nodes; the closure adds each individual as a node, reading ``C(i)`` as
 
 from __future__ import annotations
 
-import json
 import re
 from collections import defaultdict
-from dataclasses import dataclass, field, fields
 from itertools import chain
-from operator import attrgetter
+from operator import itemgetter
 from os.path import commonprefix
-from typing import Callable, Collection, Iterable, Iterator, Mapping
+from typing import Collection, Iterable, Iterator, Mapping
 
 __all__ = [
     "OntologyError",
@@ -70,86 +68,147 @@ class NameClashError(OntologyError):
     """One name used in two of the concept/role/individual namespaces."""
 
 
-@dataclass(frozen=True)
-class Subsumption:
-    sub: str
-    sup: str
+def _repr(obj: object, names: Iterable[str], values: Iterable[object]) -> str:
+    fields = ", ".join(f"{name}={value!r}" for name, value in zip(names, values))
+    return f"{type(obj).__name__}({fields})"
 
 
-@dataclass(frozen=True)
-class Disjointness:
+class _Record:
+    """A read-only record whose fields are its `__slots__`.
+
+    It is built from the fields by position or by keyword, equal to and
+    hashed like another record of its class with equal fields, and
+    assigning a field raises AttributeError.
+    """
+
+    __slots__ = ()
+
+    def __init__(self, *args: object, **kwargs: object) -> None:
+        names = self.__slots__
+        values = dict(zip(names, args), **kwargs)
+        if len(args) + len(kwargs) != len(names) or values.keys() != set(names):
+            raise TypeError(f"{type(self).__name__}() takes the fields {', '.join(names)}, each once")
+        for name in names:
+            object.__setattr__(self, name, values[name])
+
+    def _values(self) -> tuple:
+        return tuple(getattr(self, name) for name in self.__slots__)
+
+    def __setattr__(self, name: str, value: object) -> None:
+        raise AttributeError(f"cannot assign to field {name!r}")
+
+    def __eq__(self, other: object) -> bool:
+        if type(other) is not type(self):
+            return NotImplemented
+        return self._values() == other._values()
+
+    def __hash__(self) -> int:
+        return hash(self._values())
+
+    def __repr__(self) -> str:
+        return _repr(self, self.__slots__, self._values())
+
+    def __reduce__(self) -> tuple:
+        return type(self), self._values()
+
+
+class _Statement(tuple):
+    """A statement is the tuple of its names, in the order of `_fields`.
+
+    Each name is also read as the attribute its field names.  Statements
+    are equal only within one class, so ``A <= B`` and ``A(B)`` are two
+    members of a set.
+    """
+
+    __slots__ = ()
+    _fields: tuple[str, ...] = ()
+
+    def __init_subclass__(cls) -> None:
+        for k, name in enumerate(cls._fields):
+            setattr(cls, name, property(itemgetter(k)))
+
+    def __new__(cls, *names: str) -> "_Statement":
+        if len(names) != len(cls._fields):
+            raise TypeError(f"{cls.__name__}() takes {len(cls._fields)} names, got {len(names)}")
+        return tuple.__new__(cls, names)
+
+    def __eq__(self, other: object) -> bool:
+        return type(other) is type(self) and tuple.__eq__(self, other)
+
+    def __ne__(self, other: object) -> bool:
+        return not self == other
+
+    __hash__ = tuple.__hash__
+
+    def __repr__(self) -> str:
+        return _repr(self, self._fields, self)
+
+    def __getnewargs__(self) -> tuple[str, ...]:
+        return tuple(self)
+
+
+class Subsumption(_Statement):
+    __slots__ = ()
+    _fields = ("sub", "sup")
+
+
+class Disjointness(_Statement):
     """Disjointness of two concepts; the order of arguments is immaterial."""
 
-    first: str
-    second: str
+    __slots__ = ()
+    _fields = ("first", "second")
 
-    def __post_init__(self) -> None:
-        if self.second < self.first:
-            a, b = self.second, self.first
-            object.__setattr__(self, "first", a)
-            object.__setattr__(self, "second", b)
+    def __new__(cls, first: str, second: str) -> "Disjointness":
+        return tuple.__new__(cls, (second, first) if second < first else (first, second))
 
 
-@dataclass(frozen=True)
-class ExistsRight:
+class ExistsRight(_Statement):
     """sub is subsumed by (some role.filler)."""
 
-    sub: str
-    role: str
-    filler: str
+    __slots__ = ()
+    _fields = ("sub", "role", "filler")
 
 
-@dataclass(frozen=True)
-class ExistsLeft:
+class ExistsLeft(_Statement):
     """(some role.filler) is subsumed by sup."""
 
-    role: str
-    filler: str
-    sup: str
+    __slots__ = ()
+    _fields = ("role", "filler", "sup")
 
 
 Axiom = Subsumption | Disjointness | ExistsRight | ExistsLeft
 
 
-@dataclass(frozen=True)
-class ConceptAssertion:
-    concept: str
-    individual: str
+class ConceptAssertion(_Statement):
+    __slots__ = ()
+    _fields = ("concept", "individual")
 
 
-@dataclass(frozen=True)
-class RoleAssertion:
-    role: str
-    subject: str
-    object: str
+class RoleAssertion(_Statement):
+    __slots__ = ()
+    _fields = ("role", "subject", "object")
 
 
 Assertion = ConceptAssertion | RoleAssertion
 Statement = Axiom | Assertion
 
 
-@dataclass(frozen=True)
-class _Kind:
+class _Kind(_Record):
     """How one statement class is written, read, named and exported.
 
-    The field names come from the dataclass, and `namespaces` follows them.
+    The field names are the class's `_fields`, and `namespaces` follows them.
     """
 
+    __slots__ = ("cls", "pattern", "namespaces", "template", "tag")
     cls: type
     pattern: str
     namespaces: tuple[str, ...]
     template: str
     tag: str
-    field_names: tuple[str, ...] = field(init=False)
-    values: Callable[[Statement], tuple[str, ...]] = field(init=False)
-
-    def __post_init__(self) -> None:
-        object.__setattr__(self, "field_names", tuple(f.name for f in fields(self.cls)))
-        object.__setattr__(self, "values", attrgetter(*self.field_names))
 
     def names(self, stmt: Statement) -> Iterator[tuple[str, str]]:
         """(name, namespace) of each field of `stmt`, in written order."""
-        return zip(self.values(stmt), self.namespaces)
+        return zip(stmt, self.namespaces)
 
 
 #: One row per statement class, in canonical order: class, token pattern,
@@ -198,22 +257,23 @@ def sorted_statements(statements: Iterable[Statement]) -> list[Statement]:
     """Canonical order: by kind (the table's order), then by fields."""
     groups = _by_class(statements)
     out: list[Statement] = []
-    for cls, kind in _KINDS.items():
-        out += sorted(groups.get(cls, ()), key=kind.values)
+    for cls in _KINDS:
+        out += sorted(groups.get(cls, ()), key=tuple)  # plain tuples compare fastest
     return out
 
 
-@dataclass(frozen=True)
-class Ontology:
+class Ontology(_Record):
     """A TBox/ABox pair with its signature in first-occurrence order."""
 
+    __slots__ = ("tbox", "abox", "concepts", "roles", "individuals")
     tbox: frozenset[Axiom]
     abox: frozenset[Assertion]
     concepts: tuple[str, ...]
     roles: tuple[str, ...]
     individuals: tuple[str, ...]
 
-    def __post_init__(self) -> None:
+    def __init__(self, *args: object, **kwargs: object) -> None:
+        super().__init__(*args, **kwargs)
         by_kind = {
             "concept": set(self.concepts),
             "role": set(self.roles),
@@ -383,8 +443,7 @@ def _numbered_statements(text: str) -> Iterator[tuple[int, Statement]]:
 
 
 def format_statement(stmt: Statement) -> str:
-    kind = _kind(stmt)
-    return kind.template.format(*kind.values(stmt))
+    return _kind(stmt).template.format(*stmt)
 
 
 def format_ontology(o: Ontology) -> str:
@@ -394,12 +453,14 @@ def format_ontology(o: Ontology) -> str:
 
 def _statement_json(stmt: Statement) -> dict:
     kind = _kind(stmt)
-    data = dict(zip(kind.field_names, kind.values(stmt)))
+    data = dict(zip(kind.cls._fields, stmt))
     data["type"] = kind.tag
     return data
 
 
 def ontology_to_json(o: Ontology) -> str:
+    import json
+
     data = {
         "concepts": sorted(o.concepts),
         "roles": sorted(o.roles),
@@ -416,8 +477,7 @@ def ontology_to_json(o: Ontology) -> str:
 _NOTHING: frozenset[str] = frozenset()
 
 
-@dataclass(frozen=True)
-class Classification:
+class Classification(_Record):
     """Entailed atomic facts of a TBox.
 
     `supers` maps every classified concept to its supers, itself
@@ -428,6 +488,7 @@ class Classification:
     same facts as statements.
     """
 
+    __slots__ = ("supers", "disjoint", "unsatisfiable")
     supers: Mapping[str, frozenset[str]]
     disjoint: frozenset[tuple[str, str]]
     unsatisfiable: frozenset[str]
@@ -473,14 +534,14 @@ def _saturate(
     node and, for each node B, the (A, r) of every edge A -r-> B.
     """
     told: dict[str, list[str]] = {}  # A <= B, by A
-    for axiom in axioms[Subsumption]:
-        told.setdefault(axiom.sub, []).append(axiom.sup)
+    for sub, sup in axioms[Subsumption]:
+        told.setdefault(sub, []).append(sup)
     exists_right: dict[str, list[tuple[str, str]]] = {}  # A <= some r.B, by A
-    for axiom in axioms[ExistsRight]:
-        exists_right.setdefault(axiom.sub, []).append((axiom.role, axiom.filler))
+    for sub, role, filler in axioms[ExistsRight]:
+        exists_right.setdefault(sub, []).append((role, filler))
     exists_left: dict[tuple[str, str], list[str]] = {}  # some r.B <= C, by (r, B)
-    for axiom in axioms[ExistsLeft]:
-        exists_left.setdefault((axiom.role, axiom.filler), []).append(axiom.sup)
+    for role, filler, sup in axioms[ExistsLeft]:
+        exists_left.setdefault((role, filler), []).append(sup)
 
     supers: dict[str, set[str]] = {a: {a} for a in nodes}
     successors: set[tuple[str, str, str]] = set()
@@ -523,8 +584,8 @@ def _unsatisfiable(
     back from B to the A of every edge A -r-> B.
     """
     against: dict[str, list[str]] = {}
-    for d in disjointness:
-        against.setdefault(d.first, []).append(d.second)
+    for first, second in disjointness:
+        against.setdefault(first, []).append(second)
     if not against:
         return set()
     unsatisfiable = {
@@ -562,9 +623,9 @@ def classify(tbox: Iterable[Axiom], concepts: Iterable[str] = ()) -> Classificat
         for a in names:
             for x in supers[a]:
                 subs.setdefault(x, []).append(a)
-        for d in by_class[Disjointness]:
-            for a in subs[d.first]:
-                for b in subs[d.second]:
+        for first, second in by_class[Disjointness]:
+            for a in subs[first]:
+                for b in subs[second]:
                     if a != b:
                         disjoint.add((a, b) if a < b else (b, a))
 
@@ -578,8 +639,7 @@ def classify(tbox: Iterable[Axiom], concepts: Iterable[str] = ()) -> Classificat
 # --- deductive closure ------------------------------------------------------
 
 
-@dataclass(frozen=True)
-class ClosedABox:
+class ClosedABox(_Record):
     """The ABox saturated against its TBox.
 
     `members` maps each concept to its individuals, by every entailed
@@ -591,6 +651,7 @@ class ClosedABox:
     are recorded, not raised: conflicting sources are expected input.
     """
 
+    __slots__ = ("members", "roles", "inconsistent_individuals")
     members: Mapping[str, frozenset[str]]
     roles: frozenset[RoleAssertion]
     inconsistent_individuals: frozenset[str]
@@ -620,8 +681,8 @@ def deductive_closure(o: Ontology) -> ClosedABox:
     axioms = _by_class(
         chain(
             o.tbox,
-            (Subsumption(f.individual, f.concept) for f in assertions[ConceptAssertion]),
-            (ExistsRight(r.subject, r.role, r.object) for r in assertions[RoleAssertion]),
+            (Subsumption(i, c) for c, i in assertions[ConceptAssertion]),
+            (ExistsRight(i, role, j) for role, i, j in assertions[RoleAssertion]),
         )
     )
     supers, predecessors = _saturate(chain(o.concepts, o.individuals), axioms)

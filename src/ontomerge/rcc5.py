@@ -15,7 +15,6 @@ checked triangle by triangle.
 
 from __future__ import annotations
 
-import json
 from collections import deque
 from typing import Iterable, Iterator, Mapping
 
@@ -647,10 +646,14 @@ def enumerate_scenarios(n: QCN) -> list[Scenario]:
 
 
 def qcn_to_json(qcn: QCN) -> str:
+    import json
+
     return json.dumps(qcn.to_json_dict(), indent=2, sort_keys=True) + "\n"
 
 
 def qcn_from_json(text: str) -> QCN:
+    import json
+
     return QCN.from_json_dict(json.loads(text))
 
 

@@ -13,7 +13,6 @@ concepts and individuals drawn from a deterministic pool.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
 from typing import Callable, Iterable, Sequence
 
 from .ontology import (
@@ -23,6 +22,7 @@ from .ontology import (
     Ontology,
     Statement,
     Subsumption,
+    _Record,
     is_name,
     sorted_statements,
 )
@@ -48,10 +48,10 @@ _SUBSUMPTION_LABEL = Relation([PP, EQ])
 _DISJOINTNESS_LABEL = Relation([DR])
 
 
-@dataclass(frozen=True)
-class ForwardTranslation:
+class ForwardTranslation(_Record):
     """A translated network plus notes about what did not translate."""
 
+    __slots__ = ("qcn", "dropped_role_axioms", "conflicting_pairs")
     qcn: QCN
     dropped_role_axioms: tuple[Axiom, ...]
     conflicting_pairs: tuple[tuple[str, str], ...]

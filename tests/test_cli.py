@@ -424,6 +424,25 @@ class TestTranslateCommand:
         assert code == 0
         assert out == "A <= B\n"
 
+    def test_backward_rejects_an_inconsistent_scenario(self, tmp_path, capsys):
+        # A inside B inside C, yet A apart from C: no regions realise it
+        network = tmp_path / "qcn.json"
+        network.write_text(
+            json.dumps(
+                {
+                    "variables": ["A", "B", "C"],
+                    "constraints": [
+                        {"from": "A", "to": "B", "rel": ["PP"]},
+                        {"from": "B", "to": "C", "rel": ["PP"]},
+                        {"from": "A", "to": "C", "rel": ["DR"]},
+                    ],
+                }
+            )
+        )
+        code, out, err = run_cli("translate", "backward", str(network), capsys=capsys)
+        assert (code, out) == (2, "")
+        assert err == f"error: translate-backward: {network}: the scenario is inconsistent\n"
+
     def test_forward_then_backward_round_trip(self, tmp_path, capsys):
         source = tmp_path / "tiny.txt"
         source.write_text("C <= D\nC & E <= bot\n")
@@ -512,23 +531,27 @@ CLI_MODULES = {"ontomerge", "ontomerge.cli", "ontomerge.ontology"}
 NETWORK_MODULES = CLI_MODULES | {"ontomerge.translate", "ontomerge.rcc5"}
 ALL_MODULES = NETWORK_MODULES | {"ontomerge.distance", "ontomerge.merging", "ontomerge.selection"}
 
-#: arguments of `ontomerge` (none: only `import ontomerge`) and the package modules they load
+#: What generating dataclass code imports; `classify`, `check` and `translate` build no dataclass.
+CODE_GENERATION = {"dataclasses", "inspect"}
+#: arguments of `ontomerge` (none: only `import ontomerge`), the package modules
+#: they load, and the standard-library modules they must not load
 MODULE_SETS = [
-    ("import", [], {"ontomerge"}),
-    ("classify", ["classify", SOURCES[0]], CLI_MODULES),
-    ("check", ["check", "--profile", PROFILE], NETWORK_MODULES),
-    ("translate-forward", ["translate", "forward", SOURCES[0]], NETWORK_MODULES),
-    ("translate-backward", ["translate", "backward", SELECTED], NETWORK_MODULES),
-    ("merge", ["merge", "--profile", PROFILE], ALL_MODULES),
-    ("explain", ["explain", "--profile", PROFILE], ALL_MODULES),
+    ("import", [], {"ontomerge"}, CODE_GENERATION | {"json"}),
+    ("classify", ["classify", SOURCES[0]], CLI_MODULES, CODE_GENERATION | {"json"}),
+    ("check", ["check", "--profile", PROFILE], NETWORK_MODULES, CODE_GENERATION | {"json"}),
+    ("translate-forward", ["translate", "forward", SOURCES[0]], NETWORK_MODULES, CODE_GENERATION),
+    ("translate-backward", ["translate", "backward", SELECTED], NETWORK_MODULES, CODE_GENERATION),
+    ("merge", ["merge", "--profile", PROFILE], ALL_MODULES, set()),
+    ("explain", ["explain", "--profile", PROFILE], ALL_MODULES, set()),
 ]
 
 
-@pytest.mark.parametrize("argv, expected", [m[1:] for m in MODULE_SETS], ids=[m[0] for m in MODULE_SETS])
-def test_import_loads_no_numpy(argv, expected):
+@pytest.mark.parametrize("argv, expected, unwanted", [m[1:] for m in MODULE_SETS], ids=[m[0] for m in MODULE_SETS])
+def test_import_loads_no_numpy(argv, expected, unwanted):
     # a fresh interpreter, since the test process imports numpy for the oracles;
     # a command loads only the package modules it runs, and every other module
-    # it adds to the interpreter's start-up set comes from the standard library
+    # it adds to the interpreter's start-up set comes from the standard library;
+    # a module already in that set (`before`) is not held against the command
     script = "\n".join(
         [
             "import sys",
@@ -547,6 +570,7 @@ def test_import_loads_no_numpy(argv, expected):
     loaded = ast.literal_eval(result.stderr)
     assert "numpy" not in loaded
     assert {name for name in loaded if name.partition(".")[0] == "ontomerge"} == expected
+    assert unwanted.isdisjoint(loaded)
     foreign = [
         name for name in loaded if name.partition(".")[0] not in sys.stdlib_module_names | {"ontomerge"}
     ]

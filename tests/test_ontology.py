@@ -1,6 +1,7 @@
-import dataclasses
+import copy
 import itertools
 import json
+import pickle
 import random
 
 import pytest
@@ -8,6 +9,8 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from ontomerge.ontology import (
+    Classification,
+    ClosedABox,
     ConceptAssertion,
     Disjointness,
     ExistsLeft,
@@ -32,6 +35,9 @@ from ontomerge.ontology import (
     ontology_to_json,
     parse_ontology,
 )
+
+from ontomerge.cli import PipelineResult
+from ontomerge.translate import ForwardTranslation
 
 import oracles
 
@@ -263,7 +269,7 @@ class TestStatementKinds:
     def test_fields_namespaces_and_name_tokens_agree(self, cls):
         text, tag, namespaces = KIND_PINS[cls.__name__]
         kind = _KINDS[cls]
-        fields = [f.name for f in dataclasses.fields(cls)]
+        fields = list(cls._fields)
         assert len(fields) == len(kind.namespaces) == kind.pattern.count("n")
         o = parse_ontology(text)
         (stmt,) = o.statements()
@@ -321,6 +327,62 @@ class TestOntologyType:
                 roles=(),
                 individuals=(),
             )
+
+
+class TestRecordSemantics:
+    def test_statements_of_two_kinds_with_the_same_names_differ(self):
+        sub, member = Subsumption("A", "B"), ConceptAssertion("A", "B")
+        assert sub != member and not sub == member
+        assert sub != ("A", "B") and not ("A", "B") == sub
+        assert len({sub, member}) == 2
+
+    def test_equal_statements_hash_equally(self):
+        assert Subsumption("A", "B") == Subsumption("A", "B")
+        assert hash(Subsumption("A", "B")) == hash(Subsumption("A", "B"))
+        assert hash(Disjointness("B", "A")) == hash(Disjointness("A", "B"))
+
+    def test_statements_are_tuples_of_their_names(self):
+        stmt = RoleAssertion("r", "x", "y")
+        assert tuple(stmt) == ("r", "x", "y") and stmt[1] == "x"
+        assert (stmt.role, stmt.subject, stmt.object) == ("r", "x", "y")
+        with pytest.raises(TypeError):
+            Subsumption("A")
+
+    def test_fields_cannot_be_assigned(self):
+        o = parse_ontology("A <= B\n")
+        with pytest.raises(AttributeError):
+            Subsumption("A", "B").sub = "C"
+        with pytest.raises(AttributeError):
+            o.tbox = frozenset()
+
+    def test_repr_is_pinned(self):
+        assert repr(Disjointness("B", "A")) == "Disjointness(first='A', second='B')"
+        assert repr(parse_ontology("A <= B\n")) == (
+            "Ontology(tbox=frozenset({Subsumption(sub='A', sup='B')}), abox=frozenset(), "
+            "concepts=('A', 'B'), roles=(), individuals=())"
+        )
+
+    @pytest.mark.parametrize("stmt", [Subsumption("A", "B"), Disjointness("B", "A"), RoleAssertion("r", "x", "y")])
+    def test_copy_and_pickle_return_an_equal_statement(self, stmt):
+        for again in (copy.copy(stmt), copy.deepcopy(stmt), pickle.loads(pickle.dumps(stmt))):
+            assert again == stmt and type(again) is type(stmt)
+
+    @pytest.mark.parametrize("cls", [Ontology, Classification, ClosedABox, ForwardTranslation, PipelineResult])
+    def test_record_slots_follow_the_annotations(self, cls):
+        assert cls.__slots__ == tuple(cls.__annotations__)
+
+    def test_records_take_keywords_and_compare_field_by_field(self):
+        o = Ontology(tbox=frozenset(), abox=frozenset(), concepts=("A",), roles=(), individuals=())
+        assert o == Ontology(frozenset(), frozenset(), ("A",), (), individuals=())
+        assert hash(o) == hash(pickle.loads(pickle.dumps(o)))
+        facts = Classification(supers={"A": frozenset("A")}, disjoint=frozenset(), unsatisfiable=frozenset())
+        assert facts.entails_subsumption("A", "A")
+        closed = ClosedABox(members={}, roles=frozenset(), inconsistent_individuals=frozenset())
+        assert closed.instances_of("A") == frozenset()
+        with pytest.raises(TypeError):
+            Ontology(frozenset(), tbox=frozenset(), abox=frozenset(), concepts=(), roles=(), individuals=())
+        with pytest.raises(TypeError):
+            Classification(supers={}, disjoint=frozenset())
 
 
 class TestClassify:
