@@ -505,7 +505,7 @@ class Classification(_Record):
         return self.supers.get(concept, _NOTHING)
 
     def entails_subsumption(self, sub: str, sup: str) -> bool:
-        return sup in self.supers_of(sub)
+        return sup in self.supers.get(sub, _NOTHING)
 
     def entails_disjointness(self, a: str, b: str) -> bool:
         return ((a, b) if a <= b else (b, a)) in self.disjoint
@@ -571,29 +571,25 @@ def _saturate(
     return supers, predecessors
 
 
-def _unsatisfiable(
-    supers: Mapping[str, Collection[str]],
-    predecessors: Mapping[str, list[tuple[str, str]]],
-    disjointness: Iterable[Disjointness],
-) -> set[str]:
-    """The nodes that must be empty.
-
-    A node is unsatisfiable when its supers hold both sides of an
-    asserted ``x & y <= bot``.  Every node below an unsatisfiable one has
-    its supers, so only successor edges spread unsatisfiability further:
-    back from B to the A of every edge A -r-> B.
-    """
+def _clashing(supers: Mapping[str, Collection[str]], disjointness: Iterable[Disjointness]) -> set[str]:
+    """The nodes whose supers hold both sides of an asserted ``x & y <= bot``."""
     against: dict[str, list[str]] = {}
     for first, second in disjointness:
         against.setdefault(first, []).append(second)
     if not against:
         return set()
-    unsatisfiable = {
-        a
-        for a, found in supers.items()
-        if any(y in found for x in found for y in against.get(x, ()))
-    }
-    blocked = list(unsatisfiable)
+    return {a for a, found in supers.items() if any(y in found for x in found for y in against.get(x, ()))}
+
+
+def _unsatisfiable(clashing: set[str], predecessors: Mapping[str, list[tuple[str, str]]]) -> set[str]:
+    """The nodes that must be empty: the `clashing` ones and those with an edge into one.
+
+    Every node below a clashing one has its supers, so only successor
+    edges spread unsatisfiability further: back from B to the A of every
+    edge A -r-> B.
+    """
+    unsatisfiable = set(clashing)
+    blocked = list(clashing)
     while blocked:
         for a, _ in predecessors.get(blocked.pop(), ()):
             if a not in unsatisfiable:
@@ -606,8 +602,9 @@ def classify(tbox: Iterable[Axiom], concepts: Iterable[str] = ()) -> Classificat
     """Saturate a strict-normal-form TBox into its atomic consequences.
 
     `_saturate` gives the reflexive and transitive subsumptions, also
-    those entailed through existential axioms; `_unsatisfiable` the
-    concepts that must be empty, also through existential successors.
+    those entailed through existential axioms; `_clashing` and
+    `_unsatisfiable` the concepts that must be empty, also through
+    existential successors.
     Disjointness propagates downward: a and b are disjoint when x is a
     super of a and y one of b for an asserted x & y <= bot, and a != b
     (self-disjointness is reported through `unsatisfiable`).
@@ -632,7 +629,7 @@ def classify(tbox: Iterable[Axiom], concepts: Iterable[str] = ()) -> Classificat
     return Classification(
         supers={a: frozenset(supers[a]) for a in names},
         disjoint=frozenset(disjoint),
-        unsatisfiable=frozenset(_unsatisfiable(supers, predecessors, by_class[Disjointness])),
+        unsatisfiable=frozenset(_unsatisfiable(_clashing(supers, by_class[Disjointness]), predecessors)),
     )
 
 
@@ -686,10 +683,11 @@ def deductive_closure(o: Ontology) -> ClosedABox:
         )
     )
     supers, predecessors = _saturate(chain(o.concepts, o.individuals), axioms)
-    unsatisfiable = _unsatisfiable(supers, predecessors, axioms[Disjointness])
+    # individual names are never concept names, so an individual clashes
+    # exactly when its memberships hold both sides of an asserted pair
+    clashing = _clashing(supers, axioms[Disjointness])
+    unsatisfiable = _unsatisfiable(clashing, predecessors)
     by_individual = {i: supers[i] - {i} for i in o.individuals if len(supers[i]) > 1}
-    # no edges: only the individuals whose own memberships hold an asserted pair
-    clashing = _unsatisfiable(by_individual, {}, axioms[Disjointness])
     inconsistent = {
         i
         for i, concepts in by_individual.items()

@@ -16,7 +16,8 @@ checked triangle by triangle.
 from __future__ import annotations
 
 from collections import deque
-from typing import Iterable, Iterator, Mapping
+from itertools import chain, combinations
+from typing import Iterable, Iterator, Mapping, Sequence
 
 __all__ = [
     "BaseRelation",
@@ -274,14 +275,24 @@ class QCN:
         if len(set(vars_t)) != len(vars_t):
             raise ValueError("duplicate variable names")
         self._variables = vars_t
-        self._index = {v: i for i, v in enumerate(vars_t)}
+        self._index = index = {v: i for i, v in enumerate(vars_t)}
         n = len(vars_t)
-        m = [[EQ.mask if i == j else _FULL_MASK for j in range(n)] for i in range(n)]
+        m = [[_FULL_MASK] * n for _ in range(n)]
+        for i, row in enumerate(m):
+            row[i] = EQ.mask
         self._matrix = m
+        conv = _CONV_MASK
         items = constraints.items() if isinstance(constraints, Mapping) else constraints
         for (u, v), rel in items:
-            i, j = self._pair_indices(u, v)
-            _put(m, i, j, m[i][j] & rel.mask)
+            try:
+                i, j = index[u], index[v]
+            except KeyError:
+                i = j = -1
+            if i == j:  # an unknown or repeated variable: `_pair_indices` raises its error
+                self._pair_indices(u, v)
+            t = m[i][j] & rel._mask
+            m[i][j] = t
+            m[j][i] = conv[t]
 
     @classmethod
     def _from_matrix(cls, source: "QCN", m: list[list[int]]) -> "QCN":
@@ -428,6 +439,9 @@ class Scenario(QCN):
         self._validate_quasi_atomic()
 
     def _validate_quasi_atomic(self) -> None:
+        # the diagonal is EQ and a converse is a scenario label exactly when its label is
+        if _SCENARIO_MASKS.issuperset(chain.from_iterable(self._matrix)):
+            return
         for i, j, mask in self._upper():
             if mask not in _SCENARIO_MASKS:
                 u, v = self._variables[i], self._variables[j]
@@ -440,6 +454,11 @@ class Scenario(QCN):
         scenario = cls._from_matrix(qcn, qcn._matrix)
         scenario._validate_quasi_atomic()
         return scenario
+
+
+def _canonical_cells(names: Sequence[str]) -> list[tuple[int, int]]:
+    """The matrix cell (i, j) of every pair over `names`, in `QCN.canonical_items` order."""
+    return list(combinations(sorted(range(len(names)), key=names.__getitem__), 2))
 
 
 def _put(m: list[list[int]], i: int, j: int, mask: int) -> None:

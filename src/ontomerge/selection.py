@@ -12,11 +12,13 @@ lexicographic tie-break on its labels.
 from __future__ import annotations
 
 from dataclasses import dataclass, field
-from operator import add
+from functools import reduce
+from itertools import combinations
+from operator import add, or_
 from typing import Iterator, Sequence
 
 from .ontology import ClosedABox, Ontology, deductive_closure
-from .rcc5 import EQ, PO, PP, DR, PPi, Relation, Scenario
+from .rcc5 import EQ, PO, PP, DR, PPi, Relation, Scenario, _canonical_cells
 
 __all__ = [
     "nb_conflicts",
@@ -147,19 +149,29 @@ class ConflictReport:
         }
 
 
+def _member_bits(closed: ClosedABox, concepts: Sequence[str]) -> list[int]:
+    """Each concept's members in `closed` as one int, a bit per individual."""
+    bit = {i: 1 << k for k, i in enumerate(set().union(*closed.members.values()))}
+    return [reduce(or_, map(bit.__getitem__, closed.instances_of(c)), 0) for c in concepts]
+
+
 def select_scenario(
     candidates: Sequence[Scenario], profile: Sequence[Ontology]
 ) -> tuple[Scenario, ConflictReport]:
     """The candidate with minimal distance to the profile.
 
     Each source's counts sit in one flat table, the four of each
-    canonical pair in `_COUNT_INDEX` order.  A candidate's labels, read
-    once from its mask matrix, become one list of table positions, and
-    its score against a source is the sum of the table at those
-    positions.  Ties break by `QCN.sort_key`, the order
-    `enumerate_scenarios` lists scenarios in; the report lists every
-    tied candidate and renders its per-(source, pair) counts only when
-    it is serialized.
+    canonical pair in `_COUNT_INDEX` order.  The table is built in one
+    pass over the pairs with int arithmetic only: each concept's members
+    are an int bitset, the common count of a pair is the popcount of
+    the two sets' intersection, the subset and superset counts are each
+    side's size minus it, and the overlap count is the largest of the
+    three minus the smallest.  A candidate's labels, read once from its
+    mask matrix, become one list of table positions, and its score
+    against a source is the sum of the table at those positions.  Ties
+    break by `QCN.sort_key`, the order `enumerate_scenarios` lists
+    scenarios in; the report lists every tied candidate and renders its
+    per-(source, pair) counts only when it is serialized.
     """
     if not candidates:
         raise ValueError("no candidate scenarios")
@@ -168,16 +180,27 @@ def select_scenario(
     for s in candidates:
         if s.variables not in cells:
             _check_signature(s.variables, profile)
-            position = {v: i for i, v in enumerate(s.variables)}
-            cells[s.variables] = [(position[u], position[v]) for u, v, _ in s.canonical_items()]
+            cells[s.variables] = _canonical_cells(s.variables)
     closures = [deductive_closure(o) for o in profile]
-    pairs = [(u, v) for u, v, _ in candidates[0].canonical_items()]
+    names = candidates[0].variables
+    canonical = cells[names]
     tables = []
     for closed in closures:
-        members = {u: closed.instances_of(u) for u in candidates[0].variables}
-        tables.append([c for u, v in pairs for c in _four_counts(members[u], members[v])])
+        members = _member_bits(closed, names)
+        sizes = [m.bit_count() for m in members]
+        table: list[int] = []
+        for i, j in canonical:
+            common = (members[i] & members[j]).bit_count()
+            subset, superset = sizes[i] - common, sizes[j] - common
+            low, high = (subset, superset) if subset < superset else (superset, subset)
+            if common > high:
+                high = common
+            elif common < low:
+                low = common
+            table += subset, superset, common, high - low
+        tables.append(table)
 
-    starts = range(0, 4 * len(pairs), 4)
+    starts = range(0, 4 * len(canonical), 4)
     scores = []
     for s in candidates:
         m = s._matrix
@@ -197,6 +220,6 @@ def select_scenario(
         selected_index=selected,
         tied_indices=tied if len(tied) > 1 else (),
         closures=tuple(closures),
-        pairs=tuple(pairs),
+        pairs=tuple(combinations(sorted(names), 2)),
     )
     return candidates[selected], report

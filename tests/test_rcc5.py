@@ -2,6 +2,7 @@ import copy
 import itertools
 import pickle
 import random
+import re
 import sys
 from collections import deque
 
@@ -159,11 +160,27 @@ class TestQCN:
     def test_constructor_intersects_duplicate_orientations(self):
         n = QCN(["a", "b"], [(("a", "b"), rel(PP, EQ)), (("b", "a"), rel(PPi))])
         assert n.constraint("a", "b") == rel(PP)
+        n = QCN(["a", "b", "c"], {("c", "a"): rel(DR, PO, PPi), ("a", "c"): rel(PO, PPi, EQ)})
+        assert (n.constraint("a", "c"), n.constraint("c", "a")) == (rel(PO), rel(PO))
+        assert n.constraint("a", "b") == UNIVERSAL
 
     def test_self_pair_rejected(self):
         n = QCN(["a", "b"])
         with pytest.raises(ValueError):
             n.constraint("a", "a")
+        with pytest.raises(ValueError, match=r"relate distinct variables, got \('b', 'b'\)"):
+            QCN(["a", "b"], [(("a", "b"), rel(DR)), (("b", "b"), rel(EQ))])
+
+    def test_duplicate_variables_rejected(self):
+        with pytest.raises(ValueError, match="^duplicate variable names$"):
+            QCN(["a", "b", "a"])
+
+    @pytest.mark.parametrize("pair", [("X", "b"), ("a", "X")])
+    def test_unknown_variable_rejected(self, pair):
+        for constraints in ({("a", "b"): rel(DR), pair: rel(PO)}, [(("a", "b"), rel(DR)), (pair, rel(PO))]):
+            with pytest.raises(KeyError) as caught:
+                QCN(["a", "b"], constraints)
+            assert caught.value.args == ("unknown variable: 'X'",)
 
     def test_updated_replaces(self):
         n = QCN(["a", "b"], {("a", "b"): rel(DR)})
@@ -205,6 +222,29 @@ class TestScenarioType:
             Scenario(["a", "b", "c"])  # full constraints are not quasi-atomic
         with pytest.raises(ValueError, match="not quasi-atomic"):
             Scenario.from_qcn(QCN(["a", "b"], {("a", "b"): rel(DR, PO)}))
+
+    @pytest.mark.parametrize(
+        "bad, message",
+        [
+            # the first offending pair in row order, whichever orientation was given
+            ({("d", "c"): rel(DR, PO), ("b", "a"): rel(PO, EQ)}, "constraint (a, b) is {PO,EQ}"),
+            ({("c", "b"): rel(PP, PPi)}, "constraint (b, c) is {PP,PPi}"),
+            # the last pair of the matrix
+            ({("d", "c"): rel(PP, EQ, DR)}, "constraint (c, d) is {DR,PPi,EQ}"),
+            ({("c", "d"): UNIVERSAL}, "constraint (c, d) is {DR,PO,PP,PPi,EQ}"),
+        ],
+    )
+    def test_names_the_first_offending_pair(self, bad, message):
+        variables = ["a", "b", "c", "d"]
+        labels = {pair: rel(DR) for pair in itertools.combinations(variables, 2)}
+        for pair, label in bad.items():
+            labels.pop(tuple(sorted(pair)))
+            labels[pair] = label
+        expected = "^not quasi-atomic: " + re.escape(message) + "$"
+        with pytest.raises(ValueError, match=expected):
+            Scenario(variables, labels)
+        with pytest.raises(ValueError, match=expected):
+            Scenario.from_qcn(QCN(variables, labels))
 
     def test_updated_returns_a_plain_network(self):
         # an update may leave the quasi-atomic class, so it is no Scenario

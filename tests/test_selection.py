@@ -228,3 +228,53 @@ def test_select_matches_reference_on_random_profiles():
         inconsistent += any(deductive_closure(o).inconsistent_individuals for o in sources)
     # the sample holds candidates to score and individuals the closure finds inconsistent
     assert checked >= 20 and inconsistent >= 5
+
+
+def _taxonomy_profile(rng, concepts, empty):
+    """2-3 tree-shaped sources over `concepts`: dozens of individuals each in several concepts.
+
+    The concepts in `empty` are leaves that no source asserts members of;
+    one asserted disjoint pair per source with a member of both sides
+    makes that individual inconsistent.
+    """
+    parents = [c for c in concepts if c not in empty]
+    sources = []
+    for _ in range(rng.randint(2, 3)):
+        lines = [
+            f"{c} <= {rng.choice([p for p in concepts[:k] if p not in empty])}"
+            for k, c in enumerate(concepts[1:], 1)
+            if c in empty or rng.random() < 0.8
+        ]
+        first, second = rng.sample(parents[1:], 2)
+        lines += [f"{first} & {second} <= bot", f"{first}(clash)", f"{second}(clash)"]
+        for k in range(rng.randint(30, 50)):
+            lines += [f"{c}(i{k})" for c in rng.sample(parents, rng.randint(2, 5))]
+        sources.append(lines)
+    return [parse_ontology("\n".join(lines)) for lines in sources]
+
+
+def test_select_matches_reference_at_taxonomy_scale():
+    rng = random.Random(4242)
+    labels = (rel(PP), rel(PPi), rel(EQ), rel(DR), rel(PO), rel(PP, EQ), rel(PPi, EQ))
+    for size in (20, 31, 40):
+        concepts = [f"C{k:02d}" for k in range(size)]
+        empty = set(rng.sample(concepts[1:], 4))
+        sources = _taxonomy_profile(rng, concepts, empty)
+        closures = [deductive_closure(o) for o in sources]
+        assert all(closed.inconsistent_individuals for closed in closures)
+        assert all(not closed.instances_of(c) for closed in closures for c in empty)
+        pairs = list(itertools.combinations(concepts, 2))
+        candidates = [Scenario(concepts, {pair: rng.choice(labels) for pair in pairs}) for _ in range(4)]
+        # the same labels again over a second variable order, so the best ties with its twin
+        order = concepts[:]
+        rng.shuffle(order)
+        candidates += [Scenario(order, {(u, v): r for u, v, r in s.items()}) for s in candidates]
+        selected, report = select_scenario(candidates, sources)
+        assert len(report.tied_indices) == 2
+        ref_selected, ref, ref_pair_counts = oracles.reference_select(candidates, sources)
+        assert selected is ref_selected
+        assert [s.per_source for s in report.scores] == [s.per_source for s in ref.scores]
+        assert [s.distance for s in report.scores] == [s.distance for s in ref.scores]
+        assert (report.selected_index, report.tied_indices) == (ref.selected_index, ref.tied_indices)
+        assert report.to_json_dict() == {**ref.to_json_dict(), "pair_counts": ref_pair_counts}
+        assert scenario_distance(selected, sources) == report.scores[report.selected_index].distance
