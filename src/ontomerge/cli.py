@@ -85,7 +85,8 @@ def _input_paths(args: argparse.Namespace) -> list[str]:
 
 
 class PipelineResult(_Record):
-    __slots__ = ("merged", "trace", "scenarios", "selected", "report", "result")
+    __slots__ = ()
+    _fields = ("merged", "trace", "scenarios", "selected", "report", "result")
     merged: QCN
     trace: MergeTrace
     scenarios: tuple[Scenario, ...]

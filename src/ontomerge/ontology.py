@@ -68,56 +68,14 @@ class NameClashError(OntologyError):
     """One name used in two of the concept/role/individual namespaces."""
 
 
-def _repr(obj: object, names: Iterable[str], values: Iterable[object]) -> str:
-    fields = ", ".join(f"{name}={value!r}" for name, value in zip(names, values))
-    return f"{type(obj).__name__}({fields})"
+class _Record(tuple):
+    """A read-only record: the tuple of its field values, in the order of `_fields`.
 
-
-class _Record:
-    """A read-only record whose fields are its `__slots__`.
-
-    It is built from the fields by position or by keyword, equal to and
-    hashed like another record of its class with equal fields, and
-    assigning a field raises AttributeError.
-    """
-
-    __slots__ = ()
-
-    def __init__(self, *args: object, **kwargs: object) -> None:
-        names = self.__slots__
-        values = dict(zip(names, args), **kwargs)
-        if len(args) + len(kwargs) != len(names) or values.keys() != set(names):
-            raise TypeError(f"{type(self).__name__}() takes the fields {', '.join(names)}, each once")
-        for name in names:
-            object.__setattr__(self, name, values[name])
-
-    def _values(self) -> tuple:
-        return tuple(getattr(self, name) for name in self.__slots__)
-
-    def __setattr__(self, name: str, value: object) -> None:
-        raise AttributeError(f"cannot assign to field {name!r}")
-
-    def __eq__(self, other: object) -> bool:
-        if type(other) is not type(self):
-            return NotImplemented
-        return self._values() == other._values()
-
-    def __hash__(self) -> int:
-        return hash(self._values())
-
-    def __repr__(self) -> str:
-        return _repr(self, self.__slots__, self._values())
-
-    def __reduce__(self) -> tuple:
-        return type(self), self._values()
-
-
-class _Statement(tuple):
-    """A statement is the tuple of its names, in the order of `_fields`.
-
-    Each name is also read as the attribute its field names.  Statements
-    are equal only within one class, so ``A <= B`` and ``A(B)`` are two
-    members of a set.
+    It is built from the fields by position or by keyword, and each value
+    is also read as the attribute its field names.  Every subclass sets
+    ``__slots__ = ()``, so assigning any attribute raises AttributeError.
+    Records are equal only within one class, so ``A <= B`` and ``A(B)``
+    are two members of a set.
     """
 
     __slots__ = ()
@@ -127,10 +85,13 @@ class _Statement(tuple):
         for k, name in enumerate(cls._fields):
             setattr(cls, name, property(itemgetter(k)))
 
-    def __new__(cls, *names: str) -> "_Statement":
-        if len(names) != len(cls._fields):
-            raise TypeError(f"{cls.__name__}() takes {len(cls._fields)} names, got {len(names)}")
-        return tuple.__new__(cls, names)
+    def __new__(cls, *args: object, **kwargs: object) -> "_Record":
+        fields = cls._fields
+        if kwargs:  # the fields after the positional ones
+            args += tuple(kwargs.pop(name) for name in fields[len(args):] if name in kwargs)
+        if len(args) != len(fields) or kwargs:
+            raise TypeError(f"{cls.__name__}() takes the fields {', '.join(fields)}, each once")
+        return tuple.__new__(cls, args)
 
     def __eq__(self, other: object) -> bool:
         return type(other) is type(self) and tuple.__eq__(self, other)
@@ -141,120 +102,113 @@ class _Statement(tuple):
     __hash__ = tuple.__hash__
 
     def __repr__(self) -> str:
-        return _repr(self, self._fields, self)
+        fields = ", ".join(f"{name}={value!r}" for name, value in zip(self._fields, self))
+        return f"{type(self).__name__}({fields})"
 
-    def __getnewargs__(self) -> tuple[str, ...]:
+    def __getnewargs__(self) -> tuple:
         return tuple(self)
 
 
-class Subsumption(_Statement):
+# Each statement class declares, beside its fields, how it is written and
+# read: `_pattern` is its token pattern (see `_tokenize`), whose name
+# tokens ``n`` carry the fields in order; `_namespaces` the namespace of
+# each field; `_template` its text and `_tag` its JSON type.
+
+
+class Subsumption(_Record):
     __slots__ = ()
     _fields = ("sub", "sup")
+    _pattern = "n<n"
+    _namespaces = ("concept", "concept")
+    _template = "{} <= {}"
+    _tag = "subsumption"
 
 
-class Disjointness(_Statement):
+class Disjointness(_Record):
     """Disjointness of two concepts; the order of arguments is immaterial."""
 
     __slots__ = ()
     _fields = ("first", "second")
+    _pattern = "n&n<b"
+    _namespaces = ("concept", "concept")
+    _template = "{} & {} <= bot"
+    _tag = "disjointness"
 
     def __new__(cls, first: str, second: str) -> "Disjointness":
         return tuple.__new__(cls, (second, first) if second < first else (first, second))
 
 
-class ExistsRight(_Statement):
+class ExistsRight(_Record):
     """sub is subsumed by (some role.filler)."""
 
     __slots__ = ()
     _fields = ("sub", "role", "filler")
+    _pattern = "n<sn.n"
+    _namespaces = ("concept", "role", "concept")
+    _template = "{} <= some {}.{}"
+    _tag = "exists_right"
 
 
-class ExistsLeft(_Statement):
+class ExistsLeft(_Record):
     """(some role.filler) is subsumed by sup."""
 
     __slots__ = ()
     _fields = ("role", "filler", "sup")
+    _pattern = "sn.n<n"
+    _namespaces = ("role", "concept", "concept")
+    _template = "some {}.{} <= {}"
+    _tag = "exists_left"
 
 
 Axiom = Subsumption | Disjointness | ExistsRight | ExistsLeft
 
 
-class ConceptAssertion(_Statement):
+class ConceptAssertion(_Record):
     __slots__ = ()
     _fields = ("concept", "individual")
+    _pattern = "n(n)"
+    _namespaces = ("concept", "individual")
+    _template = "{}({})"
+    _tag = "concept"
 
 
-class RoleAssertion(_Statement):
+class RoleAssertion(_Record):
     __slots__ = ()
     _fields = ("role", "subject", "object")
+    _pattern = "n(n,n)"
+    _namespaces = ("role", "individual", "individual")
+    _template = "{}({},{})"
+    _tag = "role"
 
 
 Assertion = ConceptAssertion | RoleAssertion
 Statement = Axiom | Assertion
 
-
-class _Kind(_Record):
-    """How one statement class is written, read, named and exported.
-
-    The field names are the class's `_fields`, and `namespaces` follows them.
-    """
-
-    __slots__ = ("cls", "pattern", "namespaces", "template", "tag")
-    cls: type
-    pattern: str
-    namespaces: tuple[str, ...]
-    template: str
-    tag: str
-
-    def names(self, stmt: Statement) -> Iterator[tuple[str, str]]:
-        """(name, namespace) of each field of `stmt`, in written order."""
-        return zip(stmt, self.namespaces)
-
-
-#: One row per statement class, in canonical order: class, token pattern,
-#: namespace of each field, text template and JSON tag.  The name tokens
-#: (``n``, see `_tokenize`) of each pattern carry the fields in declaration
-#: order, so ``cls(*names)`` builds the statement, and they sort it.
-_KINDS: dict[type, _Kind] = {
-    kind.cls: kind
-    for kind in (
-        _Kind(Subsumption, "n<n", ("concept", "concept"), "{} <= {}", "subsumption"),
-        _Kind(Disjointness, "n&n<b", ("concept", "concept"), "{} & {} <= bot", "disjointness"),
-        _Kind(ExistsRight, "n<sn.n", ("concept", "role", "concept"), "{} <= some {}.{}", "exists_right"),
-        _Kind(ExistsLeft, "sn.n<n", ("role", "concept", "concept"), "some {}.{} <= {}", "exists_left"),
-        _Kind(ConceptAssertion, "n(n)", ("concept", "individual"), "{}({})", "concept"),
-        _Kind(RoleAssertion, "n(n,n)", ("role", "individual", "individual"), "{}({},{})", "role"),
-    )
-}
-_CLASS_OF_PATTERN = {kind.pattern: cls for cls, kind in _KINDS.items()}
-
-
-def _kind(stmt: Statement) -> _Kind:
-    try:
-        return _KINDS[type(stmt)]
-    except KeyError:
-        raise TypeError(f"not a statement: {stmt!r}") from None
+#: The statement classes in canonical order.
+_KINDS = (Subsumption, Disjointness, ExistsRight, ExistsLeft, ConceptAssertion, RoleAssertion)
+_CLASS_OF_PATTERN = {cls._pattern: cls for cls in _KINDS}
 
 
 def _by_class(statements: Iterable[Statement]) -> defaultdict[type, list[Statement]]:
     groups: defaultdict[type, list[Statement]] = defaultdict(list)
     for stmt in statements:
         groups[type(stmt)].append(stmt)
-    for group in groups.values():
-        _kind(group[0])  # a TypeError unless the group holds statements
+    for cls, group in groups.items():
+        if cls not in _KINDS:
+            raise TypeError(f"not a statement: {group[0]!r}")
     return groups
 
 
 def _names_by_namespace(groups: Mapping[type, list[Statement]]) -> dict[str, set[str]]:
     names: dict[str, set[str]] = {"concept": set(), "role": set(), "individual": set()}
     for cls, group in groups.items():
-        for name, namespace in chain.from_iterable(map(_KINDS[cls].names, group)):
-            names[namespace].add(name)
+        for namespace, column in zip(cls._namespaces, zip(*group)):
+            names[namespace].update(column)
     return names
 
 
 def sorted_statements(statements: Iterable[Statement]) -> list[Statement]:
-    """Canonical order: by kind (the table's order), then by fields."""
+    """Canonical order: by class (the order of `_KINDS`), then by fields."""
     groups = _by_class(statements)
     out: list[Statement] = []
     for cls in _KINDS:
@@ -265,15 +219,16 @@ def sorted_statements(statements: Iterable[Statement]) -> list[Statement]:
 class Ontology(_Record):
     """A TBox/ABox pair with its signature in first-occurrence order."""
 
-    __slots__ = ("tbox", "abox", "concepts", "roles", "individuals")
+    __slots__ = ()
+    _fields = ("tbox", "abox", "concepts", "roles", "individuals")
     tbox: frozenset[Axiom]
     abox: frozenset[Assertion]
     concepts: tuple[str, ...]
     roles: tuple[str, ...]
     individuals: tuple[str, ...]
 
-    def __init__(self, *args: object, **kwargs: object) -> None:
-        super().__init__(*args, **kwargs)
+    def __new__(cls, *args: object, **kwargs: object) -> "Ontology":
+        self = super().__new__(cls, *args, **kwargs)
         by_kind = {
             "concept": set(self.concepts),
             "role": set(self.roles),
@@ -287,6 +242,7 @@ class Ontology(_Record):
         for kind, names in used.items():
             if not names <= by_kind[kind]:
                 raise ValueError(f"{kind} {min(names - by_kind[kind])!r} missing from the signature")
+        return self
 
     @classmethod
     def from_statements(cls, statements: Iterable[Statement], concepts: Iterable[str] = ()) -> "Ontology":
@@ -309,7 +265,7 @@ def _collect(numbered: Iterable[tuple[int | None, Statement]], concepts: Iterabl
     tbox: set[Axiom] = set()
     abox: set[Assertion] = set()
     for line_no, stmt in numbered:
-        for name, kind in _kind(stmt).names(stmt):
+        for name, kind in zip(stmt, stmt._namespaces):
             previous = kind_of.get(name)
             if previous is None:
                 kind_of[name] = kind
@@ -355,14 +311,14 @@ def _line_expression() -> tuple[re.Pattern[str], dict[int, tuple[type, tuple[int
     token = {"n": rf"((?!(?:{'|'.join(_RESERVED)})\b)\w+)", "<": "<="}
     token.update((kind, word + r"\b") for word, kind in _RESERVED.items())
     alternatives = "|".join(
-        f"(?P<{cls.__name__}>{blank.join(token.get(t, re.escape(t)) for t in kind.pattern)})"
-        for cls, kind in _KINDS.items()
+        f"(?P<{cls.__name__}>{blank.join(token.get(t, re.escape(t)) for t in cls._pattern)})"
+        for cls in _KINDS
     )
     expression = re.compile(f"{blank}(?:{alternatives})?{blank}(?:#.*)?", re.ASCII)
     groups = {}
-    for cls, kind in _KINDS.items():
+    for cls in _KINDS:
         first = expression.groupindex[cls.__name__] + 1
-        groups[first - 1] = (cls, tuple(range(first, first + kind.pattern.count("n"))))
+        groups[first - 1] = (cls, tuple(range(first, first + len(cls._fields))))
     return expression, groups
 
 
@@ -443,7 +399,7 @@ def _numbered_statements(text: str) -> Iterator[tuple[int, Statement]]:
 
 
 def format_statement(stmt: Statement) -> str:
-    return _kind(stmt).template.format(*stmt)
+    return stmt._template.format(*stmt)
 
 
 def format_ontology(o: Ontology) -> str:
@@ -452,10 +408,7 @@ def format_ontology(o: Ontology) -> str:
 
 
 def _statement_json(stmt: Statement) -> dict:
-    kind = _kind(stmt)
-    data = dict(zip(kind.cls._fields, stmt))
-    data["type"] = kind.tag
-    return data
+    return dict(zip(stmt._fields, stmt), type=stmt._tag)
 
 
 def ontology_to_json(o: Ontology) -> str:
@@ -488,7 +441,8 @@ class Classification(_Record):
     same facts as statements.
     """
 
-    __slots__ = ("supers", "disjoint", "unsatisfiable")
+    __slots__ = ()
+    _fields = ("supers", "disjoint", "unsatisfiable")
     supers: Mapping[str, frozenset[str]]
     disjoint: frozenset[tuple[str, str]]
     unsatisfiable: frozenset[str]
@@ -648,7 +602,8 @@ class ClosedABox(_Record):
     are recorded, not raised: conflicting sources are expected input.
     """
 
-    __slots__ = ("members", "roles", "inconsistent_individuals")
+    __slots__ = ()
+    _fields = ("members", "roles", "inconsistent_individuals")
     members: Mapping[str, frozenset[str]]
     roles: frozenset[RoleAssertion]
     inconsistent_individuals: frozenset[str]

@@ -214,7 +214,7 @@ def select_scenario(
 
     best = min(score.distance for score in scores)
     tied = tuple(i for i, score in enumerate(scores) if score.distance == best)
-    selected = min(tied, key=lambda i: candidates[i].sort_key())
+    selected = min(tied, key=lambda i: candidates[i].sort_key()) if len(tied) > 1 else tied[0]
     report = ConflictReport(
         scores=tuple(scores),
         selected_index=selected,

@@ -51,7 +51,8 @@ _DISJOINTNESS_LABEL = Relation([DR])
 class ForwardTranslation(_Record):
     """A translated network plus notes about what did not translate."""
 
-    __slots__ = ("qcn", "dropped_role_axioms", "conflicting_pairs")
+    __slots__ = ()
+    _fields = ("qcn", "dropped_role_axioms", "conflicting_pairs")
     qcn: QCN
     dropped_role_axioms: tuple[Axiom, ...]
     conflicting_pairs: tuple[tuple[str, str], ...]
@@ -76,7 +77,7 @@ def forward(o: Ontology, variables: Sequence[str] | None = None) -> ForwardTrans
     constraints: list[tuple[tuple[str, str], Relation]] = []
     dropped: list[Axiom] = []
     self_conflicts: list[tuple[str, str]] = []
-    for axiom in sorted_statements(o.tbox):
+    for axiom in o.tbox:
         if isinstance(axiom, Subsumption):
             if axiom.sub == axiom.sup:
                 continue
@@ -92,7 +93,7 @@ def forward(o: Ontology, variables: Sequence[str] | None = None) -> ForwardTrans
     conflicts = [(u, v) for u, v, rel in qcn.canonical_items() if rel.is_empty]
     return ForwardTranslation(
         qcn=qcn,
-        dropped_role_axioms=tuple(dropped),
+        dropped_role_axioms=tuple(sorted_statements(dropped)),
         conflicting_pairs=tuple(sorted(self_conflicts + conflicts)),
     )
 

@@ -28,6 +28,7 @@ from ontomerge.ontology import (
     format_ontology,
     _collect,
     _KINDS,
+    _Record,
     _LINE_RE,
     _match_statement,
     _tokenize,
@@ -37,7 +38,7 @@ from ontomerge.ontology import (
 )
 
 from ontomerge.cli import PipelineResult
-from ontomerge.translate import ForwardTranslation
+from ontomerge.translate import ForwardTranslation, forward
 
 import oracles
 
@@ -195,7 +196,7 @@ def _grammar_line(rng: random.Random) -> str:
     pool = _GRAMMAR_NAMES + _GRAMMAR_MARKS
     if rng.random() < 0.15:
         return "".join(rng.choice(pool) for _ in range(rng.randrange(9)))
-    pattern = rng.choice([kind.pattern for kind in _KINDS.values()])
+    pattern = rng.choice([cls._pattern for cls in _KINDS])
     words = [rng.choice(_GRAMMAR_NAMES) if t == "n" else _KIND_WORDS.get(t, t) for t in pattern]
     for _ in range(rng.choice((0, 0, 1, 2))):
         at = rng.randrange(len(words) + 1)
@@ -268,9 +269,8 @@ class TestStatementKinds:
     @pytest.mark.parametrize("cls", list(_KINDS), ids=lambda cls: cls.__name__)
     def test_fields_namespaces_and_name_tokens_agree(self, cls):
         text, tag, namespaces = KIND_PINS[cls.__name__]
-        kind = _KINDS[cls]
         fields = list(cls._fields)
-        assert len(fields) == len(kind.namespaces) == kind.pattern.count("n")
+        assert len(fields) == len(cls._namespaces) == cls._pattern.count("n")
         o = parse_ontology(text)
         (stmt,) = o.statements()
         assert type(stmt) is cls
@@ -329,7 +329,58 @@ class TestOntologyType:
             )
 
 
+#: One record of each result class, and one statement, read off the
+#: running example's pipeline run.
+RECORD_SAMPLES = {
+    "Ontology": lambda run: run.result,
+    "Classification": lambda run: classify(run.result.tbox),
+    "ClosedABox": lambda run: deductive_closure(run.result),
+    "ForwardTranslation": lambda run: forward(run.result),
+    "PipelineResult": lambda run: run,
+    "RoleAssertion": lambda run: RoleAssertion("r", "x", "y"),
+}
+
+
+@pytest.fixture(params=list(RECORD_SAMPLES))
+def record(request, pipeline):
+    return RECORD_SAMPLES[request.param](pipeline)
+
+
 class TestRecordSemantics:
+    def test_record_is_built_by_position_or_by_keyword(self, record):
+        cls, values = type(record), tuple(record)
+        named = dict(zip(cls._fields, values))
+        rest = dict(zip(cls._fields[1:], values[1:]))
+        assert cls(*values) == record == cls(**named) == cls(values[0], **rest)
+        for kwargs in ({}, rest, {**named, "extra": None}):
+            with pytest.raises(TypeError):
+                cls(**kwargs)
+        with pytest.raises(TypeError):
+            cls(*values, **{cls._fields[0]: values[0]})
+        with pytest.raises(TypeError):
+            cls(*values[:-1])
+
+    def test_record_equals_only_records_of_its_class(self, record):
+        values = tuple(record)
+        twin = type("Twin", (_Record,), {"__slots__": (), "_fields": type(record)._fields})(*values)
+        assert record != values and not record == values and values != record
+        assert record != twin and not twin == record
+
+    def test_record_survives_copy_and_pickle(self, record):
+        for again in (copy.copy(record), copy.deepcopy(record), pickle.loads(pickle.dumps(record))):
+            assert again == record and type(again) is type(record)
+
+    def test_record_fields_cannot_be_assigned(self, record):
+        for name in (*type(record)._fields, "other"):
+            with pytest.raises(AttributeError):
+                setattr(record, name, None)
+
+    def test_unpickling_an_ontology_checks_its_signature(self):
+        clash = tuple.__new__(Ontology, (frozenset(), frozenset(), ("A",), ("A",), ()))
+        data = pickle.dumps(clash)
+        with pytest.raises(NameClashError):
+            pickle.loads(data)
+
     def test_statements_of_two_kinds_with_the_same_names_differ(self):
         sub, member = Subsumption("A", "B"), ConceptAssertion("A", "B")
         assert sub != member and not sub == member
@@ -369,7 +420,7 @@ class TestRecordSemantics:
 
     @pytest.mark.parametrize("cls", [Ontology, Classification, ClosedABox, ForwardTranslation, PipelineResult])
     def test_record_slots_follow_the_annotations(self, cls):
-        assert cls.__slots__ == tuple(cls.__annotations__)
+        assert vars(cls)["__slots__"] == () and cls._fields == tuple(cls.__annotations__)
 
     def test_records_take_keywords_and_compare_field_by_field(self):
         o = Ontology(tbox=frozenset(), abox=frozenset(), concepts=("A",), roles=(), individuals=())

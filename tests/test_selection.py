@@ -117,6 +117,15 @@ class TestSelectScenario:
         assert selected is s
         assert report.scores[0].distance == 0
 
+    def test_single_winner_computes_no_tie_key(self, monkeypatch):
+        candidates = [Scenario(["A", "B"], {("A", "B"): rel(base)}) for base in (DR, PO, PP)]
+        calls = []
+        sort_key = QCN.sort_key
+        monkeypatch.setattr(QCN, "sort_key", lambda self: calls.append(self) or sort_key(self))
+        selected, report = select_scenario(candidates, [parse_ontology("A <= B\nA(x1)\n")])
+        assert [score.distance for score in report.scores] == [1, 1, 0]
+        assert selected is candidates[2] and report.tied_indices == () and calls == []
+
     def test_tie_breaks_lexicographically_and_is_marked(self):
         # closed source 1: x1 in both concepts; closed source 2: y1 in A,
         # y2 in B.  Scores: {DR}: 1+0, {PO}: 1+1, {PP}: 0+1 -> tie DR/PP.
