@@ -12,6 +12,7 @@ from __future__ import annotations
 import argparse
 import os
 import sys
+from itertools import chain
 from pathlib import Path
 from typing import TYPE_CHECKING, Callable, Sequence
 
@@ -33,6 +34,7 @@ if TYPE_CHECKING:
     from .merging import MergeTrace
     from .rcc5 import QCN, Scenario
     from .selection import ConflictReport
+    from .translate import ForwardTranslation
 
 __all__ = ["main", "build_parser", "PipelineError", "run_pipeline"]
 
@@ -86,7 +88,8 @@ def _input_paths(args: argparse.Namespace) -> list[str]:
 
 class PipelineResult(_Record):
     __slots__ = ()
-    _fields = ("merged", "trace", "scenarios", "selected", "report", "result")
+    _fields = ("translations", "merged", "trace", "scenarios", "selected", "report", "result")
+    translations: tuple[ForwardTranslation, ...]
     merged: QCN
     trace: MergeTrace
     scenarios: tuple[Scenario, ...]
@@ -102,11 +105,7 @@ def run_pipeline(sources: Sequence[Ontology]) -> PipelineResult:
     from .selection import select_scenario
     from .translate import backward, forward
 
-    union: list[str] = []
-    for o in sources:
-        for concept in o.concepts:
-            if concept not in union:
-                union.append(concept)
+    union = tuple(dict.fromkeys(chain.from_iterable(o.concepts for o in sources)))
     if not union:
         raise PipelineError("translate-forward", "the sources declare no concepts")
     try:
@@ -120,6 +119,7 @@ def run_pipeline(sources: Sequence[Ontology]) -> PipelineResult:
     selected, report = select_scenario(scenarios, list(sources))
     result = backward(selected)
     return PipelineResult(
+        translations=translations,
         merged=merged,
         trace=trace,
         scenarios=scenarios,
@@ -179,8 +179,9 @@ def cmd_explain(args: argparse.Namespace) -> str:
     lines: list[str] = []
     lines.append("Distance table (relations x pairs):")
     lines.append(render_distance_table(result.trace.table, fmt="csv" if args.csv else "text").rstrip("\n"))
-    for source_index, (u, v) in result.trace.table.empty_entries:
-        lines.append(f"warning: source {source_index + 1} has an empty constraint on {u}-{v}")
+    pairs = [(pair, k) for k, t in enumerate(result.translations) for pair in t.conflicting_pairs]
+    for (u, v), k in sorted(pairs):
+        lines.append(f"warning: source {k + 1} has an empty constraint on {u}-{v}")
     lines.append("")
     lines.append("Relaxation trace:")
     initial = ", ".join(f"{u}-{v}: {rel!r}" for u, v, rel in result.trace.initial.items())

@@ -13,7 +13,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 from typing import Iterator, Mapping, Sequence
 
-from .rcc5 import EMPTY, EQ, PO, PP, DR, PPi, UNIVERSAL, BaseRelation, QCN, Relation
+from .rcc5 import EQ, PO, PP, DR, PPi, UNIVERSAL, BaseRelation, QCN, Relation, _canonical_cells
 
 __all__ = [
     "NEIGHBORHOOD_EDGES",
@@ -61,13 +61,12 @@ _DIST = _distance_rows()
 class DistanceTable:
     """Per-pair distances from every base relation to the profile.
 
-    `columns` is keyed by the pairs in `QCN.canonical_items` order and
+    `columns` is keyed by the pairs in the canonical order and
     orientation; `column` transposes PP and PPi when asked for the other
     orientation.
     """
 
     columns: Mapping[tuple[str, str], tuple[int, int, int, int, int]]
-    empty_entries: tuple[tuple[int, tuple[str, str]], ...]
 
     def column(self, u: str, v: str) -> dict[Relation, int]:
         """Distances for the ordered pair (u, v), keyed by base relation."""
@@ -81,9 +80,8 @@ class DistanceTable:
 def distance_table(profile: Sequence[QCN]) -> DistanceTable:
     """The full distance table for a profile of networks.
 
-    All networks must share the variable set; entries that are empty
-    relations (conflicting single sources) contribute distance 0 and are
-    flagged in `empty_entries`.
+    All networks must share the variable set; an empty entry (a source
+    contradicting itself, which `forward` reports) contributes distance 0.
     """
     if not profile:
         raise ValueError("profile must contain at least one QCN")
@@ -94,20 +92,19 @@ def distance_table(profile: Sequence[QCN]) -> DistanceTable:
                 f"variable-set mismatch: source {k} has {sorted(qcn.variables)}, "
                 f"expected {sorted(varset)}"
             )
+    names = profile[0].variables
+    pairs = [(names[i], names[j]) for i, j in _canonical_cells(names)]
+    # each network lists its variables in its own order, so each reads its own cells
+    entries = zip(*([qcn._matrix[i][j] for i, j in _canonical_cells(qcn.variables)] for qcn in profile))
     columns: dict[tuple[str, str], tuple[int, int, int, int, int]] = {}
-    flagged: list[tuple[int, tuple[str, str]]] = []
-    # most pairs repeat a column, so each distinct tuple of entries is summed once
-    by_entries: dict[tuple[Relation, ...], tuple[int, int, int, int, int]] = {}
-    for cells in zip(*(qcn.canonical_items() for qcn in profile)):
-        pair = cells[0][:2]
-        entries = tuple(entry for _, _, entry in cells)
-        if EMPTY in entries:
-            flagged.extend((k, pair) for k, entry in enumerate(entries) if entry is EMPTY)
-        column = by_entries.get(entries)
+    # most pairs repeat a column, so each distinct tuple of entry masks is summed once
+    by_masks: dict[tuple[int, ...], tuple[int, int, int, int, int]] = {}
+    for pair, masks in zip(pairs, entries):
+        column = by_masks.get(masks)
         if column is None:
-            column = by_entries[entries] = tuple(map(sum, zip(*(_DIST[entry.mask] for entry in entries))))
+            column = by_masks[masks] = tuple(map(sum, zip(*map(_DIST.__getitem__, masks))))
         columns[pair] = column
-    return DistanceTable(columns=columns, empty_entries=tuple(flagged))
+    return DistanceTable(columns=columns)
 
 
 def _table_rows(table: DistanceTable) -> Iterator[tuple[str, ...]]:

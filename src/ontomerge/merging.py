@@ -14,18 +14,14 @@ from dataclasses import dataclass, field
 from typing import Sequence
 
 from .distance import DistanceTable, distance_table
-from .rcc5 import EMPTY, QCN, Relation, is_consistent
+from .rcc5 import EMPTY, QCN, UNIVERSAL, Relation, _POSITIONS, is_consistent
 
 __all__ = ["relax", "val", "MergeIteration", "MergeTrace", "merge"]
 
 
-#: The indices of the base relations missing from each relation mask.
-_MISSING = tuple(tuple(i for i in range(5) if not mask >> i & 1) for mask in range(32))
-
-
 def relax(phi: Relation, dist: Sequence[int]) -> Relation:
     """Add every missing base relation of minimal distance in the pair's column."""
-    missing = _MISSING[phi.mask]
+    missing = _POSITIONS[(UNIVERSAL - phi).mask]
     if not missing:
         return phi
     best = min([dist[i] for i in missing])
@@ -36,7 +32,7 @@ def val(phi: Relation, dist: Sequence[int]) -> int:
     """How contested a constraint is: the largest member distance in the pair's column."""
     if phi.is_empty:
         raise ValueError("val of an empty constraint is undefined")
-    return max(dist[i] for i in range(5) if phi.mask >> i & 1)
+    return max([dist[i] for i in _POSITIONS[phi.mask]])
 
 
 @dataclass(frozen=True)

@@ -229,14 +229,13 @@ class Ontology(_Record):
 
     def __new__(cls, *args: object, **kwargs: object) -> "Ontology":
         self = super().__new__(cls, *args, **kwargs)
-        by_kind = {
-            "concept": set(self.concepts),
-            "role": set(self.roles),
-            "individual": set(self.individuals),
-        }
-        if by_kind["concept"] & by_kind["role"] or by_kind["concept"] & by_kind[
-            "individual"
-        ] or by_kind["role"] & by_kind["individual"]:
+        signature = {"concept": self.concepts, "role": self.roles, "individual": self.individuals}
+        by_kind = {kind: set(names) for kind, names in signature.items()}
+        for kind, names in signature.items():
+            if len(by_kind[kind]) != len(names):
+                repeated = next(name for k, name in enumerate(names) if name in names[:k])
+                raise ValueError(f"{kind} {repeated!r} repeated in the signature")
+        if len(set().union(*by_kind.values())) != sum(map(len, by_kind.values())):
             raise NameClashError("concept, role and individual names must be disjoint")
         used = _names_by_namespace(_by_class(chain(self.tbox, self.abox)))
         for kind, names in used.items():
@@ -257,10 +256,11 @@ def _collect(numbered: Iterable[tuple[int | None, Statement]], concepts: Iterabl
     """An ontology of (line number, statement) pairs; the line may be None.
 
     The signature is the given concepts followed by the names the
-    statements use, each namespace in first-occurrence order.  A name used
-    in a second namespace is a NameClashError naming the statement's line.
+    statements use, each namespace in first-occurrence order and each
+    name once.  A name used in a second namespace is a NameClashError
+    naming the statement's line.
     """
-    order: dict[str, list[str]] = {"concept": list(concepts), "role": [], "individual": []}
+    order: dict[str, list[str]] = {"concept": [*dict.fromkeys(concepts)], "role": [], "individual": []}
     kind_of = dict.fromkeys(order["concept"], "concept")
     tbox: set[Axiom] = set()
     abox: set[Assertion] = set()

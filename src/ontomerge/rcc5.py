@@ -45,10 +45,10 @@ __all__ = [
 
 _FULL_MASK = 0b11111
 _BASE_NAMES = ("DR", "PO", "PP", "PPi", "EQ")
-#: The member positions and member bits of each mask.
-_SORT_KEYS = tuple(tuple(i for i in range(5) if m >> i & 1) for m in range(32))
-_BITS = tuple(tuple(1 << i for i in key) for key in _SORT_KEYS)
-_NAMES = tuple(tuple(_BASE_NAMES[i] for i in key) for key in _SORT_KEYS)
+#: The member positions (also the sort key) and member bits of each mask.
+_POSITIONS = tuple(tuple(i for i in range(5) if m >> i & 1) for m in range(32))
+_BITS = tuple(tuple(1 << i for i in key) for key in _POSITIONS)
+_NAMES = tuple(tuple(_BASE_NAMES[i] for i in key) for key in _POSITIONS)
 _REPRS = tuple("{%s}" % ",".join(names) for names in _NAMES)
 
 
@@ -119,7 +119,7 @@ class Relation:
         return Relation.from_mask(_CONV_MASK[self._mask])
 
     def sort_key(self) -> tuple[int, ...]:
-        return _SORT_KEYS[self._mask]
+        return _POSITIONS[self._mask]
 
     def __contains__(self, b: "Relation") -> bool:
         return bool(b._mask & self._mask)
@@ -338,18 +338,15 @@ class QCN:
             yield self._variables[i], self._variables[j], interned[mask]
 
     def canonical_items(self) -> Iterator[tuple[str, str, Relation]]:
-        """The canonical pair order: every pair once as (u, v, constraint), u < v, sorted."""
-        names = self._variables
+        """Every pair once as (u, v, constraint), u < v, in the order of `_canonical_cells`."""
+        names, m = self._variables, self._matrix
         interned = Relation._interned
-        order = sorted(range(len(names)), key=names.__getitem__)
-        for p, i in enumerate(order):
-            row = self._matrix[i]
-            for j in order[p + 1 :]:
-                yield names[i], names[j], interned[row[j]]
+        for i, j in _canonical_cells(names):
+            yield names[i], names[j], interned[m[i][j]]
 
     def sort_key(self) -> tuple[tuple[int, ...], ...]:
         """The labels pair by pair in variable order, each as its member indices."""
-        return tuple(_SORT_KEYS[mask] for i, row in enumerate(self._matrix) for mask in row[i + 1 :])
+        return tuple(_POSITIONS[mask] for i, row in enumerate(self._matrix) for mask in row[i + 1 :])
 
     def updated(self, changes: Mapping[tuple[str, str], Relation]) -> "QCN":
         """A copy with the constraint on each (u, v) of `changes` replaced.
@@ -382,10 +379,11 @@ class QCN:
         return f"QCN({list(self._variables)}; {parts or 'no constraints'})"
 
     def to_json_dict(self) -> dict:
+        names, m = self._variables, self._matrix
         constraints = [
-            {"from": u, "to": v, "rel": list(rel.names())}
-            for u, v, rel in self.canonical_items()
-            if not rel.is_full
+            {"from": names[i], "to": names[j], "rel": list(_NAMES[m[i][j]])}
+            for i, j in _canonical_cells(names)
+            if m[i][j] != _FULL_MASK
         ]
         return {"variables": list(self._variables), "constraints": constraints}
 
@@ -456,9 +454,10 @@ class Scenario(QCN):
         return scenario
 
 
-def _canonical_cells(names: Sequence[str]) -> list[tuple[int, int]]:
-    """The matrix cell (i, j) of every pair over `names`, in `QCN.canonical_items` order."""
-    return list(combinations(sorted(range(len(names)), key=names.__getitem__), 2))
+def _canonical_cells(names: Sequence[str]) -> Iterator[tuple[int, int]]:
+    """The canonical pair order, the one every stage walks pairs in: the
+    matrix cell (i, j) of each pair once, names[i] < names[j], sorted."""
+    return combinations(sorted(range(len(names)), key=names.__getitem__), 2)
 
 
 def _put(m: list[list[int]], i: int, j: int, mask: int) -> None:

@@ -13,7 +13,6 @@ from __future__ import annotations
 
 from dataclasses import dataclass, field
 from functools import reduce
-from itertools import combinations
 from operator import add, or_
 from typing import Iterator, Sequence
 
@@ -115,19 +114,18 @@ class ScenarioScore:
 class ConflictReport:
     """Scores for every candidate, plus what the per-(source, pair) counts come from.
 
-    `closures` are the sources' closed ABoxes and `pairs` the canonical
-    pairs; `to_json_dict` renders each pair's witness lists from them.
+    `closures` are the sources' closed ABoxes; `to_json_dict` renders the
+    witness lists of each pair of the first candidate, in canonical order.
     """
 
     scores: tuple[ScenarioScore, ...]
     selected_index: int
     tied_indices: tuple[int, ...]
     closures: tuple[ClosedABox, ...] = field(compare=False, repr=False)
-    pairs: tuple[tuple[str, str], ...] = field(compare=False, repr=False)
 
     def _pair_counts(self) -> Iterator[dict]:
         for source, closed in enumerate(self.closures):
-            for u, v in self.pairs:
+            for u, v, _ in self.scores[0].scenario.canonical_items():
                 in_first, in_second = closed.instances_of(u), closed.instances_of(v)
                 yield {
                     "source": source + 1,
@@ -180,7 +178,7 @@ def select_scenario(
     for s in candidates:
         if s.variables not in cells:
             _check_signature(s.variables, profile)
-            cells[s.variables] = _canonical_cells(s.variables)
+            cells[s.variables] = list(_canonical_cells(s.variables))
     closures = [deductive_closure(o) for o in profile]
     names = candidates[0].variables
     canonical = cells[names]
@@ -220,6 +218,5 @@ def select_scenario(
         selected_index=selected,
         tied_indices=tied if len(tied) > 1 else (),
         closures=tuple(closures),
-        pairs=tuple(combinations(sorted(names), 2)),
     )
     return candidates[selected], report

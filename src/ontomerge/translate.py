@@ -66,6 +66,7 @@ def forward(o: Ontology, variables: Sequence[str] | None = None) -> ForwardTrans
     space.  Pairs with an empty intersection (a source contradicting
     itself on one pair) are kept and listed in `conflicting_pairs`, as
     is (A, A) for each `A & A <= bot`, since a region is never empty.
+    This is the one place such conflicts are found.
     """
     if variables is None:
         var_list = o.concepts
@@ -76,7 +77,7 @@ def forward(o: Ontology, variables: Sequence[str] | None = None) -> ForwardTrans
             raise ValueError(f"variables must cover the signature; missing {sorted(missing)}")
     constraints: list[tuple[tuple[str, str], Relation]] = []
     dropped: list[Axiom] = []
-    self_conflicts: list[tuple[str, str]] = []
+    conflicts: set[tuple[str, str]] = set()
     for axiom in o.tbox:
         if isinstance(axiom, Subsumption):
             if axiom.sub == axiom.sup:
@@ -84,17 +85,20 @@ def forward(o: Ontology, variables: Sequence[str] | None = None) -> ForwardTrans
             constraints.append(((axiom.sub, axiom.sup), _SUBSUMPTION_LABEL))
         elif isinstance(axiom, Disjointness):
             if axiom.first == axiom.second:
-                self_conflicts.append((axiom.first, axiom.first))
+                conflicts.add((axiom.first, axiom.first))
                 continue
             constraints.append(((axiom.first, axiom.second), _DISJOINTNESS_LABEL))
         else:
             dropped.append(axiom)
     qcn = QCN(var_list, constraints)
-    conflicts = [(u, v) for u, v, rel in qcn.canonical_items() if rel.is_empty]
+    # only a pair two axioms constrain can empty; report it in canonical orientation
+    for (u, v), _ in constraints:
+        if qcn.constraint(u, v).is_empty:
+            conflicts.add((u, v) if u < v else (v, u))
     return ForwardTranslation(
         qcn=qcn,
         dropped_role_axioms=tuple(sorted_statements(dropped)),
-        conflicting_pairs=tuple(sorted(self_conflicts + conflicts)),
+        conflicting_pairs=tuple(sorted(conflicts)),
     )
 
 

@@ -920,7 +920,6 @@ def reference_select(
         selected_index=selected,
         tied_indices=tied if len(tied) > 1 else (),
         closures=(),
-        pairs=(),
     )
     return candidates[selected], report, list(entries.values())
 
@@ -1009,18 +1008,14 @@ def reference_close(m: list[list[int]], n: int, queue: deque[tuple[int, int]] | 
 def reference_distance_table(profile: Sequence[QCN]) -> DistanceTable:
     """The distance table with every pair's column summed over the sources.
 
-    Same pairs, columns and flagged empty entries as
-    `distance.distance_table`, for a profile sharing one variable set.
+    Same pairs and columns as `distance.distance_table`, for a profile
+    sharing one variable set.
     """
     columns: dict[tuple[str, str], tuple[int, int, int, int, int]] = {}
-    flagged: list[tuple[int, tuple[str, str]]] = []
     for cells in zip(*(qcn.canonical_items() for qcn in profile)):
         pair = cells[0][:2]
-        for k, (_, _, entry) in enumerate(cells):
-            if entry.is_empty:
-                flagged.append((k, pair))
         columns[pair] = tuple(map(sum, zip(*(_DIST[entry.mask] for _, _, entry in cells))))
-    return DistanceTable(columns=columns, empty_entries=tuple(flagged))
+    return DistanceTable(columns=columns)
 
 
 def reference_dist_rows() -> tuple[tuple[int, ...], ...]:

@@ -224,12 +224,17 @@ class TestExplainCommand:
         )
 
     def test_empty_source_constraint_is_warned(self, tmp_path, capsys):
-        conflicted, plain = tmp_path / "conflict.txt", tmp_path / "plain.txt"
+        conflicted, plain, empty = (tmp_path / f"{name}.txt" for name in ("conflict", "plain", "empty"))
         conflicted.write_text("A <= B\nA & B <= bot\n")
         plain.write_text("A <= B\n")
-        code, out, _ = run_cli("explain", str(conflicted), str(plain), capsys=capsys)
+        empty.write_text("A & A <= bot\nA <= B\n")
+        code, out, _ = run_cli("explain", str(conflicted), str(plain), str(empty), capsys=capsys)
         assert code == 0
-        assert "warning: source 1 has an empty constraint on A-B\n" in out
+        # in (pair, source) order, the self-disjoint concept as the pair A-A
+        assert [line for line in out.splitlines() if line.startswith("warning:")] == [
+            "warning: source 3 has an empty constraint on A-A",
+            "warning: source 1 has an empty constraint on A-B",
+        ]
         assert "initial: A-B: {PP,EQ}\n" in out
 
 
@@ -466,11 +471,13 @@ REPO_ROOT = Path(__file__).resolve().parents[1]
 PROFILE = "data/running_example/profile.txt"
 SOURCES = [f"data/running_example/source{i}.txt" for i in (1, 2, 3, 4)]
 SELECTED = "tests/golden/selected_scenario.json"
+CONFLICTS = "data/conflicts/profile.txt"
 
 #: golden stdout file, arguments, and {flag: golden file} for the files a run writes
 GOLDEN_RUNS = [
     ("explain.txt", ["explain", "--profile", PROFILE], {}),
     ("explain_csv.txt", ["explain", "--csv", "--profile", PROFILE], {}),
+    ("explain_conflicts.txt", ["explain", "--profile", CONFLICTS], {}),
     ("check.txt", ["check", "--profile", PROFILE], {}),
     ("check.json", ["check", "--json", "--profile", PROFILE], {}),
     *((f"classify_source{i}.txt", ["classify", path], {}) for i, path in enumerate(SOURCES, 1)),

@@ -314,6 +314,18 @@ class TestOntologyType:
         assert o.concepts == ("C", "A", "B")
         assert o.individuals == ("x",)
 
+    def test_a_repeated_given_concept_is_kept_once(self):
+        o = Ontology.from_statements([Subsumption("A", "B")], concepts=["A", "A"])
+        assert o.concepts == ("A", "B")
+        assert forward(o).qcn.variables == ("A", "B")
+
+    @pytest.mark.parametrize("kind", ["concept", "role", "individual"])
+    def test_constructor_rejects_a_repeated_name(self, kind):
+        signature = {"concepts": (), "roles": (), "individuals": ()}
+        signature[kind + "s"] = ("A", "B", "A")
+        with pytest.raises(ValueError, match=f"^{kind} 'A' repeated in the signature$"):
+            Ontology(tbox=frozenset(), abox=frozenset(), **signature)
+
     def test_from_statements_rejects_clashes(self):
         with pytest.raises(NameClashError):
             Ontology.from_statements([Subsumption("A", "B"), ConceptAssertion("x", "A")])

@@ -88,6 +88,37 @@ class TestForward:
         assert result.conflicting_pairs == (("A", "A"), ("B", "C"))
         assert result.qcn.constraint("A", "B") == rel(PP, EQ)
 
+    def test_conflicts_match_a_full_scan_on_random_tboxes(self):
+        # forward looks for empty labels only on the pairs its axioms constrain;
+        # the self-disjoint concepts plus a scan of every pair find the same
+        rng = random.Random(2424)
+        shapes = ("both orientations", "subsumption and disjointness", "self-disjoint", "superset")
+        seen = dict.fromkeys((*shapes, "conflict"), False)
+        for _ in range(300):
+            names = [f"C{i}" for i in range(rng.randint(3, 6))]
+            axioms = set()
+            for _ in range(rng.randint(1, 2 * len(names))):
+                u, v = rng.choice(names), rng.choice(names)
+                axioms.add(Subsumption(u, v) if rng.random() < 0.5 else Disjointness(u, v))
+                if rng.random() < 0.2:  # a second axiom on the same pair
+                    axioms.add(Subsumption(v, u) if rng.random() < 0.5 else Disjointness(v, u))
+            o = Ontology.from_statements(axioms)
+            variables = None
+            if rng.random() < 0.3:
+                variables = rng.sample([*o.concepts, "Extra"], len(o.concepts) + 1)
+            result = forward(o, variables=variables)
+            disjoint = {frozenset(a) for a in axioms if isinstance(a, Disjointness)}
+            self_pairs = {(u, u) for u, *others in disjoint if not others}
+            scanned = {(u, v) for u, v, label in result.qcn.canonical_items() if label.is_empty}
+            assert result.conflicting_pairs == tuple(sorted(self_pairs | scanned))
+            subsumed = {tuple(a) for a in axioms if isinstance(a, Subsumption) and a.sub != a.sup}
+            seen["both orientations"] |= any((v, u) in subsumed for u, v in subsumed)
+            seen["subsumption and disjointness"] |= any(frozenset(p) in disjoint for p in subsumed)
+            seen["self-disjoint"] |= bool(self_pairs)
+            seen["superset"] |= variables is not None
+            seen["conflict"] |= bool(scanned)
+        assert all(seen.values()), seen
+
     def test_variable_embedding(self):
         o = parse_ontology("C <= D")
         result = forward(o, variables=["X", "C", "D"])
