@@ -32,8 +32,8 @@ from .ontology import (
 # `json` is imported only where JSON is written.
 if TYPE_CHECKING:
     from .merging import MergeTrace
-    from .rcc5 import QCN, Scenario
-    from .selection import ConflictReport
+    from .rcc5 import QCN, MaximalScenarios, Scenario
+    from .selection import ScenarioScore
     from .translate import ForwardTranslation
 
 __all__ = ["main", "build_parser", "PipelineError", "run_pipeline"]
@@ -87,22 +87,26 @@ def _input_paths(args: argparse.Namespace) -> list[str]:
 
 
 class PipelineResult(_Record):
+    """What `run_pipeline` computed.  `scenarios` lists the merged
+    network's maximal scenarios only when it is iterated, indexed or
+    counted; `selected` and its `score` come from `best_scenario`."""
+
     __slots__ = ()
-    _fields = ("translations", "merged", "trace", "scenarios", "selected", "report", "result")
+    _fields = ("translations", "merged", "trace", "scenarios", "selected", "score", "result")
     translations: tuple[ForwardTranslation, ...]
     merged: QCN
     trace: MergeTrace
-    scenarios: tuple[Scenario, ...]
+    scenarios: MaximalScenarios
     selected: Scenario
-    report: ConflictReport
+    score: ScenarioScore
     result: Ontology
 
 
 def run_pipeline(sources: Sequence[Ontology]) -> PipelineResult:
     """Translate, merge, pick the representative scenario, translate back."""
     from .merging import merge
-    from .rcc5 import enumerate_scenarios
-    from .selection import select_scenario
+    from .rcc5 import MaximalScenarios
+    from .selection import best_scenario
     from .translate import backward, forward
 
     union = tuple(dict.fromkeys(chain.from_iterable(o.concepts for o in sources)))
@@ -113,19 +117,15 @@ def run_pipeline(sources: Sequence[Ontology]) -> PipelineResult:
     except ValueError as exc:
         raise PipelineError("translate-forward", str(exc)) from exc
     merged, trace = merge([t.qcn for t in translations])
-    scenarios = tuple(enumerate_scenarios(merged))
-    if not scenarios:
-        raise RuntimeError("the merged network is consistent, yet it admits no scenario")
-    selected, report = select_scenario(scenarios, list(sources))
-    result = backward(selected)
+    selected, score = best_scenario(merged, sources)
     return PipelineResult(
         translations=translations,
         merged=merged,
         trace=trace,
-        scenarios=scenarios,
+        scenarios=MaximalScenarios(merged),
         selected=selected,
-        report=report,
-        result=result,
+        score=score,
+        result=backward(selected),
     )
 
 
@@ -165,7 +165,10 @@ def cmd_merge(args: argparse.Namespace) -> str:
     if args.trace:
         _write_output(_dump_json(result.trace.to_json_dict()), args.trace)
     if args.emit_scenarios:
-        _write_output(_dump_json(result.report.to_json_dict()), args.emit_scenarios)
+        from .selection import select_scenario
+
+        _, report = select_scenario(tuple(result.scenarios), sources)
+        _write_output(_dump_json(report.to_json_dict()), args.emit_scenarios)
     if args.dot:
         _write_output(qcn_to_dot(result.merged, name="merged"), args.dot)
     return ontology_to_json(result.result) if args.json else format_ontology(result.result)
@@ -173,6 +176,7 @@ def cmd_merge(args: argparse.Namespace) -> str:
 
 def cmd_explain(args: argparse.Namespace) -> str:
     from .distance import render_distance_table
+    from .selection import select_scenario
 
     sources = [_load_ontology(path) for path in _input_paths(args)]
     result = run_pipeline(sources)
@@ -195,14 +199,16 @@ def cmd_explain(args: argparse.Namespace) -> str:
     lines.append(f"  iterations: {len(result.trace.iterations)}")
     lines.append("")
     lines.append("Scenarios:")
-    for i, score in enumerate(result.report.scores):
-        marker = " (selected)" if i == result.report.selected_index else ""
+    # the report scores every maximal scenario, so it lists them all
+    _, report = select_scenario(tuple(result.scenarios), sources)
+    for i, score in enumerate(report.scores):
+        marker = " (selected)" if i == report.selected_index else ""
         body = ", ".join(f"{u}-{v}: {rel!r}" for u, v, rel in score.scenario.items())
         per_source = "+".join(str(n) for n in score.per_source)
         lines.append(f"  scenario {i + 1}: distance {score.distance} ({per_source}){marker}")
         lines.append(f"    {body}")
-    if result.report.tied_indices:
-        tied = ", ".join(str(i + 1) for i in result.report.tied_indices)
+    if report.tied_indices:
+        tied = ", ".join(str(i + 1) for i in report.tied_indices)
         lines.append(f"  tie between scenarios {tied}; lexicographically smallest selected")
     return "\n".join(lines) + "\n"
 

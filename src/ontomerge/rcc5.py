@@ -10,14 +10,16 @@ variables, keeping the two orientations of a pair converse-coherent.
 Reasoning services: weak composition, algebraic closure (path
 consistency), consistency by backtracking until every open label contains
 PO, and enumeration of maximal quasi-atomic scenarios by one box search
-checked triangle by triangle.
+checked triangle by triangle, also as a view that lists them only on
+demand and decides membership without a listing.
 """
 
 from __future__ import annotations
 
 from collections import deque
+from collections.abc import Sequence
 from itertools import chain, combinations
-from typing import Iterable, Iterator, Mapping, Sequence
+from typing import Iterable, Iterator, Mapping
 
 __all__ = [
     "BaseRelation",
@@ -37,6 +39,7 @@ __all__ = [
     "algebraic_closure",
     "is_consistent",
     "enumerate_scenarios",
+    "MaximalScenarios",
     "qcn_to_json",
     "qcn_from_json",
     "qcn_to_dot",
@@ -273,7 +276,8 @@ class QCN:
     ) -> None:
         vars_t = tuple(variables)
         if len(set(vars_t)) != len(vars_t):
-            raise ValueError("duplicate variable names")
+            repeated = next(name for k, name in enumerate(vars_t) if name in vars_t[:k])
+            raise ValueError(f"variable {repeated!r} repeated in the signature")
         self._variables = vars_t
         self._index = index = {v: i for i, v in enumerate(vars_t)}
         n = len(vars_t)
@@ -606,6 +610,41 @@ _ALLOWED = tuple(
 )
 
 
+def _box_domains(n: QCN) -> list[list[int]] | None:
+    """The scenario labels inside each closed constraint of `n`, a label
+    set per matrix cell; None when the closure empties a constraint."""
+    m = [row[:] for row in n._matrix]
+    if not _close(m, len(m)):
+        return None
+    return [[_FITS[mask] for mask in row] for row in m]
+
+
+def _is_maximal(box: list[list[int]], domains: list[list[int]]) -> bool:
+    """Whether the valid box `box` is maximal among the boxes inside `domains`.
+
+    Validity is closed under shrinking, so a valid box is maximal when no
+    single label widens validly (PP or EQ to {PP,EQ}, PPi or EQ to
+    {PPi,EQ}): each pair's widenings inside its domain are one label
+    set, narrowed by `_ALLOWED` over the pair's triangles until it
+    empties.  `box` holds both orientations, so any third k can be the
+    apex of the triangle (k, i, j).
+    """
+    rows = list(enumerate(box))
+    for i, row_i in rows:
+        for j in range(i + 1, len(rows)):
+            wider = domains[i][j] & _WIDEN[row_i[j]]
+            if not wider:
+                continue
+            for k, row in rows:
+                if k != i and k != j:
+                    wider &= _ALLOWED[row[i]][row[j]]
+                    if not wider:
+                        break
+            else:
+                return False
+    return True
+
+
 def enumerate_scenarios(n: QCN) -> list[Scenario]:
     """All maximal quasi-atomic scenarios of `n`, sorted by `QCN.sort_key`.
 
@@ -614,35 +653,20 @@ def enumerate_scenarios(n: QCN) -> list[Scenario]:
     it is consistent) when its labels lie in the closed constraints and
     `_ALLOWED` passes every triangle.  A depth-first search fixes the
     pairs column by column, and fixing (i, j) completes the triangles
-    (k, i, j) with k < i.  Validity is closed under shrinking, so a
-    valid box is maximal when no single label widens validly (PP or EQ
-    to {PP,EQ}, PPi or EQ to {PPi,EQ}): at a leaf, each pair's widenings
-    inside its closed constraint are one label set, narrowed by
-    `_ALLOWED` over the pair's triangles until it empties.
+    (k, i, j) with k < i.  Each valid leaf is kept when `_is_maximal`.
     """
-    size = len(n.variables)
-    labels = [row[:] for row in n._matrix]
-    if not _close(labels, size):
+    fits = _box_domains(n)
+    if fits is None:
         return []
-    fits = [[_FITS[mask] for mask in row] for row in labels]
+    size = len(fits)
+    labels = [row[:] for row in n._matrix]
     pairs = [(i, j) for j in range(size) for i in range(j)]
-    # the rows of the thirds of each pair; labels holds both orientations,
-    # so any third k can be the apex of the triangle (k, i, j)
-    thirds = [[labels[k] for k in range(size) if k != i and k != j] for i, j in pairs]
     options: list[int | None] = [None] * len(pairs)  # labels left to try, per depth
     scenarios = []
     depth = 0
     while depth >= 0:
         if depth == len(pairs):
-            for (i, j), rows in zip(pairs, thirds):
-                wider = fits[i][j] & _WIDEN[labels[i][j]]
-                for row in rows:
-                    if not wider:
-                        break
-                    wider &= _ALLOWED[row[i]][row[j]]
-                if wider:
-                    break
-            else:
+            if _is_maximal(labels, fits):
                 scenarios.append(Scenario._from_matrix(n, [row[:] for row in labels]))
             depth -= 1
             continue
@@ -661,6 +685,65 @@ def enumerate_scenarios(n: QCN) -> list[Scenario]:
         depth += 1
     scenarios.sort(key=QCN.sort_key)
     return scenarios
+
+
+class MaximalScenarios(Sequence):
+    """The maximal quasi-atomic scenarios of a network, as a read-only sequence.
+
+    Their number can grow exponentially with the variables, so
+    `enumerate_scenarios` lists them only when the sequence is iterated,
+    indexed or counted, and only once.  Membership is decided without a
+    listing: a network is a member when it has the network's variables,
+    its labels form a valid box inside the closed constraints (every
+    triangle passes `_ALLOWED`) and that box is maximal.
+    """
+
+    __slots__ = ("_network", "_domains", "_listed")
+
+    def __init__(self, network: QCN) -> None:
+        self._network = network
+        self._domains: list[list[int]] | None = None
+        self._listed: list[Scenario] | None = None
+
+    def _scenarios(self) -> list[Scenario]:
+        if self._listed is None:
+            self._listed = enumerate_scenarios(self._network)
+        return self._listed
+
+    def __len__(self) -> int:
+        return len(self._scenarios())
+
+    def __getitem__(self, index):
+        return self._scenarios()[index]
+
+    def __iter__(self) -> Iterator[Scenario]:
+        return iter(self._scenarios())
+
+    def __contains__(self, s: object) -> bool:
+        if not isinstance(s, QCN) or s.variables != self._network.variables:
+            return False
+        if self._domains is None:
+            # a closure that empties a constraint leaves no label to fit
+            size = len(s.variables)
+            self._domains = _box_domains(self._network) or [[0] * size] * size
+        domains, m = self._domains, s._matrix
+        for j in range(len(m)):
+            for i in range(j):
+                label = m[i][j]
+                if not domains[i][j] >> label & 1:
+                    return False
+                for k in range(i):
+                    if not _ALLOWED[m[k][i]][m[k][j]] >> label & 1:
+                        return False
+        return _is_maximal(m, domains)
+
+    def __eq__(self, other: object) -> bool:
+        if not isinstance(other, MaximalScenarios):
+            return NotImplemented
+        return self._network == other._network
+
+    def __hash__(self) -> int:
+        return hash(self._network)
 
 
 def qcn_to_json(qcn: QCN) -> str:

@@ -6,18 +6,37 @@ would-be subset missing from the superset for {PP,EQ}-like labels, the
 mirror image for {PPi,EQ}-like labels, and common members for {DR}.  A
 {PO} label counts how unbalanced those three figures are (max minus
 min).  The representative scenario minimizes the grand total, with a
-lexicographic tie-break on its labels.
+lexicographic tie-break on its labels: `select_scenario` picks it from
+a list of candidates, `best_scenario` from a network's maximal
+scenarios without listing them.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass, field
 from functools import reduce
+from itertools import combinations
 from operator import add, or_
 from typing import Iterator, Sequence
 
 from .ontology import ClosedABox, Ontology, deductive_closure
-from .rcc5 import EQ, PO, PP, DR, PPi, Relation, Scenario, _canonical_cells
+from .rcc5 import (
+    DR,
+    EQ,
+    PO,
+    PP,
+    QCN,
+    SCENARIO_LABELS,
+    PPi,
+    Relation,
+    Scenario,
+    _ALLOWED,
+    _CONV_MASK,
+    _POSITIONS,
+    _box_domains,
+    _canonical_cells,
+    _is_maximal,
+)
 
 __all__ = [
     "nb_conflicts",
@@ -25,6 +44,7 @@ __all__ = [
     "ScenarioScore",
     "ConflictReport",
     "select_scenario",
+    "best_scenario",
 ]
 
 #: The count each scenario label mask is charged, as an index into the
@@ -153,35 +173,18 @@ def _member_bits(closed: ClosedABox, concepts: Sequence[str]) -> list[int]:
     return [reduce(or_, map(bit.__getitem__, closed.instances_of(c)), 0) for c in concepts]
 
 
-def select_scenario(
-    candidates: Sequence[Scenario], profile: Sequence[Ontology]
-) -> tuple[Scenario, ConflictReport]:
-    """The candidate with minimal distance to the profile.
+def _count_tables(
+    names: Sequence[str], canonical: Sequence[tuple[int, int]], closures: Sequence[ClosedABox]
+) -> list[list[int]]:
+    """Each source's counts as one flat table, the four of each canonical
+    pair in `_COUNT_INDEX` order.
 
-    Each source's counts sit in one flat table, the four of each
-    canonical pair in `_COUNT_INDEX` order.  The table is built in one
-    pass over the pairs with int arithmetic only: each concept's members
-    are an int bitset, the common count of a pair is the popcount of
-    the two sets' intersection, the subset and superset counts are each
-    side's size minus it, and the overlap count is the largest of the
-    three minus the smallest.  A candidate's labels, read once from its
-    mask matrix, become one list of table positions, and its score
-    against a source is the sum of the table at those positions.  Ties
-    break by `QCN.sort_key`, the order `enumerate_scenarios` lists
-    scenarios in; the report lists every tied candidate and renders its
-    per-(source, pair) counts only when it is serialized.
+    The table is built in one pass over the pairs with int arithmetic
+    only: each concept's members are an int bitset, the common count of
+    a pair is the popcount of the two sets' intersection, the subset and
+    superset counts are each side's size minus it, and the overlap count
+    is the largest of the three minus the smallest.
     """
-    if not candidates:
-        raise ValueError("no candidate scenarios")
-    # the matrix cell of each canonical pair, per variable order
-    cells: dict[tuple[str, ...], list[tuple[int, int]]] = {}
-    for s in candidates:
-        if s.variables not in cells:
-            _check_signature(s.variables, profile)
-            cells[s.variables] = list(_canonical_cells(s.variables))
-    closures = [deductive_closure(o) for o in profile]
-    names = candidates[0].variables
-    canonical = cells[names]
     tables = []
     for closed in closures:
         members = _member_bits(closed, names)
@@ -197,18 +200,46 @@ def select_scenario(
                 low = common
             table += subset, superset, common, high - low
         tables.append(table)
+    return tables
 
-    starts = range(0, 4 * len(canonical), 4)
-    scores = []
+
+def _score(s: Scenario, cells: Sequence[tuple[int, int]], tables: Sequence[list[int]]) -> ScenarioScore:
+    """`s` scored against each source's table; `cells` are its canonical pairs' cells."""
+    m = s._matrix
+    codes = [_COUNT_INDEX[m[i][j]] for i, j in cells]
+    if None in codes:  # raise for the first label that is not a scenario label
+        for _, _, label in s.canonical_items():
+            _count_index(label)
+    index = list(map(add, range(0, 4 * len(cells), 4), codes))
+    per_source = tuple(sum(map(table.__getitem__, index)) for table in tables)
+    return ScenarioScore(scenario=s, distance=sum(per_source), per_source=per_source)
+
+
+def select_scenario(
+    candidates: Sequence[Scenario], profile: Sequence[Ontology]
+) -> tuple[Scenario, ConflictReport]:
+    """The candidate with minimal distance to the profile.
+
+    Each source's counts sit in one flat table (`_count_tables`).  A
+    candidate's labels, read once from its mask matrix, become one list
+    of table positions, and its score against a source is the sum of the
+    table at those positions.  Ties break by `QCN.sort_key`, the order
+    `enumerate_scenarios` lists scenarios in; the report lists every
+    tied candidate and renders its per-(source, pair) counts only when
+    it is serialized.
+    """
+    if not candidates:
+        raise ValueError("no candidate scenarios")
+    # the matrix cell of each canonical pair, per variable order
+    cells: dict[tuple[str, ...], list[tuple[int, int]]] = {}
     for s in candidates:
-        m = s._matrix
-        codes = [_COUNT_INDEX[m[i][j]] for i, j in cells[s.variables]]
-        if None in codes:  # raise for the first label that is not a scenario label
-            for _, _, label in s.canonical_items():
-                _count_index(label)
-        index = list(map(add, starts, codes))
-        per_source = tuple(sum(map(table.__getitem__, index)) for table in tables)
-        scores.append(ScenarioScore(scenario=s, distance=sum(per_source), per_source=per_source))
+        if s.variables not in cells:
+            _check_signature(s.variables, profile)
+            cells[s.variables] = list(_canonical_cells(s.variables))
+    closures = [deductive_closure(o) for o in profile]
+    names = candidates[0].variables
+    tables = _count_tables(names, cells[names], closures)
+    scores = [_score(s, cells[s.variables], tables) for s in candidates]
 
     best = min(score.distance for score in scores)
     tied = tuple(i for i, score in enumerate(scores) if score.distance == best)
@@ -220,3 +251,118 @@ def select_scenario(
         closures=tuple(closures),
     )
     return candidates[selected], report
+
+
+#: The scenario labels in `QCN.sort_key` order: DR, PO, PP, {PP,EQ}, PPi, {PPi,EQ}, EQ.
+_SORTED_LABELS = tuple(sorted((r.mask for r in SCENARIO_LABELS), key=_POSITIONS.__getitem__))
+#: The labels of each label set (bit m for label mask m), in that order.
+_LABELS_OF = {
+    sum(1 << m for m in chosen): chosen
+    for size in range(len(_SORTED_LABELS) + 1)
+    for chosen in combinations(_SORTED_LABELS, size)
+}
+
+
+def best_scenario(network: QCN, profile: Sequence[Ontology]) -> tuple[Scenario, ScenarioScore]:
+    """The scenario `select_scenario` picks among the maximal scenarios
+    of `network`, found without listing them, with its score.
+
+    Branch and bound over the boxes of the closed network (see
+    `enumerate_scenarios`), depth first.  Pairs are fixed row by row,
+    (0, 1), (0, 2), ..., each to the labels of its domain in sort-key
+    order, so leaves arrive in increasing `QCN.sort_key`.  Fixing (i, j)
+    completes the triangles (i, k, j) with i < k < j whose pair (k, j)
+    is still open, and forward checking narrows the domain of (k, j) by
+    `_ALLOWED`; an empty domain prunes the branch.  Every leaf is thus a
+    valid box, and it counts when `_is_maximal`.
+
+    A label's cost on a pair is its count summed over the sources'
+    tables, read at the canonical pair (conversed when the names run
+    against the variable order).  The bound of a node is the cost so
+    far plus the cheapest label left on each open pair; it is kept
+    incrementally, and each depth keeps an undo list of the domains
+    its current label narrowed, restored before its next label.  A
+    branch whose bound reaches the best score found is pruned: any leaf
+    below it scores no less and comes later in sort-key order, so the
+    first maximal leaf at the optimum wins the tie-break.
+    """
+    names = network.variables
+    _check_signature(names, profile)
+    domains = _box_domains(network)
+    if domains is None:
+        raise ValueError("the network admits no scenario")
+    cells = list(_canonical_cells(names))
+    tables = _count_tables(names, cells, [deductive_closure(o) for o in profile])
+    total = [sum(counts) for counts in zip(*tables)]
+    size = len(names)
+    pairs = [(i, j) for i in range(size) for j in range(i + 1, size)]
+    depth_of = {pair: d for d, pair in enumerate(pairs)}
+    cost = [[0] * 32 for _ in pairs]
+    for p, (i, j) in enumerate(cells):
+        d, flip = (depth_of[i, j], 0) if i < j else (depth_of[j, i], 1)
+        for label in _SORTED_LABELS:
+            cost[d][label] = total[4 * p + _COUNT_INDEX[_CONV_MASK[label] if flip else label]]
+    # (depth of (k, j), k) for each pair (k, j) that fixing (i, j) narrows
+    narrowed = [[(depth_of[k, j], k) for k in range(i + 1, j)] for i, j in pairs]
+
+    box = [row[:] for row in network._matrix]
+    if not pairs:  # a single variable: the closed network is its one scenario
+        selected = Scenario._from_matrix(network, box)
+        return selected, _score(selected, cells, tables)
+    domain = [domains[i][j] for i, j in pairs]
+    low = [min([cost[d][m] for m in _LABELS_OF[domain[d]]]) for d in range(len(pairs))]
+    lowest: list[dict[int, int]] = [{} for _ in pairs]  # the cheapest label of each domain met, per pair
+    best: float = float("inf")
+    winner = None
+    rest = sum(low[1:])  # the cheapest labels of the pairs after the current depth
+    spent = [0] * len(pairs)  # cost of the labels fixed above each depth
+    left = [iter(_LABELS_OF[domain[0]])] + [iter(())] * (len(pairs) - 1)
+    # (depth, domain, low) before each narrowing by the label fixed at each depth
+    undo: list[list[tuple[int, int, int]]] = [[] for _ in pairs]
+    depth = 0
+    while depth >= 0:
+        narrowings = undo[depth]
+        if narrowings:
+            for d, domain[d], old in narrowings:
+                rest += old - low[d]
+                low[d] = old
+            narrowings.clear()
+        label = next(left[depth], None)
+        if label is None:
+            depth -= 1
+            rest += low[depth + 1]
+            continue
+        i, j = pairs[depth]
+        g = spent[depth] + cost[depth][label]
+        if g + rest >= best:
+            continue
+        row = box[i]
+        row[j] = label
+        box[j][i] = _CONV_MASK[label]
+        for d, k in narrowed[depth]:
+            labels = domain[d] & _ALLOWED[row[k]][label]
+            if labels != domain[d]:
+                if not labels:
+                    break
+                narrowings.append((d, domain[d], low[d]))
+                domain[d] = labels
+                cheapest = lowest[d].get(labels)
+                if cheapest is None:
+                    cheapest = lowest[d][labels] = min([cost[d][m] for m in _LABELS_OF[labels]])
+                rest += cheapest - low[d]
+                low[d] = cheapest
+        else:
+            if g + rest >= best:
+                continue
+            if depth + 1 == len(pairs):
+                if _is_maximal(box, domains):
+                    best, winner = g, [row[:] for row in box]
+                continue
+            depth += 1
+            spent[depth] = g
+            rest -= low[depth]
+            left[depth] = iter(_LABELS_OF[domain[depth]])
+    if winner is None:  # the closure passed, yet no box is valid
+        raise ValueError("the network admits no scenario")
+    selected = Scenario._from_matrix(network, winner)
+    return selected, _score(selected, cells, tables)

@@ -26,6 +26,9 @@ from the consistent atomic refinements that `_atomic_refinements`
 lists, and `reference_scenarios` filters those refinements into boxes
 and drops every box contained in another.  `reference_select` scores
 scenarios from witness lists read straight off the closed ABox's facts.
+`reference_pipeline` lists and scores every scenario of the merged
+network, where `cli.run_pipeline` finds the selected one by branch and
+bound (`selection.best_scenario`).
 They are kept so the fast paths and the shorter paths can be checked
 for agreement with them.
 """
@@ -75,7 +78,9 @@ from ontomerge.rcc5 import (
     _put,
     is_consistent,
 )
-from ontomerge.selection import ConflictReport, ScenarioScore, _check_signature
+from ontomerge.merging import merge
+from ontomerge.selection import ConflictReport, ScenarioScore, _check_signature, scenario_distance
+from ontomerge.translate import backward, forward
 
 # base-relation indices in canonical order DR, PO, PP, PPi, EQ
 _DR, _PO, _PP, _PPI, _EQ = range(5)
@@ -1078,3 +1083,23 @@ def reference_merge(
         current = QCN(profile[0].variables, labels)
         rounds.append((len(rounds) + 1, highest, selected, current))
     return current, initial, rounds
+
+
+# --- slow reference for the whole pipeline -------------------------------------
+
+
+def reference_pipeline(sources: Sequence[Ontology]) -> Ontology:
+    """What `cli.run_pipeline` returns as its result, with every scenario listed.
+
+    Forward translation over the union of the sources' concepts, in order
+    of first appearance, then `merging.merge`; `reference_scenarios`
+    lists the merged network's maximal scenarios, `scenario_distance`
+    scores each anew, and the minimum by (distance, `QCN.sort_key`) is
+    translated back.
+    """
+    union = list(dict.fromkeys(c for o in sources for c in o.concepts))
+    merged, _ = merge([forward(o, variables=union).qcn for o in sources])
+    selected = min(
+        reference_scenarios(merged), key=lambda s: (scenario_distance(s, sources), s.sort_key())
+    )
+    return backward(selected)

@@ -93,7 +93,7 @@ def test_criterion_2_relaxation_trace_reproduction(running_sources):
 def test_criterion_3_scenario_stage(pipeline, running_sources):
     started = time.perf_counter()
     scenarios = enumerate_scenarios(pipeline.merged)
-    assert tuple(scenarios) == pipeline.scenarios
+    assert tuple(scenarios) == tuple(pipeline.scenarios)
     assert len(scenarios) == 4
     for s in scenarios:
         assert s.constraint("T", "P") <= rel(PPi, EQ)

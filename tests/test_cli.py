@@ -95,6 +95,25 @@ class TestMergeCommand:
         assert got.subsumptions == want.subsumptions
         assert got.disjointness == want.disjointness
 
+    def test_merge_lists_no_scenarios(self, profile_path, monkeypatch, capsys):
+        def refuse(network):
+            raise RuntimeError("scenarios listed")
+
+        monkeypatch.setattr(rcc5, "enumerate_scenarios", refuse)
+        code, out, err = run_cli("merge", "--profile", profile_path, capsys=capsys)
+        assert (code, err) == (0, "")
+        assert out == (REPO_ROOT / "perfbench" / "golden" / "running_example.txt").read_text(encoding="utf-8")
+        # the scenario report still lists them all
+        code, out, err = run_cli("merge", "--profile", profile_path, "--emit-scenarios", "-", capsys=capsys)
+        assert (code, err) == (3, "internal error: RuntimeError: scenarios listed\n")
+
+    def test_universal_network_merges_in_a_subprocess(self):
+        # one source of eight concept assertions leaves all 28 pairs open;
+        # listing every maximal scenario of that network did not end within 30 s
+        command = [sys.executable, "-m", "ontomerge", "merge", "--profile", "data/universal/profile.txt"]
+        result = subprocess.run(command, cwd=REPO_ROOT, capture_output=True, text=True, timeout=30, check=True)
+        assert result.stdout == (REPO_ROOT / "tests" / "golden" / "merge_universal.txt").read_text(encoding="utf-8")
+
     def test_missing_file_is_input_error(self, capsys):
         code, _, err = run_cli("merge", "/nonexistent/ontology.txt", capsys=capsys)
         assert code == 2

@@ -24,6 +24,7 @@ from ontomerge.rcc5 import (
     UNIVERSAL,
     BaseRelation,
     QCN,
+    MaximalScenarios,
     Relation,
     Scenario,
     algebraic_closure,
@@ -172,7 +173,7 @@ class TestQCN:
             QCN(["a", "b"], [(("a", "b"), rel(DR)), (("b", "b"), rel(EQ))])
 
     def test_duplicate_variables_rejected(self):
-        with pytest.raises(ValueError, match="^duplicate variable names$"):
+        with pytest.raises(ValueError, match="^variable 'a' repeated in the signature$"):
             QCN(["a", "b", "a"])
 
     @pytest.mark.parametrize("pair", [("X", "b"), ("a", "X")])
@@ -697,3 +698,41 @@ class TestEnumerateScenarios:
         first = [s.to_json_dict() for s in enumerate_scenarios(n)]
         second = [s.to_json_dict() for s in enumerate_scenarios(n)]
         assert first == second
+
+
+class TestMaximalScenarios:
+    def test_membership_matches_the_listing_for_every_3_variable_scenario(self, monkeypatch):
+        rng = random.Random(577)
+        variables = ("b", "c", "a")
+        pairs = list(itertools.combinations(variables, 2))
+        boxes = [
+            QCN(variables, dict(zip(pairs, labels))) for labels in itertools.product(SCENARIO_LABELS, repeat=3)
+        ]
+        networks = [QCN(variables), QCN(variables, {pairs[0]: rel(EQ), pairs[1]: rel(EQ), pairs[2]: rel(DR)})]
+        networks += [
+            QCN(variables, {pair: Relation.from_mask(rng.randrange(1, 32) | rng.randrange(1, 32)) for pair in pairs})
+            for _ in range(60)
+        ]
+        members = 0
+        for network in networks:
+            listed = set(enumerate_scenarios(network))
+            view = MaximalScenarios(network)
+            with monkeypatch.context() as patch:  # membership lists nothing
+                patch.setattr(rcc5, "enumerate_scenarios", None)
+                assert [box in view for box in boxes] == [box in listed for box in boxes], network
+            members += len(listed)
+            # another variable order or a non-network is never a member
+            assert all(Scenario(variables[::-1], {(u, v): r for u, v, r in s.items()}) not in view for s in listed)
+            assert "a" not in view
+        assert members >= 200
+
+    def test_lists_once_on_iteration_indexing_or_counting(self, monkeypatch):
+        network = QCN(["a", "b", "c"], {("a", "b"): rel(PP, EQ)})
+        calls = []
+        monkeypatch.setattr(rcc5, "enumerate_scenarios", lambda n: calls.append(n) or enumerate_scenarios(n))
+        view = MaximalScenarios(network)
+        assert calls == [] and view == MaximalScenarios(network)
+        assert list(view) == enumerate_scenarios(network)
+        assert len(view) == len(enumerate_scenarios(network)) and view[0] == enumerate_scenarios(network)[0]
+        assert view.index(view[-1]) == len(view) - 1
+        assert calls == [network]

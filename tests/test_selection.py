@@ -1,12 +1,19 @@
+import functools
+import importlib.util
 import itertools
+import math
 import random
+from pathlib import Path
 
 import pytest
 
 import oracles
-from ontomerge.ontology import deductive_closure, parse_ontology
+from ontomerge import selection
+from ontomerge.cli import run_pipeline
+from ontomerge.ontology import classify, deductive_closure, format_ontology, parse_ontology
 from ontomerge.rcc5 import EQ, PO, PP, DR, PPi, QCN, Relation, Scenario, enumerate_scenarios
 from ontomerge.selection import (
+    best_scenario,
     nb_conflicts,
     scenario_distance,
     select_scenario,
@@ -97,7 +104,7 @@ class TestScenarioDistance:
 
 
 class TestSelectScenario:
-    def test_running_example_selection(self, pipeline):
+    def test_running_example_selection(self, pipeline, running_sources):
         selected = pipeline.selected
         assert selected.constraint("T", "P") == rel(PPi, EQ)
         assert selected.constraint("T", "D") == rel(DR)
@@ -105,7 +112,8 @@ class TestSelectScenario:
         assert selected.constraint("T", "B") == rel(PP)
         assert selected.constraint("P", "B") == rel(PP)
         assert selected.constraint("B", "D") == rel(PPi)
-        report = pipeline.report
+        _, report = select_scenario(tuple(pipeline.scenarios), running_sources)
+        assert report.scores[report.selected_index] == pipeline.score
         assert report.scores[report.selected_index].distance == 18
         assert sorted(score.distance for score in report.scores) == [18, 20, 22, 24]
         assert report.tied_indices == ()
@@ -140,7 +148,7 @@ class TestSelectScenario:
         assert report.tied_indices == (0, 2)
 
     def test_selected_is_minimal_member(self, pipeline, running_sources):
-        report = pipeline.report
+        _, report = select_scenario(tuple(pipeline.scenarios), running_sources)
         best = min(score.distance for score in report.scores)
         assert report.scores[report.selected_index].distance == best
         assert pipeline.selected in [score.scenario for score in report.scores]
@@ -149,8 +157,8 @@ class TestSelectScenario:
         with pytest.raises(ValueError):
             select_scenario([], running_sources)
 
-    def test_report_serializes(self, pipeline):
-        data = pipeline.report.to_json_dict()
+    def test_report_serializes(self, pipeline, running_sources):
+        data = select_scenario(tuple(pipeline.scenarios), running_sources)[1].to_json_dict()
         assert data["selected"] in [s["index"] for s in data["scenarios"]]
         assert all("per_source" in s for s in data["scenarios"])
         assert data["pair_counts"]
@@ -287,3 +295,112 @@ def test_select_matches_reference_at_taxonomy_scale():
         assert (report.selected_index, report.tied_indices) == (ref.selected_index, ref.tied_indices)
         assert report.to_json_dict() == {**ref.to_json_dict(), "pair_counts": ref_pair_counts}
         assert scenario_distance(selected, sources) == report.scores[report.selected_index].distance
+
+
+def _enumerate_then_select(network, sources):
+    """The selected scenario and its score from the full listing, or None without a scenario."""
+    candidates = enumerate_scenarios(network)
+    if not candidates:
+        return None
+    selected, report = select_scenario(candidates, sources)
+    return selected, report.scores[report.selected_index]
+
+
+def _best_or_none(network, sources):
+    try:
+        return best_scenario(network, sources)
+    except ValueError as exc:
+        assert str(exc) == "the network admits no scenario"
+        return None
+
+
+class TestBestScenario:
+    def test_matches_enumerate_then_select_on_every_3_variable_network(self, monkeypatch):
+        # each source is closed once; the variable order flips two canonical pairs
+        monkeypatch.setattr(selection, "deductive_closure", functools.lru_cache(deductive_closure))
+        sources = [
+            parse_ontology("A(x)\nB(x)\nC(y)\nA(z)\n"),
+            parse_ontology("B(u)\nC(u)\nA(v)\nC(w)\nB(w)\n"),
+        ]
+        variables = ("C", "A", "B")
+        pairs = list(itertools.combinations(variables, 2))
+        selected = set()
+        for masks in itertools.product(range(32), repeat=3):
+            network = QCN(variables, {pair: Relation.from_mask(m) for pair, m in zip(pairs, masks)})
+            expected = _enumerate_then_select(network, sources)
+            assert _best_or_none(network, sources) == expected, network
+            if expected is not None:
+                selected.add(expected[0])
+        # every box of the universal network's scenarios is somewhere selected
+        assert set(enumerate_scenarios(QCN(variables))) <= selected
+
+    @pytest.mark.parametrize("size, count", [(4, 150), (5, 12)])
+    def test_matches_enumerate_then_select_on_random_networks(self, size, count):
+        rng = random.Random(size * 1009)
+        concepts = list("ABCDE"[:size])
+        ties = 0
+        for _ in range(count):
+            sources = _random_profile(rng, concepts)
+            variables = concepts[:]
+            rng.shuffle(variables)
+            constraints = {
+                pair: Relation.from_mask(rng.randrange(1, 32) | rng.randrange(1, 32))
+                for pair in itertools.combinations(variables, 2)
+            }
+            network = QCN(variables, constraints)
+            candidates = enumerate_scenarios(network)
+            selected, report = select_scenario(candidates, sources)
+            assert best_scenario(network, sources) == (selected, report.scores[report.selected_index])
+            ties += len(report.tied_indices) > 1
+        # the sample holds ties for the sort-key order to break
+        assert ties >= 5
+
+    def test_matches_enumerate_then_select_on_dense_conflict_fixed_sets(self):
+        path = Path(__file__).resolve().parents[1] / "perfbench" / "generators.py"
+        spec = importlib.util.spec_from_file_location("dense_conflict_generators", path)
+        generators = importlib.util.module_from_spec(spec)
+        spec.loader.exec_module(generators)
+        for seed in range(40):
+            for n, index in itertools.product((4, 5), range(8)):
+                texts = generators.make_case("dense_conflict", seed, n, index)
+                sources = [parse_ontology(text) for text in texts]
+                result = run_pipeline(sources)
+                expected = _enumerate_then_select(result.merged, sources)
+                assert (result.selected, result.score) == expected, (seed, n, index)
+
+    def test_single_variable_and_inconsistent_networks(self):
+        sources = [parse_ontology("A(x)\n")]
+        scenario, score = best_scenario(QCN(["A"]), sources)
+        assert scenario == Scenario(["A"]) and (score.distance, score.per_source) == (0, (0,))
+        sources = [parse_ontology("A(x)\nB(y)\nC(z)\n")]
+        # A = B = C, yet A is disjoint from C: the closure empties a constraint
+        with pytest.raises(ValueError, match="^the network admits no scenario$"):
+            best_scenario(QCN("ABC", {("A", "B"): rel(EQ), ("B", "C"): rel(EQ), ("A", "C"): rel(DR)}), sources)
+        with pytest.raises(ValueError, match="signature mismatch"):
+            best_scenario(QCN("AB"), sources)
+
+
+def test_pipeline_matches_the_reference_on_random_profiles():
+    rng = random.Random(31337)
+    seen = dict.fromkeys(
+        ["5 concepts", "1 source", "4 sources", "conflicting pair", "unsatisfiable concept", "inconsistent individual"], 0
+    )
+    checked = 0
+    while checked < 40:
+        concepts = list("ABCDE"[: rng.randint(3, 5)])
+        sources = _random_profile(rng, concepts)
+        result = run_pipeline(sources)
+        # the reference lists every consistent atomic refinement of the merged
+        # network; a profile whose network has over 10,000 atomic labelings is drawn again
+        merged = result.merged
+        if math.prod(len(merged.constraint(u, v)) for u, v in itertools.combinations(concepts, 2)) > 10_000:
+            continue
+        assert format_ontology(result.result) == format_ontology(oracles.reference_pipeline(sources))
+        checked += 1
+        seen["5 concepts"] += len(concepts) == 5
+        seen["1 source"] += len(sources) == 1
+        seen["4 sources"] += len(sources) == 4
+        seen["conflicting pair"] += any(t.conflicting_pairs for t in result.translations)
+        seen["unsatisfiable concept"] += any(classify(o.tbox, concepts=o.concepts).unsatisfiable for o in sources)
+        seen["inconsistent individual"] += any(deductive_closure(o).inconsistent_individuals for o in sources)
+    assert min(seen.values()) >= 3, seen

@@ -126,6 +126,10 @@ class TestForward:
         with pytest.raises(ValueError):
             forward(o, variables=["C"])
 
+    def test_repeated_variable_is_named(self):
+        with pytest.raises(ValueError, match="^variable 'A' repeated in the signature$"):
+            forward(parse_ontology("A <= B"), variables=["A", "A", "B"])
+
     def test_reflexive_subsumption_is_ignored(self):
         result = forward(parse_ontology("A <= A\nA <= B\n"))
         assert result.qcn.constraint("A", "B") == rel(PP, EQ)
