@@ -9,9 +9,10 @@ variables, keeping the two orientations of a pair converse-coherent.
 
 Reasoning services: weak composition, algebraic closure (path
 consistency), consistency by backtracking until every open label contains
-PO, and enumeration of maximal quasi-atomic scenarios by one box search
-checked triangle by triangle, also as a view that lists them only on
-demand and decides membership without a listing.
+PO, and one branch and bound over quasi-atomic boxes, `_search`, checked
+triangle by triangle.  Enumeration keeps its every maximal leaf,
+`selection.best_scenario` the cheapest, and `MaximalScenarios`, a view
+that lists on demand, decides membership by the same search.
 """
 
 from __future__ import annotations
@@ -19,7 +20,7 @@ from __future__ import annotations
 from collections import deque
 from collections.abc import Sequence
 from itertools import chain, combinations
-from typing import Iterable, Iterator, Mapping
+from typing import Callable, Iterable, Iterator, Mapping
 
 __all__ = [
     "BaseRelation",
@@ -610,13 +611,12 @@ _ALLOWED = tuple(
 )
 
 
-def _box_domains(n: QCN) -> list[list[int]] | None:
+def _box_domains(n: QCN) -> list[list[int]]:
     """The scenario labels inside each closed constraint of `n`, a label
-    set per matrix cell; None when the closure empties a constraint."""
+    set per matrix cell; all empty when the closure empties a constraint."""
     m = [row[:] for row in n._matrix]
-    if not _close(m, len(m)):
-        return None
-    return [[_FITS[mask] for mask in row] for row in m]
+    closed = _close(m, len(m))
+    return [[_FITS[mask] if closed else 0 for mask in row] for row in m]
 
 
 def _is_maximal(box: list[list[int]], domains: list[list[int]]) -> bool:
@@ -645,45 +645,117 @@ def _is_maximal(box: list[list[int]], domains: list[list[int]]) -> bool:
     return True
 
 
-def enumerate_scenarios(n: QCN) -> list[Scenario]:
-    """All maximal quasi-atomic scenarios of `n`, sorted by `QCN.sort_key`.
+#: The scenario labels in `QCN.sort_key` order: DR, PO, PP, {PP,EQ}, PPi, {PPi,EQ}, EQ.
+_SORTED_LABELS = tuple(sorted(_SCENARIO_MASKS, key=_POSITIONS.__getitem__))
+#: The labels of each label set (bit m for label mask m), in that order.
+_LABELS_OF = {
+    sum(1 << m for m in chosen): chosen
+    for size in range(len(_SORTED_LABELS) + 1)
+    for chosen in combinations(_SORTED_LABELS, size)
+}
+_FREE = (0,) * 32  # the cost row of a pair whose labels all cost nothing
+
+
+def _search(
+    domains: list[list[int]],
+    cost: Sequence[Sequence[Sequence[int]]],
+    keep: Callable[[int, list[list[int]]], float],
+) -> None:
+    """Branch and bound, depth first, over the boxes inside `domains`.
 
     A box gives each pair a scenario label.  Path consistency decides
     atomic networks, so a box is valid (every atomic refinement inside
-    it is consistent) when its labels lie in the closed constraints and
-    `_ALLOWED` passes every triangle.  A depth-first search fixes the
-    pairs column by column, and fixing (i, j) completes the triangles
-    (k, i, j) with k < i.  Each valid leaf is kept when `_is_maximal`.
+    it is consistent) when `_ALLOWED` passes every triangle.  Pairs are
+    fixed row by row, each to the labels of its domain in sort-key
+    order, so leaves arrive in increasing `QCN.sort_key`.  Fixing (i, j)
+    completes the triangles (i, k, j), i < k < j, and forward checking
+    narrows the open pair (k, j) by `_ALLOWED`; an empty domain prunes
+    the branch.  Every leaf is thus valid.
+
+    A box costs the sum of `cost[i][j][label]` over its pairs, i < j.  A
+    node's bound, the cost so far plus the cheapest label left on each
+    open pair, is kept incrementally; each depth's undo list restores
+    the domains its label narrowed.  A branch whose bound reaches the
+    limit is pruned.  The limit starts unbounded, and each leaf that
+    `_is_maximal` goes to `keep(g, box)` with its cost g, which returns
+    the new limit; `box` is the search's own matrix, so a kept leaf is
+    copied.
     """
-    fits = _box_domains(n)
-    if fits is None:
-        return []
-    size = len(fits)
-    labels = [row[:] for row in n._matrix]
-    pairs = [(i, j) for j in range(size) for i in range(j)]
-    options: list[int | None] = [None] * len(pairs)  # labels left to try, per depth
-    scenarios = []
+    size = len(domains)
+    box = [[EQ.mask] * size for _ in range(size)]
+    pairs = list(combinations(range(size), 2))
+    if not pairs:  # a single variable: the empty box is its one leaf
+        keep(0, box)
+        return
+    depth_of = {pair: d for d, pair in enumerate(pairs)}
+    # (depth of (k, j), k) for each pair (k, j) that fixing (i, j) narrows
+    narrowed = [[(depth_of[k, j], k) for k in range(i + 1, j)] for i, j in pairs]
+    cost = [cost[i][j] for i, j in pairs]
+    domain = [domains[i][j] for i, j in pairs]
+    low = [min([cost[d][m] for m in _LABELS_OF[domain[d]]], default=0) for d in range(len(pairs))]
+    lowest: list[dict[int, int]] = [{} for _ in pairs]  # the cheapest label of each domain met, per pair
+    limit = float("inf")
+    rest = sum(low[1:])  # the cheapest labels of the pairs after the current depth
+    spent = [0] * len(pairs)  # cost of the labels fixed above each depth
+    left = [iter(_LABELS_OF[domain[0]])] + [iter(())] * (len(pairs) - 1)
+    # (depth, domain, low) before each narrowing by the label fixed at each depth
+    undo: list[list[tuple[int, int, int]]] = [[] for _ in pairs]
     depth = 0
     while depth >= 0:
-        if depth == len(pairs):
-            if _is_maximal(labels, fits):
-                scenarios.append(Scenario._from_matrix(n, [row[:] for row in labels]))
+        narrowings = undo[depth]
+        if narrowings:
+            for d, domain[d], old in narrowings:
+                rest += old - low[d]
+                low[d] = old
+            narrowings.clear()
+        label = next(left[depth], None)
+        if label is None:
             depth -= 1
+            rest += low[depth + 1]
             continue
         i, j = pairs[depth]
-        left = options[depth]
-        if left is None:
-            left = fits[i][j]
-            for k in range(i):
-                left &= _ALLOWED[labels[k][i]][labels[k][j]]
-        if not left:
-            options[depth] = None
-            depth -= 1
+        g = spent[depth] + cost[depth][label]
+        if g + rest >= limit:
             continue
-        options[depth] = left & (left - 1)
-        _put(labels, i, j, (left & -left).bit_length() - 1)
-        depth += 1
-    scenarios.sort(key=QCN.sort_key)
+        row = box[i]
+        row[j] = label
+        box[j][i] = _CONV_MASK[label]
+        for d, k in narrowed[depth]:
+            labels = domain[d] & _ALLOWED[row[k]][label]
+            if labels != domain[d]:
+                if not labels:
+                    break
+                narrowings.append((d, domain[d], low[d]))
+                domain[d] = labels
+                cheapest = lowest[d].get(labels)
+                if cheapest is None:
+                    cheapest = lowest[d][labels] = min([cost[d][m] for m in _LABELS_OF[labels]])
+                rest += cheapest - low[d]
+                low[d] = cheapest
+        else:
+            if g + rest >= limit:
+                continue
+            if depth + 1 == len(pairs):
+                if _is_maximal(box, domains):
+                    limit = keep(g, box)
+                continue
+            depth += 1
+            spent[depth] = g
+            rest -= low[depth]
+            left[depth] = iter(_LABELS_OF[domain[depth]])
+
+
+def enumerate_scenarios(n: QCN) -> list[Scenario]:
+    """All maximal quasi-atomic scenarios of `n`, sorted by `QCN.sort_key`:
+    every leaf of `_search` over the closed constraints, at no cost."""
+    domains = _box_domains(n)
+    scenarios = []
+
+    def keep(g: int, box: list[list[int]]) -> float:
+        scenarios.append(Scenario._from_matrix(n, [row[:] for row in box]))
+        return float("inf")
+
+    _search(domains, [[_FREE] * len(domains)] * len(domains), keep)
     return scenarios
 
 
@@ -694,8 +766,8 @@ class MaximalScenarios(Sequence):
     `enumerate_scenarios` lists them only when the sequence is iterated,
     indexed or counted, and only once.  Membership is decided without a
     listing: a network is a member when it has the network's variables,
-    its labels form a valid box inside the closed constraints (every
-    triangle passes `_ALLOWED`) and that box is maximal.
+    its labels form a valid box inside the closed constraints (`_search`
+    over its own labels reaches it) and that box is maximal.
     """
 
     __slots__ = ("_network", "_domains", "_listed")
@@ -723,19 +795,14 @@ class MaximalScenarios(Sequence):
         if not isinstance(s, QCN) or s.variables != self._network.variables:
             return False
         if self._domains is None:
-            # a closure that empties a constraint leaves no label to fit
-            size = len(s.variables)
-            self._domains = _box_domains(self._network) or [[0] * size] * size
+            self._domains = _box_domains(self._network)
         domains, m = self._domains, s._matrix
-        for j in range(len(m)):
-            for i in range(j):
-                label = m[i][j]
-                if not domains[i][j] >> label & 1:
-                    return False
-                for k in range(i):
-                    if not _ALLOWED[m[k][i]][m[k][j]] >> label & 1:
-                        return False
-        return _is_maximal(m, domains)
+        # `s` is a valid box when the search over its own labels reaches it;
+        # there is one leaf at most, and the limit 0 ends the search there
+        own = [[d & 1 << label for d, label in zip(*rows)] for rows in zip(domains, m)]
+        reached = []
+        _search(own, [[_FREE] * len(m)] * len(m), lambda g, box: reached.append(g) or 0)
+        return bool(reached) and _is_maximal(m, domains)
 
     def __eq__(self, other: object) -> bool:
         if not isinstance(other, MaximalScenarios):

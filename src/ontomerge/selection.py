@@ -7,16 +7,16 @@ mirror image for {PPi,EQ}-like labels, and common members for {DR}.  A
 {PO} label counts how unbalanced those three figures are (max minus
 min).  The representative scenario minimizes the grand total, with a
 lexicographic tie-break on its labels: `select_scenario` picks it from
-a list of candidates, `best_scenario` from a network's maximal
-scenarios without listing them.
+a list of candidates.  `best_scenario` picks it from a network's maximal
+scenarios without listing them: it only supplies each label's cost to
+the box search of `rcc5`.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass, field
 from functools import reduce
-from itertools import combinations
-from operator import add, or_
+from operator import add, itemgetter, or_
 from typing import Iterator, Sequence
 
 from .ontology import ClosedABox, Ontology, deductive_closure
@@ -26,16 +26,13 @@ from .rcc5 import (
     PO,
     PP,
     QCN,
-    SCENARIO_LABELS,
     PPi,
     Relation,
     Scenario,
-    _ALLOWED,
     _CONV_MASK,
-    _POSITIONS,
     _box_domains,
     _canonical_cells,
-    _is_maximal,
+    _search,
 )
 
 __all__ = [
@@ -253,116 +250,41 @@ def select_scenario(
     return candidates[selected], report
 
 
-#: The scenario labels in `QCN.sort_key` order: DR, PO, PP, {PP,EQ}, PPi, {PPi,EQ}, EQ.
-_SORTED_LABELS = tuple(sorted((r.mask for r in SCENARIO_LABELS), key=_POSITIONS.__getitem__))
-#: The labels of each label set (bit m for label mask m), in that order.
-_LABELS_OF = {
-    sum(1 << m for m in chosen): chosen
-    for size in range(len(_SORTED_LABELS) + 1)
-    for chosen in combinations(_SORTED_LABELS, size)
-}
+#: A pair's cost per label mask from its four counts, and its converse's;
+#: a mask that is not a scenario label is never read, and takes the subset count.
+_COST_ROW = itemgetter(*(index or 0 for index in _COUNT_INDEX))
+_CONVERSE_COST_ROW = itemgetter(*(_COUNT_INDEX[m] or 0 for m in _CONV_MASK))
 
 
 def best_scenario(network: QCN, profile: Sequence[Ontology]) -> tuple[Scenario, ScenarioScore]:
     """The scenario `select_scenario` picks among the maximal scenarios
     of `network`, found without listing them, with its score.
 
-    Branch and bound over the boxes of the closed network (see
-    `enumerate_scenarios`), depth first.  Pairs are fixed row by row,
-    (0, 1), (0, 2), ..., each to the labels of its domain in sort-key
-    order, so leaves arrive in increasing `QCN.sort_key`.  Fixing (i, j)
-    completes the triangles (i, k, j) with i < k < j whose pair (k, j)
-    is still open, and forward checking narrows the domain of (k, j) by
-    `_ALLOWED`; an empty domain prunes the branch.  Every leaf is thus a
-    valid box, and it counts when `_is_maximal`.
-
     A label's cost on a pair is its count summed over the sources'
-    tables, read at the canonical pair (conversed when the names run
-    against the variable order).  The bound of a node is the cost so
-    far plus the cheapest label left on each open pair; it is kept
-    incrementally, and each depth keeps an undo list of the domains
-    its current label narrowed, restored before its next label.  A
-    branch whose bound reaches the best score found is pruned: any leaf
-    below it scores no less and comes later in sort-key order, so the
-    first maximal leaf at the optimum wins the tie-break.
+    tables.  The box search (`rcc5._search`) reports each maximal leaf
+    cheaper than the best so far; leaves arrive in increasing
+    `QCN.sort_key`, so the first maximal leaf at the optimum wins.
     """
     names = network.variables
     _check_signature(names, profile)
     domains = _box_domains(network)
-    if domains is None:
-        raise ValueError("the network admits no scenario")
     cells = list(_canonical_cells(names))
     tables = _count_tables(names, cells, [deductive_closure(o) for o in profile])
     total = [sum(counts) for counts in zip(*tables)]
     size = len(names)
-    pairs = [(i, j) for i in range(size) for j in range(i + 1, size)]
-    depth_of = {pair: d for d, pair in enumerate(pairs)}
-    cost = [[0] * 32 for _ in pairs]
+    cost: list[list[tuple[int, ...]]] = [[()] * size for _ in range(size)]
     for p, (i, j) in enumerate(cells):
-        d, flip = (depth_of[i, j], 0) if i < j else (depth_of[j, i], 1)
-        for label in _SORTED_LABELS:
-            cost[d][label] = total[4 * p + _COUNT_INDEX[_CONV_MASK[label] if flip else label]]
-    # (depth of (k, j), k) for each pair (k, j) that fixing (i, j) narrows
-    narrowed = [[(depth_of[k, j], k) for k in range(i + 1, j)] for i, j in pairs]
-
-    box = [row[:] for row in network._matrix]
-    if not pairs:  # a single variable: the closed network is its one scenario
-        selected = Scenario._from_matrix(network, box)
-        return selected, _score(selected, cells, tables)
-    domain = [domains[i][j] for i, j in pairs]
-    low = [min([cost[d][m] for m in _LABELS_OF[domain[d]]]) for d in range(len(pairs))]
-    lowest: list[dict[int, int]] = [{} for _ in pairs]  # the cheapest label of each domain met, per pair
-    best: float = float("inf")
+        counts = total[4 * p : 4 * p + 4]
+        cost[i][j], cost[j][i] = _COST_ROW(counts), _CONVERSE_COST_ROW(counts)
     winner = None
-    rest = sum(low[1:])  # the cheapest labels of the pairs after the current depth
-    spent = [0] * len(pairs)  # cost of the labels fixed above each depth
-    left = [iter(_LABELS_OF[domain[0]])] + [iter(())] * (len(pairs) - 1)
-    # (depth, domain, low) before each narrowing by the label fixed at each depth
-    undo: list[list[tuple[int, int, int]]] = [[] for _ in pairs]
-    depth = 0
-    while depth >= 0:
-        narrowings = undo[depth]
-        if narrowings:
-            for d, domain[d], old in narrowings:
-                rest += old - low[d]
-                low[d] = old
-            narrowings.clear()
-        label = next(left[depth], None)
-        if label is None:
-            depth -= 1
-            rest += low[depth + 1]
-            continue
-        i, j = pairs[depth]
-        g = spent[depth] + cost[depth][label]
-        if g + rest >= best:
-            continue
-        row = box[i]
-        row[j] = label
-        box[j][i] = _CONV_MASK[label]
-        for d, k in narrowed[depth]:
-            labels = domain[d] & _ALLOWED[row[k]][label]
-            if labels != domain[d]:
-                if not labels:
-                    break
-                narrowings.append((d, domain[d], low[d]))
-                domain[d] = labels
-                cheapest = lowest[d].get(labels)
-                if cheapest is None:
-                    cheapest = lowest[d][labels] = min([cost[d][m] for m in _LABELS_OF[labels]])
-                rest += cheapest - low[d]
-                low[d] = cheapest
-        else:
-            if g + rest >= best:
-                continue
-            if depth + 1 == len(pairs):
-                if _is_maximal(box, domains):
-                    best, winner = g, [row[:] for row in box]
-                continue
-            depth += 1
-            spent[depth] = g
-            rest -= low[depth]
-            left[depth] = iter(_LABELS_OF[domain[depth]])
-    if winner is None:  # the closure passed, yet no box is valid
+
+    def keep(g: int, box: list[list[int]]) -> int:
+        nonlocal winner
+        winner = [row[:] for row in box]
+        return g
+
+    _search(domains, cost, keep)
+    if winner is None:
         raise ValueError("the network admits no scenario")
     selected = Scenario._from_matrix(network, winner)
     return selected, _score(selected, cells, tables)

@@ -20,11 +20,13 @@ ball around each base relation one step at a time.
 distinct tuple of source entries once.  `reference_merge` recomputes
 every open pair's value each round, where `merging.merge` seeds each
 distinct column once and updates only the relaxed pairs' values.  Two
-references check `rcc5.enumerate_scenarios`, which decides boxes
-triangle by triangle: `levelwise_scenarios` merges sibling boxes level by level, starting
-from the consistent atomic refinements that `_atomic_refinements`
-lists, and `reference_scenarios` filters those refinements into boxes
-and drops every box contained in another.  `reference_select` scores
+references check `rcc5`'s box search, behind `enumerate_scenarios`,
+`selection.best_scenario` and `MaximalScenarios` membership, which
+decides boxes by a table of valid triangles and never lists an atomic
+refinement: `levelwise_scenarios` merges sibling boxes level by level,
+starting from the consistent atomic refinements that
+`_atomic_refinements` lists, and `reference_scenarios` filters those
+refinements into boxes and drops every box contained in another.  `reference_select` scores
 scenarios from witness lists read straight off the closed ABox's facts.
 `reference_pipeline` lists and scores every scenario of the merged
 network, where `cli.run_pipeline` finds the selected one by branch and

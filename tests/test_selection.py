@@ -297,9 +297,8 @@ def test_select_matches_reference_at_taxonomy_scale():
         assert scenario_distance(selected, sources) == report.scores[report.selected_index].distance
 
 
-def _enumerate_then_select(network, sources):
-    """The selected scenario and its score from the full listing, or None without a scenario."""
-    candidates = enumerate_scenarios(network)
+def _select_among(candidates, sources):
+    """The selected scenario and its score among `candidates`, or None without a candidate."""
     if not candidates:
         return None
     selected, report = select_scenario(candidates, sources)
@@ -315,6 +314,8 @@ def _best_or_none(network, sources):
 
 
 class TestBestScenario:
+    # the candidates come from `oracles.levelwise_scenarios`: `enumerate_scenarios`
+    # runs the same box search as `best_scenario`
     def test_matches_enumerate_then_select_on_every_3_variable_network(self, monkeypatch):
         # each source is closed once; the variable order flips two canonical pairs
         monkeypatch.setattr(selection, "deductive_closure", functools.lru_cache(deductive_closure))
@@ -327,12 +328,12 @@ class TestBestScenario:
         selected = set()
         for masks in itertools.product(range(32), repeat=3):
             network = QCN(variables, {pair: Relation.from_mask(m) for pair, m in zip(pairs, masks)})
-            expected = _enumerate_then_select(network, sources)
+            expected = _select_among(oracles.levelwise_scenarios(network), sources)
             assert _best_or_none(network, sources) == expected, network
             if expected is not None:
                 selected.add(expected[0])
         # every box of the universal network's scenarios is somewhere selected
-        assert set(enumerate_scenarios(QCN(variables))) <= selected
+        assert set(oracles.levelwise_scenarios(QCN(variables))) <= selected
 
     @pytest.mark.parametrize("size, count", [(4, 150), (5, 12)])
     def test_matches_enumerate_then_select_on_random_networks(self, size, count):
@@ -348,7 +349,7 @@ class TestBestScenario:
                 for pair in itertools.combinations(variables, 2)
             }
             network = QCN(variables, constraints)
-            candidates = enumerate_scenarios(network)
+            candidates = oracles.levelwise_scenarios(network)
             selected, report = select_scenario(candidates, sources)
             assert best_scenario(network, sources) == (selected, report.scores[report.selected_index])
             ties += len(report.tied_indices) > 1
@@ -365,7 +366,9 @@ class TestBestScenario:
                 texts = generators.make_case("dense_conflict", seed, n, index)
                 sources = [parse_ontology(text) for text in texts]
                 result = run_pipeline(sources)
-                expected = _enumerate_then_select(result.merged, sources)
+                listed = oracles.levelwise_scenarios(result.merged)
+                assert enumerate_scenarios(result.merged) == listed, (seed, n, index)
+                expected = _select_among(listed, sources)
                 assert (result.selected, result.score) == expected, (seed, n, index)
 
     def test_single_variable_and_inconsistent_networks(self):
