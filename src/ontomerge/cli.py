@@ -18,11 +18,14 @@ from typing import TYPE_CHECKING, Callable, Sequence
 
 from .ontology import (
     _LINE_BREAK,
+    Disjointness,
     Ontology,
     OntologyError,
+    Subsumption,
     _Record,
     classify,
     format_ontology,
+    format_statement,
     ontology_to_json,
     parse_ontology,
 )
@@ -244,8 +247,8 @@ def cmd_classify(args: argparse.Namespace) -> str:
     facts = classify(o.tbox, concepts=o.concepts).to_json_dict()
     if args.json:
         return _dump_json(facts)
-    lines = [f"{sub} <= {sup}" for sub, sup in facts["subsumptions"]]
-    lines += [f"{a} & {b} <= bot" for a, b in facts["disjointness"]]
+    lines = [format_statement(Subsumption(*pair)) for pair in facts["subsumptions"]]
+    lines += [format_statement(Disjointness(*pair)) for pair in facts["disjointness"]]
     lines += [f"# unsatisfiable: {concept}" for concept in facts["unsatisfiable"]]
     return "\n".join(lines) + "\n"
 

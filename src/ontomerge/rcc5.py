@@ -10,9 +10,10 @@ variables, keeping the two orientations of a pair converse-coherent.
 Reasoning services: weak composition, algebraic closure (path
 consistency), consistency by backtracking until every open label contains
 PO, and one branch and bound over quasi-atomic boxes, `_search`, checked
-triangle by triangle.  Enumeration keeps its every maximal leaf,
-`selection.best_scenario` the cheapest, and `MaximalScenarios`, a view
-that lists on demand, decides membership by the same search.
+triangle by triangle, run here only: enumeration lists its every
+maximal leaf, `MaximalScenarios`, a view that lists on demand, decides
+membership by its first leaf over a candidate's own labels, and
+`_cheapest_scenario` keeps the cheapest under `selection`'s label prices.
 """
 
 from __future__ import annotations
@@ -20,7 +21,9 @@ from __future__ import annotations
 from collections import deque
 from collections.abc import Sequence
 from itertools import chain, combinations
-from typing import Callable, Iterable, Iterator, Mapping
+from math import comb
+from operator import itemgetter
+from typing import Iterable, Iterator, Mapping
 
 __all__ = [
     "BaseRelation",
@@ -654,13 +657,13 @@ _LABELS_OF = {
     for chosen in combinations(_SORTED_LABELS, size)
 }
 _FREE = (0,) * 32  # the cost row of a pair whose labels all cost nothing
+#: A pair's cost row, a cost per label mask, read in the converse orientation.
+_TURN = itemgetter(*_CONV_MASK)
 
 
 def _search(
-    domains: list[list[int]],
-    cost: Sequence[Sequence[Sequence[int]]],
-    keep: Callable[[int, list[list[int]]], float],
-) -> None:
+    domains: list[list[int]], cost: Sequence[Sequence[int]], every: bool
+) -> Iterator[tuple[int, list[list[int]]]]:
     """Branch and bound, depth first, over the boxes inside `domains`.
 
     A box gives each pair a scenario label.  Path consistency decides
@@ -672,25 +675,24 @@ def _search(
     narrows the open pair (k, j) by `_ALLOWED`; an empty domain prunes
     the branch.  Every leaf is thus valid.
 
-    A box costs the sum of `cost[i][j][label]` over its pairs, i < j.  A
-    node's bound, the cost so far plus the cheapest label left on each
-    open pair, is kept incrementally; each depth's undo list restores
-    the domains its label narrowed.  A branch whose bound reaches the
-    limit is pruned.  The limit starts unbounded, and each leaf that
-    `_is_maximal` goes to `keep(g, box)` with its cost g, which returns
-    the new limit; `box` is the search's own matrix, so a kept leaf is
-    copied.
+    A box costs the sum of `cost[d][label]` over its pairs, `cost[d]`
+    being the row of the d-th pair fixed.  A node's bound, the cost so
+    far plus the cheapest label left on each open pair, is kept
+    incrementally; each depth's undo list restores the domains its label
+    narrowed.  A branch whose bound reaches the limit is pruned.  Each
+    leaf that `_is_maximal` is yielded as its cost g and a copy of the
+    box.  The limit stays unbounded when `every` is true; otherwise each
+    yielded g becomes it, and the last leaf is the first cheapest one.
     """
     size = len(domains)
     box = [[EQ.mask] * size for _ in range(size)]
     pairs = list(combinations(range(size), 2))
     if not pairs:  # a single variable: the empty box is its one leaf
-        keep(0, box)
+        yield 0, box
         return
     depth_of = {pair: d for d, pair in enumerate(pairs)}
     # (depth of (k, j), k) for each pair (k, j) that fixing (i, j) narrows
     narrowed = [[(depth_of[k, j], k) for k in range(i + 1, j)] for i, j in pairs]
-    cost = [cost[i][j] for i, j in pairs]
     domain = [domains[i][j] for i, j in pairs]
     low = [min([cost[d][m] for m in _LABELS_OF[domain[d]]], default=0) for d in range(len(pairs))]
     lowest: list[dict[int, int]] = [{} for _ in pairs]  # the cheapest label of each domain met, per pair
@@ -737,7 +739,9 @@ def _search(
                 continue
             if depth + 1 == len(pairs):
                 if _is_maximal(box, domains):
-                    limit = keep(g, box)
+                    yield g, [row[:] for row in box]
+                    if not every:
+                        limit = g
                 continue
             depth += 1
             spent[depth] = g
@@ -745,18 +749,28 @@ def _search(
             left[depth] = iter(_LABELS_OF[domain[depth]])
 
 
+def _cheapest_scenario(network: QCN, cost: Sequence[Sequence[int]]) -> tuple[Scenario, int] | None:
+    """The first cheapest maximal scenario of `network` in `QCN.sort_key`
+    order with its cost, or None when there is no scenario.
+
+    `cost` holds one row per pair in `_canonical_cells` order, each label
+    mask's cost in the pair's canonical orientation.  The search fixes
+    the cells (i, j), i < j, in order; one whose canonical cell is (j, i)
+    reads that row turned.
+    """
+    canonical = dict(zip(_canonical_cells(network.variables), cost))
+    pairs = combinations(range(len(network.variables)), 2)
+    rows = [canonical[p] if p in canonical else _TURN(canonical[p[::-1]]) for p in pairs]
+    for g, box in deque(_search(_box_domains(network), rows, False), maxlen=1):
+        return Scenario._from_matrix(network, box), g
+    return None
+
+
 def enumerate_scenarios(n: QCN) -> list[Scenario]:
     """All maximal quasi-atomic scenarios of `n`, sorted by `QCN.sort_key`:
     every leaf of `_search` over the closed constraints, at no cost."""
-    domains = _box_domains(n)
-    scenarios = []
-
-    def keep(g: int, box: list[list[int]]) -> float:
-        scenarios.append(Scenario._from_matrix(n, [row[:] for row in box]))
-        return float("inf")
-
-    _search(domains, [[_FREE] * len(domains)] * len(domains), keep)
-    return scenarios
+    leaves = _search(_box_domains(n), [_FREE] * comb(len(n.variables), 2), True)
+    return [Scenario._from_matrix(n, box) for _, box in leaves]
 
 
 class MaximalScenarios(Sequence):
@@ -797,12 +811,10 @@ class MaximalScenarios(Sequence):
         if self._domains is None:
             self._domains = _box_domains(self._network)
         domains, m = self._domains, s._matrix
-        # `s` is a valid box when the search over its own labels reaches it;
-        # there is one leaf at most, and the limit 0 ends the search there
+        # `s` is a valid box when the search over its own labels reaches it
         own = [[d & 1 << label for d, label in zip(*rows)] for rows in zip(domains, m)]
-        reached = []
-        _search(own, [[_FREE] * len(m)] * len(m), lambda g, box: reached.append(g) or 0)
-        return bool(reached) and _is_maximal(m, domains)
+        leaves = _search(own, [_FREE] * comb(len(m), 2), True)
+        return next(leaves, None) is not None and _is_maximal(m, domains)
 
     def __eq__(self, other: object) -> bool:
         if not isinstance(other, MaximalScenarios):

@@ -8,8 +8,8 @@ mirror image for {PPi,EQ}-like labels, and common members for {DR}.  A
 min).  The representative scenario minimizes the grand total, with a
 lexicographic tie-break on its labels: `select_scenario` picks it from
 a list of candidates.  `best_scenario` picks it from a network's maximal
-scenarios without listing them: it only supplies each label's cost to
-the box search of `rcc5`.
+scenarios without listing them: it only prices each pair's labels, in
+the pair's canonical orientation, and `rcc5` searches for the cheapest.
 """
 
 from __future__ import annotations
@@ -29,10 +29,8 @@ from .rcc5 import (
     PPi,
     Relation,
     Scenario,
-    _CONV_MASK,
-    _box_domains,
     _canonical_cells,
-    _search,
+    _cheapest_scenario,
 )
 
 __all__ = [
@@ -250,10 +248,9 @@ def select_scenario(
     return candidates[selected], report
 
 
-#: A pair's cost per label mask from its four counts, and its converse's;
-#: a mask that is not a scenario label is never read, and takes the subset count.
+#: A pair's cost per label mask from its four counts; a mask that is not
+#: a scenario label is never read, and takes the subset count.
 _COST_ROW = itemgetter(*(index or 0 for index in _COUNT_INDEX))
-_CONVERSE_COST_ROW = itemgetter(*(_COUNT_INDEX[m] or 0 for m in _CONV_MASK))
 
 
 def best_scenario(network: QCN, profile: Sequence[Ontology]) -> tuple[Scenario, ScenarioScore]:
@@ -261,30 +258,15 @@ def best_scenario(network: QCN, profile: Sequence[Ontology]) -> tuple[Scenario, 
     of `network`, found without listing them, with its score.
 
     A label's cost on a pair is its count summed over the sources'
-    tables.  The box search (`rcc5._search`) reports each maximal leaf
-    cheaper than the best so far; leaves arrive in increasing
-    `QCN.sort_key`, so the first maximal leaf at the optimum wins.
+    tables; `rcc5` finds the first cheapest maximal scenario in
+    `QCN.sort_key` order, the one the tie-break picks.
     """
     names = network.variables
     _check_signature(names, profile)
-    domains = _box_domains(network)
     cells = list(_canonical_cells(names))
     tables = _count_tables(names, cells, [deductive_closure(o) for o in profile])
     total = [sum(counts) for counts in zip(*tables)]
-    size = len(names)
-    cost: list[list[tuple[int, ...]]] = [[()] * size for _ in range(size)]
-    for p, (i, j) in enumerate(cells):
-        counts = total[4 * p : 4 * p + 4]
-        cost[i][j], cost[j][i] = _COST_ROW(counts), _CONVERSE_COST_ROW(counts)
-    winner = None
-
-    def keep(g: int, box: list[list[int]]) -> int:
-        nonlocal winner
-        winner = [row[:] for row in box]
-        return g
-
-    _search(domains, cost, keep)
-    if winner is None:
+    found = _cheapest_scenario(network, [_COST_ROW(total[k : k + 4]) for k in range(0, len(total), 4)])
+    if found is None:
         raise ValueError("the network admits no scenario")
-    selected = Scenario._from_matrix(network, winner)
-    return selected, _score(selected, cells, tables)
+    return found[0], _score(found[0], cells, tables)

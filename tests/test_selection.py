@@ -1,3 +1,4 @@
+import ast
 import functools
 import importlib.util
 import itertools
@@ -381,6 +382,19 @@ class TestBestScenario:
             best_scenario(QCN("ABC", {("A", "B"): rel(EQ), ("B", "C"): rel(EQ), ("A", "C"): rel(DR)}), sources)
         with pytest.raises(ValueError, match="signature mismatch"):
             best_scenario(QCN("AB"), sources)
+
+
+def test_selection_leaves_the_box_search_to_rcc5():
+    # selection prices labels; the box decision and the search stay behind rcc5
+    tree = ast.parse(Path(selection.__file__).read_text(encoding="utf-8"))
+    imported = {
+        alias.name
+        for node in ast.walk(tree)
+        if isinstance(node, ast.ImportFrom) and node.module == "rcc5" and node.level == 1
+        for alias in node.names
+    }
+    assert not imported & {"_ALLOWED", "_is_maximal", "_search", "_box_domains", "_CONV_MASK"}
+    assert "_cheapest_scenario" in imported
 
 
 def test_pipeline_matches_the_reference_on_random_profiles():
