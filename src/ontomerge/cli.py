@@ -170,7 +170,7 @@ def cmd_merge(args: argparse.Namespace) -> str:
     if args.emit_scenarios:
         from .selection import select_scenario
 
-        _, report = select_scenario(tuple(result.scenarios), sources)
+        _, report = select_scenario(result.scenarios, sources)
         _write_output(_dump_json(report.to_json_dict()), args.emit_scenarios)
     if args.dot:
         _write_output(qcn_to_dot(result.merged, name="merged"), args.dot)
@@ -203,7 +203,7 @@ def cmd_explain(args: argparse.Namespace) -> str:
     lines.append("")
     lines.append("Scenarios:")
     # the report scores every maximal scenario, so it lists them all
-    _, report = select_scenario(tuple(result.scenarios), sources)
+    _, report = select_scenario(result.scenarios, sources)
     for i, score in enumerate(report.scores):
         marker = " (selected)" if i == report.selected_index else ""
         body = ", ".join(f"{u}-{v}: {rel!r}" for u, v, rel in score.scenario.items())
@@ -265,7 +265,9 @@ def cmd_translate(args: argparse.Namespace) -> str:
         if not is_consistent(scenario):
             raise ValueError("the scenario is inconsistent")
         result = backward(scenario)
-    except (ValueError, RecursionError) as exc:  # JSONDecodeError is a ValueError
+    except (ValueError, RecursionError) as exc:
+        # JSONDecodeError is a ValueError; json.loads raises RecursionError on deeply
+        # nested input (no network code recurses: is_consistent keeps an explicit stack)
         raise PipelineError("translate-backward", f"{args.input}: {exc}") from exc
     return ontology_to_json(result) if args.json else format_ontology(result)
 

@@ -20,8 +20,8 @@ from __future__ import annotations
 
 from collections import deque
 from collections.abc import Sequence
+from functools import cached_property
 from itertools import chain, combinations
-from math import comb
 from operator import itemgetter
 from typing import Iterable, Iterator, Mapping
 
@@ -656,14 +656,11 @@ _LABELS_OF = {
     for size in range(len(_SORTED_LABELS) + 1)
     for chosen in combinations(_SORTED_LABELS, size)
 }
-_FREE = (0,) * 32  # the cost row of a pair whose labels all cost nothing
 #: A pair's cost row, a cost per label mask, read in the converse orientation.
 _TURN = itemgetter(*_CONV_MASK)
 
 
-def _search(
-    domains: list[list[int]], cost: Sequence[Sequence[int]], every: bool
-) -> Iterator[tuple[int, list[list[int]]]]:
+def _search(domains: list[list[int]], cost: Sequence[Sequence[int]] | None = None) -> Iterator[list[list[int]]]:
     """Branch and bound, depth first, over the boxes inside `domains`.
 
     A box gives each pair a scenario label.  Path consistency decides
@@ -680,16 +677,20 @@ def _search(
     far plus the cheapest label left on each open pair, is kept
     incrementally; each depth's undo list restores the domains its label
     narrowed.  A branch whose bound reaches the limit is pruned.  Each
-    leaf that `_is_maximal` is yielded as its cost g and a copy of the
-    box.  The limit stays unbounded when `every` is true; otherwise each
-    yielded g becomes it, and the last leaf is the first cheapest one.
+    leaf that `_is_maximal` is yielded as a copy of the box.  Without
+    `cost` every box costs nothing, the limit stays unbounded and every
+    maximal leaf is yielded; with it, each yielded leaf's cost becomes
+    the limit, and the last leaf is the first cheapest one.
     """
     size = len(domains)
     box = [[EQ.mask] * size for _ in range(size)]
     pairs = list(combinations(range(size), 2))
     if not pairs:  # a single variable: the empty box is its one leaf
-        yield 0, box
+        yield box
         return
+    every = cost is None
+    if every:
+        cost = [(0,) * 32] * len(pairs)
     depth_of = {pair: d for d, pair in enumerate(pairs)}
     # (depth of (k, j), k) for each pair (k, j) that fixing (i, j) narrows
     narrowed = [[(depth_of[k, j], k) for k in range(i + 1, j)] for i, j in pairs]
@@ -739,7 +740,7 @@ def _search(
                 continue
             if depth + 1 == len(pairs):
                 if _is_maximal(box, domains):
-                    yield g, [row[:] for row in box]
+                    yield [row[:] for row in box]
                     if not every:
                         limit = g
                 continue
@@ -749,9 +750,9 @@ def _search(
             left[depth] = iter(_LABELS_OF[domain[depth]])
 
 
-def _cheapest_scenario(network: QCN, cost: Sequence[Sequence[int]]) -> tuple[Scenario, int] | None:
+def _cheapest_scenario(network: QCN, cost: Sequence[Sequence[int]]) -> Scenario | None:
     """The first cheapest maximal scenario of `network` in `QCN.sort_key`
-    order with its cost, or None when there is no scenario.
+    order, or None when there is no scenario.
 
     `cost` holds one row per pair in `_canonical_cells` order, each label
     mask's cost in the pair's canonical orientation.  The search fixes
@@ -761,16 +762,15 @@ def _cheapest_scenario(network: QCN, cost: Sequence[Sequence[int]]) -> tuple[Sce
     canonical = dict(zip(_canonical_cells(network.variables), cost))
     pairs = combinations(range(len(network.variables)), 2)
     rows = [canonical[p] if p in canonical else _TURN(canonical[p[::-1]]) for p in pairs]
-    for g, box in deque(_search(_box_domains(network), rows, False), maxlen=1):
-        return Scenario._from_matrix(network, box), g
+    for box in deque(_search(_box_domains(network), rows), maxlen=1):
+        return Scenario._from_matrix(network, box)
     return None
 
 
 def enumerate_scenarios(n: QCN) -> list[Scenario]:
     """All maximal quasi-atomic scenarios of `n`, sorted by `QCN.sort_key`:
     every leaf of `_search` over the closed constraints, at no cost."""
-    leaves = _search(_box_domains(n), [_FREE] * comb(len(n.variables), 2), True)
-    return [Scenario._from_matrix(n, box) for _, box in leaves]
+    return [Scenario._from_matrix(n, box) for box in _search(_box_domains(n))]
 
 
 class MaximalScenarios(Sequence):
@@ -778,43 +778,36 @@ class MaximalScenarios(Sequence):
 
     Their number can grow exponentially with the variables, so
     `enumerate_scenarios` lists them only when the sequence is iterated,
-    indexed or counted, and only once.  Membership is decided without a
-    listing: a network is a member when it has the network's variables,
-    its labels form a valid box inside the closed constraints (`_search`
-    over its own labels reaches it) and that box is maximal.
+    indexed or counted, and only once: the listing is a cached property.
+    Membership is decided without a listing: a network is a member when
+    it has the network's variables, its labels form a valid box inside
+    the closed constraints (`_search` over its own labels reaches it)
+    and that box is maximal.
     """
-
-    __slots__ = ("_network", "_domains", "_listed")
 
     def __init__(self, network: QCN) -> None:
         self._network = network
-        self._domains: list[list[int]] | None = None
-        self._listed: list[Scenario] | None = None
 
-    def _scenarios(self) -> list[Scenario]:
-        if self._listed is None:
-            self._listed = enumerate_scenarios(self._network)
-        return self._listed
+    @cached_property
+    def _listed(self) -> list[Scenario]:
+        return enumerate_scenarios(self._network)
 
     def __len__(self) -> int:
-        return len(self._scenarios())
+        return len(self._listed)
 
     def __getitem__(self, index):
-        return self._scenarios()[index]
+        return self._listed[index]
 
     def __iter__(self) -> Iterator[Scenario]:
-        return iter(self._scenarios())
+        return iter(self._listed)
 
     def __contains__(self, s: object) -> bool:
         if not isinstance(s, QCN) or s.variables != self._network.variables:
             return False
-        if self._domains is None:
-            self._domains = _box_domains(self._network)
-        domains, m = self._domains, s._matrix
+        domains, m = _box_domains(self._network), s._matrix
         # `s` is a valid box when the search over its own labels reaches it
         own = [[d & 1 << label for d, label in zip(*rows)] for rows in zip(domains, m)]
-        leaves = _search(own, [_FREE] * comb(len(m), 2), True)
-        return next(leaves, None) is not None and _is_maximal(m, domains)
+        return next(_search(own), None) is not None and _is_maximal(m, domains)
 
     def __eq__(self, other: object) -> bool:
         if not isinstance(other, MaximalScenarios):

@@ -266,7 +266,7 @@ def best_scenario(network: QCN, profile: Sequence[Ontology]) -> tuple[Scenario, 
     cells = list(_canonical_cells(names))
     tables = _count_tables(names, cells, [deductive_closure(o) for o in profile])
     total = [sum(counts) for counts in zip(*tables)]
-    found = _cheapest_scenario(network, [_COST_ROW(total[k : k + 4]) for k in range(0, len(total), 4)])
-    if found is None:
+    selected = _cheapest_scenario(network, [_COST_ROW(total[k : k + 4]) for k in range(0, len(total), 4)])
+    if selected is None:
         raise ValueError("the network admits no scenario")
-    return found[0], _score(found[0], cells, tables)
+    return selected, _score(selected, cells, tables)

@@ -318,11 +318,12 @@ class TestBestScenario:
     # the candidates come from `oracles.levelwise_scenarios`: `enumerate_scenarios`
     # runs the same box search as `best_scenario`
     def test_matches_enumerate_then_select_on_every_3_variable_network(self, monkeypatch):
-        # each source is closed once; the variable order flips two canonical pairs
+        # each source is closed once; the variable order flips two canonical pairs,
+        # A-C and B-C, on which the summed subset and superset counts differ
         monkeypatch.setattr(selection, "deductive_closure", functools.lru_cache(deductive_closure))
         sources = [
-            parse_ontology("A(x)\nB(x)\nC(y)\nA(z)\n"),
-            parse_ontology("B(u)\nC(u)\nA(v)\nC(w)\nB(w)\n"),
+            parse_ontology("A(x)\nB(x)\nC(y)\nA(z)\nA(t)\n"),
+            parse_ontology("B(u)\nC(u)\nA(v)\nC(w)\nB(w)\nB(s)\n"),
         ]
         variables = ("C", "A", "B")
         pairs = list(itertools.combinations(variables, 2))
