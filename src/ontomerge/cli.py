@@ -95,7 +95,6 @@ class PipelineResult(_Record):
     counted; `selected` and its `score` come from `best_scenario`."""
 
     __slots__ = ()
-    _fields = ("translations", "merged", "trace", "scenarios", "selected", "score", "result")
     translations: tuple[ForwardTranslation, ...]
     merged: QCN
     trace: MergeTrace

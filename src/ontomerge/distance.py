@@ -10,9 +10,9 @@ integer arithmetic.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
 from typing import Iterator, Mapping, Sequence
 
+from .ontology import _Record
 from .rcc5 import EQ, PO, PP, DR, PPi, UNIVERSAL, BaseRelation, QCN, Relation, _canonical_cells
 
 __all__ = [
@@ -57,8 +57,7 @@ def _distance_rows() -> tuple[tuple[int, ...], ...]:
 _DIST = _distance_rows()
 
 
-@dataclass(frozen=True)
-class DistanceTable:
+class DistanceTable(_Record):
     """Per-pair distances from every base relation to the profile.
 
     `columns` is keyed by the pairs in the canonical order and
@@ -66,6 +65,7 @@ class DistanceTable:
     orientation.
     """
 
+    __slots__ = ()
     columns: Mapping[tuple[str, str], tuple[int, int, int, int, int]]
 
     def column(self, u: str, v: str) -> dict[Relation, int]:

@@ -10,10 +10,10 @@ the loop terminates; the trace records each step.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
 from typing import Sequence
 
 from .distance import DistanceTable, distance_table
+from .ontology import _Record
 from .rcc5 import EMPTY, QCN, UNIVERSAL, Relation, _POSITIONS, is_consistent
 
 __all__ = ["relax", "val", "MergeIteration", "MergeTrace", "merge"]
@@ -35,8 +35,8 @@ def val(phi: Relation, dist: Sequence[int]) -> int:
     return max([dist[i] for i in _POSITIONS[phi.mask]])
 
 
-@dataclass(frozen=True)
-class MergeIteration:
+class MergeIteration(_Record):
+    __slots__ = ()
     index: int
     value: int
     relaxed_pairs: tuple[tuple[str, str], ...]
@@ -51,14 +51,14 @@ class MergeIteration:
         }
 
 
-@dataclass(frozen=True)
-class MergeTrace:
+class MergeTrace(_Record):
     """The relaxation steps, plus the distance table that guided them."""
 
+    __slots__ = ()
     initial: QCN
     iterations: tuple[MergeIteration, ...]
     final: QCN
-    table: DistanceTable = field(compare=False, repr=False)
+    table: DistanceTable
 
     def to_json_dict(self) -> dict:
         return {

@@ -71,17 +71,20 @@ class NameClashError(OntologyError):
 class _Record(tuple):
     """A read-only record: the tuple of its field values, in the order of `_fields`.
 
-    It is built from the fields by position or by keyword, and each value
-    is also read as the attribute its field names.  Every subclass sets
-    ``__slots__ = ()``, so assigning any attribute raises AttributeError.
-    Records are equal only within one class, so ``A <= B`` and ``A(B)``
-    are two members of a set.
+    A subclass that does not set `_fields` takes its annotated names, in
+    declaration order.  A record is built from the fields by position or
+    by keyword, and each value is also read as the attribute its field
+    names.  Every subclass sets ``__slots__ = ()``, so assigning any
+    attribute raises AttributeError.  Records are equal only within one
+    class, so ``A <= B`` and ``A(B)`` are two members of a set.
     """
 
     __slots__ = ()
     _fields: tuple[str, ...] = ()
 
     def __init_subclass__(cls) -> None:
+        if "_fields" not in vars(cls):
+            cls._fields = tuple(vars(cls).get("__annotations__", ()))
         for k, name in enumerate(cls._fields):
             setattr(cls, name, property(itemgetter(k)))
 
@@ -220,7 +223,6 @@ class Ontology(_Record):
     """A TBox/ABox pair with its signature in first-occurrence order."""
 
     __slots__ = ()
-    _fields = ("tbox", "abox", "concepts", "roles", "individuals")
     tbox: frozenset[Axiom]
     abox: frozenset[Assertion]
     concepts: tuple[str, ...]
@@ -442,7 +444,6 @@ class Classification(_Record):
     """
 
     __slots__ = ()
-    _fields = ("supers", "disjoint", "unsatisfiable")
     supers: Mapping[str, frozenset[str]]
     disjoint: frozenset[tuple[str, str]]
     unsatisfiable: frozenset[str]
@@ -603,7 +604,6 @@ class ClosedABox(_Record):
     """
 
     __slots__ = ()
-    _fields = ("members", "roles", "inconsistent_individuals")
     members: Mapping[str, frozenset[str]]
     roles: frozenset[RoleAssertion]
     inconsistent_individuals: frozenset[str]

@@ -14,12 +14,12 @@ the pair's canonical orientation, and `rcc5` searches for the cheapest.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from functools import reduce
 from operator import add, itemgetter, or_
 from typing import Iterator, Sequence
 
-from .ontology import ClosedABox, Ontology, deductive_closure
+from .ontology import ClosedABox, Ontology, _Record, deductive_closure
 from .rcc5 import (
     DR,
     EQ,
@@ -125,18 +125,18 @@ class ScenarioScore:
         }
 
 
-@dataclass(frozen=True)
-class ConflictReport:
+class ConflictReport(_Record):
     """Scores for every candidate, plus what the per-(source, pair) counts come from.
 
     `closures` are the sources' closed ABoxes; `to_json_dict` renders the
     witness lists of each pair of the first candidate, in canonical order.
     """
 
+    __slots__ = ()
     scores: tuple[ScenarioScore, ...]
     selected_index: int
     tied_indices: tuple[int, ...]
-    closures: tuple[ClosedABox, ...] = field(compare=False, repr=False)
+    closures: tuple[ClosedABox, ...]
 
     def _pair_counts(self) -> Iterator[dict]:
         for source, closed in enumerate(self.closures):

@@ -52,7 +52,6 @@ class ForwardTranslation(_Record):
     """A translated network plus notes about what did not translate."""
 
     __slots__ = ()
-    _fields = ("qcn", "dropped_role_axioms", "conflicting_pairs")
     qcn: QCN
     dropped_role_axioms: tuple[Axiom, ...]
     conflicting_pairs: tuple[tuple[str, str], ...]

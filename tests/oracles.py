@@ -884,8 +884,9 @@ def reference_select(
     overlap count, and a candidate's score sums, pair by pair, what its
     label is charged from them.  Same contract as
     `selection.select_scenario`: minimal distance, ties broken by
-    `QCN.sort_key`.  The report holds no closures; the third value is the
-    `pair_counts` list of the report JSON, built here from the facts.
+    `QCN.sort_key`.  The report holds the sources' closures, as its
+    counterpart does; the third value is the `pair_counts` list of the
+    report JSON, built here from the facts.
     """
     if not candidates:
         raise ValueError("no candidate scenarios")
@@ -928,7 +929,7 @@ def reference_select(
         scores=tuple(scores),
         selected_index=selected,
         tied_indices=tied if len(tied) > 1 else (),
-        closures=(),
+        closures=tuple(closures),
     )
     return candidates[selected], report, list(entries.values())
 

@@ -1,13 +1,16 @@
+import ast
 import copy
 import itertools
 import json
 import pickle
 import random
+from pathlib import Path
 
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from ontomerge import ontology
 from ontomerge.ontology import (
     Classification,
     ClosedABox,
@@ -38,6 +41,9 @@ from ontomerge.ontology import (
 )
 
 from ontomerge.cli import PipelineResult
+from ontomerge.distance import DistanceTable
+from ontomerge.merging import MergeIteration, MergeTrace
+from ontomerge.selection import ConflictReport, select_scenario
 from ontomerge.translate import ForwardTranslation, forward
 
 import oracles
@@ -342,20 +348,24 @@ class TestOntologyType:
 
 
 #: One record of each result class, and one statement, read off the
-#: running example's pipeline run.
+#: running example's pipeline run and its sources.
 RECORD_SAMPLES = {
-    "Ontology": lambda run: run.result,
-    "Classification": lambda run: classify(run.result.tbox),
-    "ClosedABox": lambda run: deductive_closure(run.result),
-    "ForwardTranslation": lambda run: forward(run.result),
-    "PipelineResult": lambda run: run,
-    "RoleAssertion": lambda run: RoleAssertion("r", "x", "y"),
+    "Ontology": lambda run, sources: run.result,
+    "Classification": lambda run, sources: classify(run.result.tbox),
+    "ClosedABox": lambda run, sources: deductive_closure(run.result),
+    "ForwardTranslation": lambda run, sources: forward(run.result),
+    "PipelineResult": lambda run, sources: run,
+    "RoleAssertion": lambda run, sources: RoleAssertion("r", "x", "y"),
+    "DistanceTable": lambda run, sources: run.trace.table,
+    "MergeIteration": lambda run, sources: run.trace.iterations[0],
+    "MergeTrace": lambda run, sources: run.trace,
+    "ConflictReport": lambda run, sources: select_scenario(run.scenarios, sources)[1],
 }
 
 
 @pytest.fixture(params=list(RECORD_SAMPLES))
-def record(request, pipeline):
-    return RECORD_SAMPLES[request.param](pipeline)
+def record(request, pipeline, running_sources):
+    return RECORD_SAMPLES[request.param](pipeline, running_sources)
 
 
 class TestRecordSemantics:
@@ -433,6 +443,20 @@ class TestRecordSemantics:
     @pytest.mark.parametrize("cls", [Ontology, Classification, ClosedABox, ForwardTranslation, PipelineResult])
     def test_record_slots_follow_the_annotations(self, cls):
         assert vars(cls)["__slots__"] == () and cls._fields == tuple(cls.__annotations__)
+
+    def test_records_declare_their_fields_once(self):
+        # the result records take their fields from their annotations, in declaration order
+        assert DistanceTable._fields == ("columns",)
+        assert MergeIteration._fields == ("index", "value", "relaxed_pairs", "snapshot")
+        assert MergeTrace._fields == ("initial", "iterations", "final", "table")
+        assert ConflictReport._fields == ("scores", "selected_index", "tied_indices", "closures")
+        # no class body both lists `_fields` and annotates fields
+        for path in Path(ontology.__file__).parent.glob("*.py"):
+            for cls in ast.walk(ast.parse(path.read_text(encoding="utf-8"))):
+                if isinstance(cls, ast.ClassDef):
+                    assigned = {ast.unparse(t) for s in cls.body if isinstance(s, ast.Assign) for t in s.targets}
+                    annotated = [s for s in cls.body if isinstance(s, ast.AnnAssign)]
+                    assert not ("_fields" in assigned and annotated), cls.name
 
     def test_records_take_keywords_and_compare_field_by_field(self):
         o = Ontology(tbox=frozenset(), abox=frozenset(), concepts=("A",), roles=(), individuals=())

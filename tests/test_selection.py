@@ -398,6 +398,24 @@ def test_selection_leaves_the_box_search_to_rcc5():
     assert "_cheapest_scenario" in imported
 
 
+def test_only_the_scenario_score_is_a_dataclass():
+    # the other results are `_Record`s; the score waits until nothing calls `dataclasses.replace` on it
+    imported, decorated = {}, []
+    for path in sorted(Path(selection.__file__).parent.glob("*.py")):
+        for node in ast.walk(ast.parse(path.read_text(encoding="utf-8"))):
+            if isinstance(node, ast.ImportFrom) and node.module == "dataclasses":
+                imported.setdefault(path.stem, set()).update(alias.name for alias in node.names)
+            elif isinstance(node, ast.Import) and any(alias.name == "dataclasses" for alias in node.names):
+                imported.setdefault(path.stem, set()).add("dataclasses")
+            elif isinstance(node, ast.ClassDef):
+                for decorator in node.decorator_list:
+                    target = decorator.func if isinstance(decorator, ast.Call) else decorator
+                    if getattr(target, "id", getattr(target, "attr", None)) == "dataclass":
+                        decorated.append(node.name)
+    assert imported == {"selection": {"dataclass"}}
+    assert decorated == ["ScenarioScore"]
+
+
 def test_pipeline_matches_the_reference_on_random_profiles():
     rng = random.Random(31337)
     seen = dict.fromkeys(
