@@ -10,17 +10,21 @@ variables, keeping the two orientations of a pair converse-coherent.
 Reasoning services: weak composition, algebraic closure (path
 consistency), consistency by backtracking until every open label contains
 PO, and one branch and bound over quasi-atomic boxes, `_search`, checked
-triangle by triangle, run here only: enumeration lists its every
-maximal leaf, `MaximalScenarios`, a view that lists on demand, decides
-membership by its first leaf over a candidate's own labels, and
-`_cheapest_scenario` keeps the cheapest under `selection`'s label prices.
+triangle by triangle, run here only.  It prunes a branch once some
+fixed label is sure to widen, so every leaf it reaches is maximal.
+Enumeration lists its every leaf, `MaximalScenarios`, a view that lists
+on demand, decides membership by its first leaf over a candidate's own
+labels, and `_cheapest_scenario` keeps the cheapest under `selection`'s
+label prices, searching below the cost of a box that a greedy descent
+(`_seed_box`) and large-neighbourhood search (`_improved`) found first.
 """
 
 from __future__ import annotations
 
+import math
 from collections import deque
 from collections.abc import Sequence
-from functools import cached_property
+from functools import cache, cached_property
 from itertools import chain, combinations
 from operator import itemgetter
 from typing import Iterable, Iterator, Mapping
@@ -622,30 +626,62 @@ def _box_domains(n: QCN) -> list[list[int]]:
     return [[_FITS[mask] if closed else 0 for mask in row] for row in m]
 
 
-def _is_maximal(box: list[list[int]], domains: list[list[int]]) -> bool:
-    """Whether the valid box `box` is maximal among the boxes inside `domains`.
+def _widenings(box: list[list[int]], domains: list[list[int]], i: int, j: int) -> int:
+    """The labels that (i, j) of the valid box `box` widens to validly.
 
-    Validity is closed under shrinking, so a valid box is maximal when no
-    single label widens validly (PP or EQ to {PP,EQ}, PPi or EQ to
-    {PPi,EQ}): each pair's widenings inside its domain are one label
-    set, narrowed by `_ALLOWED` over the pair's triangles until it
-    empties.  `box` holds both orientations, so any third k can be the
-    apex of the triangle (k, i, j).
+    Validity is closed under shrinking, so a valid box is maximal among
+    the boxes inside `domains` when no single label widens validly (PP
+    or EQ to {PP,EQ}, PPi or EQ to {PPi,EQ}): the pair's widenings inside
+    its domain are one label set, narrowed by `_ALLOWED` over the pair's
+    triangles until it empties.  `box` holds both orientations, so any
+    third k can be the apex of the triangle (k, i, j); every triangle
+    through the pair must be fixed.
     """
-    rows = list(enumerate(box))
-    for i, row_i in rows:
-        for j in range(i + 1, len(rows)):
-            wider = domains[i][j] & _WIDEN[row_i[j]]
-            if not wider:
-                continue
-            for k, row in rows:
-                if k != i and k != j:
-                    wider &= _ALLOWED[row[i]][row[j]]
-                    if not wider:
-                        break
-            else:
-                return False
-    return True
+    wider = domains[i][j] & _WIDEN[box[i][j]]
+    for k, row in enumerate(box):
+        if not wider:
+            break
+        if k != i and k != j:
+            wider &= _ALLOWED[row[i]][row[j]]
+    return wider
+
+
+def _widens(box: list[list[int]], domains: list[list[int]], columns: Iterable[int]) -> bool:
+    """Whether some pair (a, c), a < c, of `columns` has `_widenings`:
+    whether `box` is not maximal there.  It runs at every row's end, so
+    the loop of `_widenings` is inlined."""
+    for c in columns:
+        for a in range(c):
+            wider = domains[a][c] & _WIDEN[box[a][c]]
+            if wider:
+                for k, row in enumerate(box):
+                    if k != a and k != c:
+                        wider &= _ALLOWED[row[a]][row[c]]
+                        if not wider:
+                            break
+                else:
+                    return True
+    return False
+
+
+class _Common(dict):
+    """The labels c on (i, j) that `_ALLOWED` admits for every x in a
+    label set xs on (k, i) and y in a label set ys on (k, j), filled on
+    demand.  The key is xs << 26 | ys << 1, plus 1 when xs and ys hold
+    the labels of (i, k) and (j, k) instead.
+    """
+
+    def __missing__(self, key: int) -> int:
+        xs, ys, turned = key >> 26, key >> 1 & (1 << 25) - 1, key & 1
+        labels = _FITS[_FULL_MASK]
+        for x in _LABELS_OF[xs]:
+            for y in _LABELS_OF[ys]:
+                labels &= _ALLOWED[_CONV_MASK[x]][_CONV_MASK[y]] if turned else _ALLOWED[x][y]
+        self[key] = labels
+        return labels
+
+
+_COMMON = _Common()
 
 
 #: The scenario labels in `QCN.sort_key` order: DR, PO, PP, {PP,EQ}, PPi, {PPi,EQ}, EQ.
@@ -660,7 +696,32 @@ _LABELS_OF = {
 _TURN = itemgetter(*_CONV_MASK)
 
 
-def _search(domains: list[list[int]], cost: Sequence[Sequence[int]] | None = None) -> Iterator[list[list[int]]]:
+@cache
+def _row_order(size: int) -> tuple[tuple[tuple[int, int], ...], tuple, tuple, tuple]:
+    """The pairs (i, j), i < j, row by row, and for each pair:
+
+    - the (depth of (k, j), k) of every pair that fixing it narrows;
+    - the (depth of (i, r), depth of (j, r)) of every third r after j;
+    - the columns c whose pairs (a, c), a < c, have every triangle fixed
+      once it is: a row's last pair completes the row's column, and the
+      last pair the last two columns.
+
+    Memoized per size, as tuples.
+    """
+    pairs = tuple(combinations(range(size), 2))
+    depth_of = {pair: d for d, pair in enumerate(pairs)}
+    narrowed = tuple(tuple((depth_of[k, j], k) for k in range(i + 1, j)) for i, j in pairs)
+    beyond = tuple(tuple((depth_of[i, r], depth_of[j, r]) for r in range(j + 1, size)) for i, j in pairs)
+    completes = tuple((i,) if j == size - 1 else () for i, j in pairs[:-1]) + (range(size - 2, size),)
+    return pairs, narrowed, beyond, completes
+
+
+def _search(
+    domains: list[list[int]],
+    cost: Sequence[Sequence[int]] | None = None,
+    limit: float = math.inf,
+    maximal_in: list[list[int]] | None = None,
+) -> Iterator[list[list[int]]]:
     """Branch and bound, depth first, over the boxes inside `domains`.
 
     A box gives each pair a scenario label.  Path consistency decides
@@ -672,32 +733,39 @@ def _search(domains: list[list[int]], cost: Sequence[Sequence[int]] | None = Non
     narrows the open pair (k, j) by `_ALLOWED`; an empty domain prunes
     the branch.  Every leaf is thus valid.
 
+    A leaf is yielded, as a copy of the box, when it is maximal among
+    the boxes inside `maximal_in`, by default `domains`.  Two tests
+    prune branches below which no leaf is: a pair just fixed to PP, PPi
+    or EQ whose widening inside `maximal_in` passes `_ALLOWED` for every
+    label still left on each of its triangles, and, once row i is
+    complete, a pair (a, i) with `_widenings` (`_widens`), every triangle
+    through it being fixed.  The last depth completes the last two
+    columns, so a leaf that passes is maximal.
+
     A box costs the sum of `cost[d][label]` over its pairs, `cost[d]`
     being the row of the d-th pair fixed.  A node's bound, the cost so
     far plus the cheapest label left on each open pair, is kept
     incrementally; each depth's undo list restores the domains its label
-    narrowed.  A branch whose bound reaches the limit is pruned.  Each
-    leaf that `_is_maximal` is yielded as a copy of the box.  Without
-    `cost` every box costs nothing, the limit stays unbounded and every
-    maximal leaf is yielded; with it, each yielded leaf's cost becomes
-    the limit, and the last leaf is the first cheapest one.
+    narrowed.  A branch whose bound reaches `limit` is pruned.  Without
+    `cost` every box costs nothing and every maximal leaf is yielded;
+    with it, each yielded leaf's cost becomes the limit, and the last
+    leaf is the first cheapest one below the starting limit.
     """
     size = len(domains)
     box = [[EQ.mask] * size for _ in range(size)]
-    pairs = list(combinations(range(size), 2))
-    if not pairs:  # a single variable: the empty box is its one leaf
+    if size < 2:  # a single variable: the empty box is its one leaf
         yield box
         return
+    closed = domains if maximal_in is None else maximal_in
     every = cost is None
+    pairs, narrowed, beyond, completes = _row_order(size)
     if every:
         cost = [(0,) * 32] * len(pairs)
-    depth_of = {pair: d for d, pair in enumerate(pairs)}
-    # (depth of (k, j), k) for each pair (k, j) that fixing (i, j) narrows
-    narrowed = [[(depth_of[k, j], k) for k in range(i + 1, j)] for i, j in pairs]
     domain = [domains[i][j] for i, j in pairs]
+    # whether each pair's domain is narrower than the constraint its maximality is judged in
+    held = [closed[i][j] != labels for (i, j), labels in zip(pairs, domain)]
     low = [min([cost[d][m] for m in _LABELS_OF[domain[d]]], default=0) for d in range(len(pairs))]
     lowest: list[dict[int, int]] = [{} for _ in pairs]  # the cheapest label of each domain met, per pair
-    limit = float("inf")
     rest = sum(low[1:])  # the cheapest labels of the pairs after the current depth
     spent = [0] * len(pairs)  # cost of the labels fixed above each depth
     left = [iter(_LABELS_OF[domain[0]])] + [iter(())] * (len(pairs) - 1)
@@ -738,16 +806,126 @@ def _search(domains: list[list[int]], cost: Sequence[Sequence[int]] | None = Non
         else:
             if g + rest >= limit:
                 continue
+            # does a widening pass every label left on the pair's triangles?  The
+            # domain, unless held to fewer labels, already passed those (r, i, j), r < i
+            wider = _WIDEN[label] & (closed[i][j] if held[depth] else domain[depth])
+            if wider:
+                for r in range(i) if held[depth] else ():
+                    wider &= _ALLOWED[box[r][i]][box[r][j]]
+                for d, k in narrowed[depth] if wider else ():
+                    wider &= _COMMON[1 << (box[k][i] + 26) | domain[d] << 1]
+                for d, e in beyond[depth] if wider else ():
+                    wider &= _COMMON[domain[d] << 26 | domain[e] << 1 | 1]
+                if wider:
+                    continue
+            ends = completes[depth]
+            if ends and _widens(box, closed, ends):
+                continue
             if depth + 1 == len(pairs):
-                if _is_maximal(box, domains):
-                    yield [row[:] for row in box]
-                    if not every:
-                        limit = g
+                yield [row[:] for row in box]
+                if not every:
+                    limit = g
                 continue
             depth += 1
             spent[depth] = g
             rest -= low[depth]
             left[depth] = iter(_LABELS_OF[domain[depth]])
+
+
+#: Steps of the greedy descent of `_seed_box`, each a label tried or a pair
+#: run out of labels, before it gives up.
+_SEED_NODES = 100_000
+#: Concepts whose pairs a window search of `_improved` frees.
+_WINDOW = 4
+
+
+def _box_cost(box: list[list[int]], cost: Sequence[Sequence[int]]) -> int:
+    """The cost of `box` under `_search`'s cost rows."""
+    return sum(cost[d][box[i][j]] for d, (i, j) in enumerate(combinations(range(len(box)), 2)))
+
+
+def _seed_box(domains: list[list[int]], cost: Sequence[Sequence[int]]) -> list[list[int]] | None:
+    """A maximal box inside `domains`, cheap but not always the cheapest,
+    or None when `_SEED_NODES` steps turn up no valid box.
+
+    One descent in row order tries each pair's labels cheapest first,
+    with forward checking as in `_search`, and backtracks on an empty
+    domain.  Its first leaf is valid; each pair in turn then takes its
+    cheapest valid widening.  Widening only narrows what the others may
+    widen to, so one pass leaves a maximal box.
+    """
+    size = len(domains)
+    box = [[EQ.mask] * size for _ in range(size)]
+    if size < 2:
+        return box
+    pairs, narrowed, _, _ = _row_order(size)
+    by_cost = [cost[d].__getitem__ for d in range(len(pairs))]
+    opened = [[domains[i][j] for i, j in pairs]]  # the domains before each depth
+    left = [iter(sorted(_LABELS_OF[opened[0][0]], key=by_cost[0]))]
+    for _ in range(_SEED_NODES):
+        depth = len(left) - 1
+        label = next(left[depth], None)
+        if label is None:
+            left.pop()
+            opened.pop()
+            if not left:
+                return None
+            continue
+        i, j = pairs[depth]
+        box[i][j] = label
+        box[j][i] = _CONV_MASK[label]
+        domain = opened[depth][:]
+        for d, k in narrowed[depth]:
+            domain[d] &= _ALLOWED[box[i][k]][label]
+            if not domain[d]:
+                break
+        else:
+            if depth + 1 == len(pairs):
+                break
+            opened.append(domain)
+            left.append(iter(sorted(_LABELS_OF[domain[depth + 1]], key=by_cost[depth + 1])))
+    else:
+        return None
+    for d, (i, j) in enumerate(pairs):
+        wider = _widenings(box, domains, i, j)
+        if wider:
+            label = min(_LABELS_OF[wider], key=by_cost[d])
+            box[i][j] = label
+            box[j][i] = _CONV_MASK[label]
+    return box
+
+
+def _improved(box: list[list[int]], domains: list[list[int]], cost: Sequence[Sequence[int]]) -> list[list[int]]:
+    """The maximal box `box`, made cheaper by large-neighbourhood search.
+
+    A window search frees the pairs that touch `_WINDOW` concepts, holds
+    every other pair to its label in `box` and runs `_search` below the
+    box's cost, judging each leaf's maximality against the full
+    `domains`; its cheapest leaf replaces the box.  The windows are
+    {s + t·k mod n : t < `_WINDOW`} for every start s, in sweeps of step
+    k = 1, 2, 3, and a sweep without gain ends the search.  With n ≤
+    `_WINDOW` + 1 a window frees every pair, so none runs.
+    """
+    size = len(domains)
+    if size <= _WINDOW + 1:
+        return box
+    spent = _box_cost(box, cost)
+    for step in (1, 2, 3):
+        gained = False
+        for start in range(size):
+            window = {(start + t * step) % size for t in range(_WINDOW)}
+            free = [
+                [domains[a][b] if a in window or b in window else 1 << label for b, label in enumerate(row)]
+                for a, row in enumerate(box)
+            ]
+            cheaper = deque(_search(free, cost, spent, domains), maxlen=1)
+            if cheaper:
+                box = cheaper[0]
+                spent = _box_cost(box, cost)
+                gained = True
+        if not gained:
+            break
+    return box
 
 
 def _cheapest_scenario(network: QCN, cost: Sequence[Sequence[int]]) -> Scenario | None:
@@ -757,12 +935,19 @@ def _cheapest_scenario(network: QCN, cost: Sequence[Sequence[int]]) -> Scenario 
     `cost` holds one row per pair in `_canonical_cells` order, each label
     mask's cost in the pair's canonical orientation.  The search fixes
     the cells (i, j), i < j, in order; one whose canonical cell is (j, i)
-    reads that row turned.
+    reads that row turned.  `_seed_box` and `_improved` find a cheap
+    maximal box first, and the search runs below its cost plus one: the
+    box is a leaf there, so the first cheapest leaf is still found.
     """
     canonical = dict(zip(_canonical_cells(network.variables), cost))
     pairs = combinations(range(len(network.variables)), 2)
     rows = [canonical[p] if p in canonical else _TURN(canonical[p[::-1]]) for p in pairs]
-    for box in deque(_search(_box_domains(network), rows), maxlen=1):
+    domains = _box_domains(network)
+    limit = math.inf
+    seed = _seed_box(domains, rows)
+    if seed is not None:
+        limit = _box_cost(_improved(seed, domains, rows), rows) + 1
+    for box in deque(_search(domains, rows, limit), maxlen=1):
         return Scenario._from_matrix(network, box)
     return None
 
@@ -781,8 +966,8 @@ class MaximalScenarios(Sequence):
     indexed or counted, and only once: the listing is a cached property.
     Membership is decided without a listing: a network is a member when
     it has the network's variables, its labels form a valid box inside
-    the closed constraints (`_search` over its own labels reaches it)
-    and that box is maximal.
+    the closed constraints and that box is maximal there (`_search` over
+    its own labels, judged against the closed constraints, reaches it).
     """
 
     def __init__(self, network: QCN) -> None:
@@ -805,9 +990,10 @@ class MaximalScenarios(Sequence):
         if not isinstance(s, QCN) or s.variables != self._network.variables:
             return False
         domains, m = _box_domains(self._network), s._matrix
-        # `s` is a valid box when the search over its own labels reaches it
+        # `s` is a maximal valid box when the search over its own labels,
+        # judging maximality against the closed constraints, reaches it
         own = [[d & 1 << label for d, label in zip(*rows)] for rows in zip(domains, m)]
-        return next(_search(own), None) is not None and _is_maximal(m, domains)
+        return next(_search(own, maximal_in=domains), None) is not None
 
     def __eq__(self, other: object) -> bool:
         if not isinstance(other, MaximalScenarios):

@@ -32,7 +32,11 @@ refinements into boxes and drops every box contained in another.  `reference_sel
 scenarios from witness lists read straight off the closed ABox's facts.
 `reference_pipeline` lists and scores every scenario of the merged
 network, where `cli.run_pipeline` finds the selected one by branch and
-bound (`selection.best_scenario`).
+bound (`selection.best_scenario`).  `reference_cheapest_scenario` is
+that branch and bound as it was before `rcc5._cheapest_scenario` began
+from a greedy and window-search incumbent and before the box search cut
+non-maximal branches early: an unbounded start and a maximality test
+at each leaf.
 They are kept so the fast paths and the shorter paths can be checked
 for agreement with them.
 """
@@ -74,7 +78,13 @@ from ontomerge.rcc5 import (
     PPi,
     Relation,
     Scenario,
+    _ALLOWED,
+    _LABELS_OF,
+    _TURN,
+    _WIDEN,
+    _box_domains,
     _branches,
+    _canonical_cells,
     _close,
     _COMP_MASK,
     _COMPOSITION_ENTRIES,
@@ -856,6 +866,109 @@ def reference_scenarios(n: QCN) -> list[Scenario]:
         )
         for box in maximal
     ]
+
+
+def _reference_is_maximal(box: list[list[int]], domains: list[list[int]]) -> bool:
+    """Whether the valid box `box` is maximal inside `domains`: no
+    pair's widening passes `_ALLOWED` on every triangle through it."""
+    rows = list(enumerate(box))
+    for i, row_i in rows:
+        for j in range(i + 1, len(rows)):
+            wider = domains[i][j] & _WIDEN[row_i[j]]
+            if not wider:
+                continue
+            for k, row in rows:
+                if k != i and k != j:
+                    wider &= _ALLOWED[row[i]][row[j]]
+                    if not wider:
+                        break
+            else:
+                return False
+    return True
+
+
+def _reference_search(domains: list[list[int]], cost: Sequence[Sequence[int]]) -> Iterator[list[list[int]]]:
+    """The box search without a starting limit or early maximality tests.
+
+    Branch and bound over the boxes inside `domains`, pairs row by row,
+    labels in sort-key order, forward checking through `_ALLOWED`, the
+    cost so far plus the cheapest label left on each open pair as the
+    bound; each leaf that `_reference_is_maximal` is yielded and its cost
+    becomes the limit.
+    """
+    size = len(domains)
+    box = [[EQ.mask] * size for _ in range(size)]
+    pairs = list(itertools.combinations(range(size), 2))
+    if not pairs:
+        yield box
+        return
+    depth_of = {pair: d for d, pair in enumerate(pairs)}
+    narrowed = [[(depth_of[k, j], k) for k in range(i + 1, j)] for i, j in pairs]
+    domain = [domains[i][j] for i, j in pairs]
+    low = [min([cost[d][m] for m in _LABELS_OF[domain[d]]], default=0) for d in range(len(pairs))]
+    lowest: list[dict[int, int]] = [{} for _ in pairs]  # the cheapest label of each domain met, per pair
+    limit = float("inf")
+    rest = sum(low[1:])
+    spent = [0] * len(pairs)
+    left = [iter(_LABELS_OF[domain[0]])] + [iter(())] * (len(pairs) - 1)
+    undo: list[list[tuple[int, int, int]]] = [[] for _ in pairs]
+    depth = 0
+    while depth >= 0:
+        narrowings = undo[depth]
+        if narrowings:
+            for d, domain[d], old in narrowings:
+                rest += old - low[d]
+                low[d] = old
+            narrowings.clear()
+        label = next(left[depth], None)
+        if label is None:
+            depth -= 1
+            rest += low[depth + 1]
+            continue
+        i, j = pairs[depth]
+        g = spent[depth] + cost[depth][label]
+        if g + rest >= limit:
+            continue
+        row = box[i]
+        row[j] = label
+        box[j][i] = _CONV_MASK[label]
+        for d, k in narrowed[depth]:
+            labels = domain[d] & _ALLOWED[row[k]][label]
+            if labels != domain[d]:
+                if not labels:
+                    break
+                narrowings.append((d, domain[d], low[d]))
+                domain[d] = labels
+                cheapest = lowest[d].get(labels)
+                if cheapest is None:
+                    cheapest = lowest[d][labels] = min([cost[d][m] for m in _LABELS_OF[labels]])
+                rest += cheapest - low[d]
+                low[d] = cheapest
+        else:
+            if g + rest >= limit:
+                continue
+            if depth + 1 == len(pairs):
+                if _reference_is_maximal(box, domains):
+                    yield [row[:] for row in box]
+                    limit = g
+                continue
+            depth += 1
+            spent[depth] = g
+            rest -= low[depth]
+            left[depth] = iter(_LABELS_OF[domain[depth]])
+
+
+def reference_cheapest_scenario(network: QCN, cost: Sequence[Sequence[int]]) -> Scenario | None:
+    """`rcc5._cheapest_scenario` without a seed: the box search from an
+    unbounded limit, its last leaf being the first cheapest maximal
+    scenario in `QCN.sort_key` order; None when there is no scenario.
+    `cost` holds one row per pair in `_canonical_cells` order."""
+    canonical = dict(zip(_canonical_cells(network.variables), cost))
+    pairs = itertools.combinations(range(len(network.variables)), 2)
+    rows = [canonical[p] if p in canonical else _TURN(canonical[p[::-1]]) for p in pairs]
+    for box in deque(_reference_search(_box_domains(network), rows), maxlen=1):
+        return Scenario._from_matrix(network, box)
+    return None
 
 
 # --- slow reference for scenario selection ------------------------------------
